@@ -3,7 +3,7 @@
 Every check computes exact algebraic facts and returns a CheckReport; a FAIL
 report always carries a witness (first differing entry, residual vector, or
 the offending pair).  Checks are pure given their parameters, so reports are
-cacheable by (check name, parameters, code version).
+cacheable by (check name, parameters, source digest).
 """
 
 from __future__ import annotations
@@ -18,15 +18,16 @@ from .errors import UnknownCheck
 from .hecke import (DiagElt, HeckeElt, formal_product, idempotents_r2,
                     idempotents_r3, projection_matrix, r3_normalizers, t,
                     theta)
-from .linalg import QMatrix, SubspaceBasis
+from .linalg import SubspaceBasis
 from .permutations import (all_perms, inverse, perm_of_word, perm_str,
                            reduced_word, s)
 from .pplactic import (hecke_side_kernel, lemma_brute_check,
                        preplactic_ideal_component, verify_conjecture)
 from .qma import diag_relation_kernel, expand_diagonal
-from .rmatrix import (appendix_blocks, generator_matrix, idempotent_block,
-                      index_word, multiset_classes, pi, rhat, rhat_reading)
-from .scalars import ONE, ZERO, QScalar, omega, parse_scalar, q_power, qs
+from .rmatrix import (generator_matrix, idempotent_block, index_word,
+                      multiset_classes, pi, rhat, rhat_reading)
+from .scalars import (ONE, QScalar, add_term, omega, parse_scalar, q_power,
+                      qs)
 
 __all__ = ["CheckReport", "run_check", "run_many", "CHECKS", "check_names"]
 
@@ -183,17 +184,8 @@ def check_rhat(params) -> dict:
     dims = [params.get("n")] if params.get("n") else [2, 3, 4]
     detail = {"readings": {}}
     for n in dims:
-        m = rhat(n)  # construction asserts quadratic + braid + exchange form
+        # construction raises unless the quadratic and braid relations hold
         detail["readings"][str(n)] = rhat_reading(n)
-        ident = QMatrix.identity(n * n)
-        quad = ((m - ident.scale(q_power(1)))
-                * (m + ident.scale(q_power(-1)))).is_zero()
-        if not quad:
-            return {"status": "FAIL", "witness": f"quadratic relation, n={n}"}
-        r12 = generator_matrix(n, 3, 1)
-        r23 = generator_matrix(n, 3, 2)
-        if r12 * r23 * r12 != r23 * r12 * r23:
-            return {"status": "FAIL", "witness": f"braid relation, n={n}"}
     golden = _data("rhat2.json")
     pinned = {(tuple(int(c) for c in row), tuple(int(c) for c in col)):
               parse_scalar(text) for row, col, text in golden["entries"]}
@@ -226,8 +218,10 @@ def check_appendix(params) -> dict:
     blocks = [(words6, six)]
     for multiset in ((1, 1, 2), (1, 2, 2)):
         blocks.append((sorted(multiset_classes(3, 3)[multiset]), three))
+    computed = []
     for words, expected in blocks:
         got = idempotent_block(mat, words, 3)
+        computed.append(got)
         for i, row in enumerate(expected):
             for j, val in enumerate(row):
                 if got[i][j] != val:
@@ -241,7 +235,8 @@ def check_appendix(params) -> dict:
         for (i, j) in mat.entries)
     if not zero_pattern:
         return {"status": "FAIL", "witness": "multiset zero pattern"}
-    six, three = appendix_blocks(sg)
+    # the 123 block and the 112 block, as appendix_blocks(sg) extracts them
+    six, three = computed[:2]
     return {"status": "PASS", "entries_compared": compared,
             "zero_pattern": True,
             "_artifacts": {"block6": [[str(x) for x in row] for row in six],
@@ -334,11 +329,7 @@ def check_braid_identity(params) -> dict:
             "s" + " s".join(map(str, wd)) if wd else "1": str(cc)
             for wd, cc in sorted(fp.items())}
         for wd, cc in fp.items():
-            v = formal.get(wd, ZERO) + c * cc
-            if v:
-                formal[wd] = v
-            else:
-                formal.pop(wd, None)
+            add_term(formal, wd, c * cc)
     expected = {(1, 2, 1): w, (2, 1, 2): -w}
     if formal != expected:
         return {"status": "FAIL",

@@ -1,9 +1,11 @@
 """Command-line front end: `qdiag run <check> [options]`.
 
 Reports are emitted as text (one line per check plus detail) or as a JSON
-array.  Results are cached content-addressed by (check, parameters, code
-version); re-running with identical parameters reproduces the stored report
-byte for byte.  Exit status is 0 iff every executed check passes.
+array.  Results are cached content-addressed by (check, parameters, source
+digest), where the digest covers the package's .py and data files, so an
+edited check never serves its old report; re-running with identical
+parameters reproduces the stored report byte for byte.  Exit status is 0 iff
+every executed check passes.
 """
 
 from __future__ import annotations
@@ -12,18 +14,31 @@ import argparse
 import hashlib
 import json
 import sys
+from functools import lru_cache
 from pathlib import Path
 
-from . import __version__
 from .checks import ALL_ORDER, CheckReport, check_names, run_many
 from .errors import UnknownCheck
 
 PARAM_KEYS = ("n", "d", "r", "sign", "variant", "max_block")
 
 
+@lru_cache(maxsize=None)
+def _source_digest() -> str:
+    """sha256 over the package's .py files and data/*.json, with their names."""
+    root = Path(__file__).parent
+    digest = hashlib.sha256()
+    for path in sorted(root.glob("*.py")) + sorted(root.glob("data/*.json")):
+        data = path.read_bytes()
+        digest.update(f"{path.relative_to(root).as_posix()}\0{len(data)}\0"
+                      .encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
 def _cache_key(name: str, params: dict) -> str:
     blob = json.dumps({"check": name, "params": params,
-                       "version": __version__}, sort_keys=True)
+                       "source": _source_digest()}, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 

@@ -26,10 +26,11 @@ from .permutations import (
     all_perms, apply_gen, identity, inverse, length, perm_of_word,
     perm_str, reduced_word, sign,
 )
-from .scalars import LaurentPoly, ONE, ZERO, QScalar, omega, q_int, q_power, qs
+from .scalars import (LaurentPoly, ONE, ZERO, QScalar, add_term, omega, q_int,
+                      q_power, qs)
 
 __all__ = [
-    "HeckeElt", "DiagElt", "t", "t_upper", "project_p",
+    "HeckeElt", "DiagElt", "t", "project_p",
     "idempotents_r2", "idempotents_r3", "r3_normalizers",
     "theta", "diag_kernel_of_p", "projection_matrix", "formal_product",
 ]
@@ -67,11 +68,7 @@ class HeckeElt:
         self._check(other)
         data = dict(self.terms)
         for p, c in other.terms.items():
-            s = data.get(p, ZERO) + c
-            if s:
-                data[p] = s
-            else:
-                data.pop(p, None)
+            add_term(data, p, c)
         return HeckeElt(self.r, data)
 
     def __neg__(self):
@@ -95,17 +92,8 @@ class HeckeElt:
             for i in reduced_word(rho):
                 terms = _mul_gen(terms, i)
             for p, cc in terms.items():
-                s = out.get(p, ZERO) + c * cc
-                if s:
-                    out[p] = s
-                else:
-                    out.pop(p, None)
+                add_term(out, p, c * cc)
         return HeckeElt(self.r, out)
-
-    def __rmul__(self, other):
-        if isinstance(other, QScalar):
-            return self.scale(other)
-        return NotImplemented
 
     def coeff(self, p) -> QScalar:
         return self.terms.get(p, ZERO)
@@ -153,21 +141,11 @@ def _mul_gen(terms: dict, i: int) -> dict:
     """Right multiplication of a term dict by T_si."""
     w = omega()
     out: dict = {}
-
-    def put(p, c):
-        s = out.get(p, ZERO) + c
-        if s:
-            out[p] = s
-        else:
-            out.pop(p, None)
-
     for p, c in terms.items():
         ps = apply_gen(p, i)
-        if length(ps) > length(p):
-            put(ps, c)
-        else:
-            put(ps, c)
-            put(p, c * w)
+        add_term(out, ps, c)
+        if length(ps) < length(p):
+            add_term(out, p, c * w)
     return out
 
 
@@ -179,11 +157,6 @@ def t(p) -> HeckeElt:
 def t_word(r: int, word) -> HeckeElt:
     """T of a reduced generator word, e.g. t_word(3, (1, 2)) = T_s1s2."""
     return t(perm_of_word(r, word))
-
-
-def t_upper(p) -> HeckeElt:
-    """The upper-index basis T^p = T_(p^-1)."""
-    return t(inverse(tuple(p)))
 
 
 class DiagElt:
@@ -198,31 +171,6 @@ class DiagElt:
     @staticmethod
     def basis(p) -> "DiagElt":
         return DiagElt(len(p), {tuple(p): ONE})
-
-    def __add__(self, other):
-        if self.r != other.r:
-            raise SizeMismatch(f"rank {self.r} vs {other.r}")
-        data = dict(self.coeffs)
-        for p, c in other.coeffs.items():
-            s = data.get(p, ZERO) + c
-            if s:
-                data[p] = s
-            else:
-                data.pop(p, None)
-        return DiagElt(self.r, data)
-
-    def __sub__(self, other):
-        return self + other.scale(-ONE)
-
-    def scale(self, c: QScalar) -> "DiagElt":
-        return DiagElt(self.r, {p: c * cc for p, cc in self.coeffs.items()})
-
-    def __eq__(self, other):
-        return (isinstance(other, DiagElt) and self.r == other.r
-                and self.coeffs == other.coeffs)
-
-    def to_json(self):
-        return {perm_str(p): str(c) for p, c in sorted(self.coeffs.items())}
 
 
 def project_p(x: DiagElt) -> HeckeElt:
@@ -349,23 +297,15 @@ def formal_product(r: int, word_a, word_b) -> dict:
     out = {tuple(word_a): ONE}
     for i in word_b:
         nxt: dict = {}
-
-        def put(word, c):
-            s = nxt.get(word, ZERO) + c
-            if s:
-                nxt[word] = s
-            else:
-                nxt.pop(word, None)
-
         for word, c in out.items():
             p = perm_of_word(r, word)
             ps = apply_gen(p, i)
             if length(ps) > length(p):
-                put(word + (i,), c)
+                add_term(nxt, word + (i,), c)
             else:
                 shorter = word[:-1] if word and word[-1] == i \
                     else reduced_word(ps)
-                put(shorter, c)
-                put(shorter + (i,), c * w)
+                add_term(nxt, shorter, c)
+                add_term(nxt, shorter + (i,), c * w)
         out = nxt
     return out

@@ -14,19 +14,16 @@ needed (the relation rows are short and the full suite runs in seconds).
 from __future__ import annotations
 
 from .errors import DimensionMismatch
-from .scalars import ONE, ZERO, QScalar
+from .scalars import ONE, ZERO, QScalar, add_term
 
 __all__ = ["QMatrix", "SubspaceBasis", "kernel"]
 
 
 def _vec_sub_scaled(vec: dict, row: dict, c: QScalar):
     """In place vec -= c * row."""
+    c = -c
     for col, val in row.items():
-        s = vec.get(col, ZERO) - c * val
-        if s:
-            vec[col] = s
-        else:
-            vec.pop(col, None)
+        add_term(vec, col, c * val)
 
 
 class QMatrix:
@@ -66,11 +63,7 @@ class QMatrix:
         self._check_shape(other)
         data = dict(self.entries)
         for key, val in other.entries.items():
-            s = data.get(key, ZERO) + val
-            if s:
-                data[key] = s
-            else:
-                data.pop(key, None)
+            add_term(data, key, val)
         return QMatrix(self.nrows, self.ncols, data)
 
     def __sub__(self, other):
@@ -94,12 +87,7 @@ class QMatrix:
         data: dict = {}
         for (i, k), a in self.entries.items():
             for j, b in by_row.get(k, ()):
-                key = (i, j)
-                s = data.get(key, ZERO) + a * b
-                if s:
-                    data[key] = s
-                else:
-                    data.pop(key, None)
+                add_term(data, (i, j), a * b)
         return QMatrix(self.nrows, other.ncols, data)
 
     def transpose(self) -> "QMatrix":
@@ -114,13 +102,8 @@ class QMatrix:
         out: dict = {}
         for (i, j), val in self.entries.items():
             c = vec.get(j)
-            if c is None:
-                continue
-            s = out.get(i, ZERO) + val * c
-            if s:
-                out[i] = s
-            else:
-                out.pop(i, None)
+            if c is not None:
+                add_term(out, i, val * c)
         return out
 
     def to_json(self):
@@ -193,33 +176,6 @@ class SubspaceBasis:
                 and self.pivots == other.pivots
                 and self.rows == other.rows)
 
-    def sum_with(self, other: "SubspaceBasis") -> "SubspaceBasis":
-        self._check_ambient(other)
-        return SubspaceBasis.from_vectors(self.rows + other.rows,
-                                          self.ambient, self.labels)
-
-    def intersect(self, other: "SubspaceBasis") -> "SubspaceBasis":
-        """Intersection via the kernel of the stacked coefficient map."""
-        self._check_ambient(other)
-        gens = self.rows + other.rows
-        k = len(self.rows)
-        m = QMatrix(self.ambient, len(gens),
-                    {(c, j): val for j, g in enumerate(gens)
-                     for c, val in g.items()})
-        inter = []
-        for combo in kernel(m).rows:
-            vec: dict = {}
-            for j, c in combo.items():
-                if j < k:
-                    _vec_sub_scaled(vec, self.rows[j], -c)
-            inter.append(vec)
-        return SubspaceBasis.from_vectors(inter, self.ambient, self.labels)
-
-    def _check_ambient(self, other):
-        if self.ambient != other.ambient:
-            raise DimensionMismatch(
-                f"ambient {self.ambient} vs {other.ambient}")
-
     def to_json(self):
         labels = self.labels
         name = (lambda c: labels[c]) if labels else (lambda c: c)
@@ -248,8 +204,11 @@ def _reduce_by(row: dict, pivot_rows: dict):
 
 def kernel(m: QMatrix) -> SubspaceBasis:
     """Right kernel {v : m v = 0} as a canonical subspace of Q(q)^ncols."""
+    rows: dict = {}
+    for (i, j), val in m.entries.items():
+        rows.setdefault(i, {})[j] = val
     row_space = SubspaceBasis.from_vectors(
-        (m.row(i) for i in range(m.nrows)), m.ncols)
+        (rows.get(i, {}) for i in range(m.nrows)), m.ncols)
     pivot_set = set(row_space.pivots)
     free_cols = [c for c in range(m.ncols) if c not in pivot_set]
     vectors = []
@@ -262,7 +221,10 @@ def kernel(m: QMatrix) -> SubspaceBasis:
         vectors.append(vec)
     basis = SubspaceBasis.from_vectors(vectors, m.ncols)
     # rank-nullity, and each basis vector really is annihilated
-    assert row_space.dim + basis.dim == m.ncols
+    if row_space.dim + basis.dim != m.ncols:
+        raise ArithmeticError(
+            f"rank {row_space.dim} + nullity {basis.dim} != {m.ncols} columns")
     for vec in basis.rows:
-        assert not m.apply(vec)
+        if m.apply(vec):
+            raise ArithmeticError("a kernel vector is not annihilated")
     return basis

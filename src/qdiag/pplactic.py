@@ -30,7 +30,8 @@ from .linalg import SubspaceBasis
 from .permutations import all_perms, inverse, s, weight
 from .qma import FreeElt, block_quotient, diag_relation_kernel
 from .rmatrix import pi, word_index
-from .scalars import (ONE, ZERO, omega, parse_scalar, q_int, q_power, qs)
+from .scalars import (ONE, ZERO, add_term, omega, parse_scalar, q_int,
+                      q_power, qs)
 
 __all__ = [
     "RelationInstance", "ppk_generators", "ideal_component",
@@ -51,18 +52,10 @@ def _commutator(u: dict, v: dict, q2=None) -> dict:
     """[u, v] or the q^2-twisted [u, v]_{q^2} on word dicts."""
     out: dict = {}
     scale = q2 if q2 is not None else ONE
-
-    def put(word, c):
-        cc = out.get(word, ZERO) + c
-        if cc:
-            out[word] = cc
-        else:
-            out.pop(word, None)
-
     for wu, cu in u.items():
         for wv, cv in v.items():
-            put(wu + wv, cu * cv)
-            put(wv + wu, -scale * cu * cv)
+            add_term(out, wu + wv, cu * cv)
+            add_term(out, wv + wu, -scale * cu * cv)
     return out
 
 
@@ -133,13 +126,8 @@ def _diag_action(coeffs: dict, i: int, r: int) -> dict:
         for mu, cl in left.terms.items():
             beta = inverse(mu)
             cr = right.terms.get(beta)
-            if cr is None:
-                continue
-            cc = out.get(beta, ZERO) + c * cl * cr
-            if cc:
-                out[beta] = cc
-            else:
-                out.pop(beta, None)
+            if cr is not None:
+                add_term(out, beta, c * cl * cr)
     return out
 
 
@@ -195,7 +183,7 @@ def _substitution_tables() -> dict:
             for coeff, upper, lower in rule["rhs"]:
                 word = (tuple(int(ch) for ch in upper),
                         tuple(int(ch) for ch in lower))
-                rhs[word] = rhs.get(word, ZERO) + parse_scalar(coeff)
+                add_term(rhs, word, parse_scalar(coeff))
             rules.append((lhs, rhs))
         tables[key] = rules
     return tables
@@ -275,11 +263,7 @@ def _apply_rules(terms: dict, rules: dict, quotient) -> dict:
             validated.add(target)
         c = terms.pop(target)
         for word, cc in rhs.items():
-            v = terms.get(word, ZERO) + c * cc
-            if v:
-                terms[word] = v
-            else:
-                terms.pop(word, None)
+            add_term(terms, word, c * cc)
     raise MembershipFailure("substitution rules did not terminate")
 
 
@@ -315,25 +299,27 @@ def _restrict_to_diagonal(sign: int, i_word: tuple) -> dict:
     rules = {lhs: rhs for lhs, rhs in _substitution_tables()[key]}
     terms = _apply_rules(terms, rules, quotient)
     if key == "111":
-        off = [w for w in terms if w[0] != w[1]]
-        assert set(off) <= {((1, 2, 3), (2, 3, 1)), ((1, 2, 3), (3, 1, 2)),
-                            ((1, 2, 3), (3, 2, 1))}, off
+        off = {w for w in terms if w[0] != w[1]}
+        if not off <= {((1, 2, 3), (2, 3, 1)), ((1, 2, 3), (3, 1, 2)),
+                       ((1, 2, 3), (3, 2, 1))}:
+            raise MembershipFailure(
+                "substitution tables leave unexpected off-diagonal words",
+                residual=sorted(off))
         for lhs, rhs in _endgame_rules_111():
             _validate_rule(lhs, rhs, quotient)
             c = terms.pop(lhs, ZERO)
             if c:
                 for word, cc in rhs.items():
-                    v = terms.get(word, ZERO) + c * cc
-                    if v:
-                        terms[word] = v
-                    else:
-                        terms.pop(word, None)
+                    add_term(terms, word, c * cc)
         leftover = terms.pop(((1, 2, 3), (2, 3, 1)), ZERO)
         if leftover:
             raise MembershipFailure(
                 "coefficients of the two obstruction words differ",
                 residual=str(leftover))
-    assert all(u == l for u, l in terms)
+    off = sorted(w for w in terms if w[0] != w[1])
+    if off:
+        raise MembershipFailure(
+            "diagonal restriction keeps off-diagonal words", residual=off)
     return {u: c for (u, l), c in terms.items()}
 
 

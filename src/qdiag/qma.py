@@ -23,11 +23,11 @@ from .errors import BlockMismatch, BoundExceeded
 from .linalg import QMatrix, SubspaceBasis, kernel
 from .permutations import weight
 from .rmatrix import index_word, rhat
-from .scalars import ONE, ZERO, QScalar
+from .scalars import ONE, ZERO, QScalar, add_term
 
 __all__ = [
     "FreeElt", "BlockQuotient", "block_of", "block_quotient",
-    "frt_relation_span", "expand_diagonal", "diag_relation_kernel",
+    "expand_diagonal", "diag_relation_kernel",
     "membership", "proportionality", "DEFAULT_BLOCK_BOUND",
 ]
 
@@ -69,11 +69,7 @@ class FreeElt:
     def __add__(self, other):
         data = dict(self.terms)
         for word, c in other.terms.items():
-            s = data.get(word, ZERO) + c
-            if s:
-                data[word] = s
-            else:
-                data.pop(word, None)
+            add_term(data, word, c)
         return FreeElt(self.n, data)
 
     def __sub__(self, other):
@@ -120,19 +116,9 @@ def _degree2_relations(n: int) -> tuple:
         for lower in itertools.product(range(1, n + 1), repeat=2):
             vec: dict = {}
             for ef, val in rows.get(upper, {}).items():
-                key = (ef, lower)
-                s = vec.get(key, ZERO) + val
-                if s:
-                    vec[key] = s
-                else:
-                    vec.pop(key, None)
+                add_term(vec, (ef, lower), val)
             for ef, val in cols.get(lower, {}).items():
-                key = (upper, ef)
-                s = vec.get(key, ZERO) - val
-                if s:
-                    vec[key] = s
-                else:
-                    vec.pop(key, None)
+                add_term(vec, (upper, ef), -val)
             if not vec:
                 continue
             frozen = tuple(sorted((w, str(c)) for w, c in vec.items()))
@@ -178,6 +164,7 @@ class BlockQuotient:
         pivots = set(self.span.pivots)
         self.basis_words = sorted(w for i, w in enumerate(self.words)
                                   if i not in pivots)
+        self._basis_set = set(self.basis_words)
 
     def _relation_rows(self):
         n, r = self.n, self.r
@@ -221,7 +208,9 @@ class BlockQuotient:
     def normal_form(self, elt: FreeElt) -> dict:
         """Expansion over the normal-form basis words."""
         res = self.residual(elt)
-        assert all(w in set(self.basis_words) for w in res.terms)
+        if not self._basis_set.issuperset(res.terms):
+            raise ArithmeticError(
+                f"residual in block {self.block} leaves the normal-form basis")
         return res.terms
 
     @property
@@ -233,12 +222,6 @@ class BlockQuotient:
 def block_quotient(n: int, r: int, block: tuple,
                    bound: int = DEFAULT_BLOCK_BOUND) -> BlockQuotient:
     return BlockQuotient(n, r, block, bound)
-
-
-def frt_relation_span(n: int, r: int, block: tuple,
-                      bound: int = DEFAULT_BLOCK_BOUND) -> SubspaceBasis:
-    """RREF basis of the degree-r relation span restricted to one block."""
-    return block_quotient(n, r, block, bound).span
 
 
 def expand_diagonal(n: int, r: int, weight_vec: tuple,

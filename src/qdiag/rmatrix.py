@@ -25,7 +25,7 @@ from .errors import BoundExceeded
 from .hecke import HeckeElt, idempotents_r3
 from .linalg import QMatrix
 from .permutations import reduced_word
-from .scalars import ONE, Q, ZERO, omega, q_power
+from .scalars import ONE, Q, add_term, omega, q_power
 
 __all__ = [
     "rhat", "rhat_reading", "pi", "word_index", "index_word",
@@ -93,14 +93,9 @@ def _exchange_matches(m: QMatrix, n: int) -> bool:
     col = word_index((1, 1), n)
     for (i, k), val in m.entries.items():
         if i == row:  # sum_ef rhat^(21)_(ef) x^e_1 x^f_1
-            e, f = index_word(k, n, 2)
-            key = ((e, f), (1, 1))
-            coeffs[key] = coeffs.get(key, ZERO) + val
+            add_term(coeffs, (index_word(k, n, 2), (1, 1)), val)
         if k == col:  # sum_ef x^2_e x^1_f rhat^(ef)_(11)
-            e, f = index_word(i, n, 2)
-            key = ((2, 1), (e, f))
-            coeffs[key] = coeffs.get(key, ZERO) - val
-    coeffs = {k: v for k, v in coeffs.items() if v}
+            add_term(coeffs, ((2, 1), index_word(i, n, 2)), -val)
     lo = coeffs.get(((1, 2), (1, 1)))   # x^1_1 x^2_1
     hi = coeffs.get(((2, 1), (1, 1)))   # x^2_1 x^1_1
     if lo is None or hi is None or len(coeffs) != 2:
@@ -112,11 +107,15 @@ def _exchange_matches(m: QMatrix, n: int) -> bool:
 def _rhat_with_reading(n: int):
     for reading, flag in (("descending", True), ("ascending", False)):
         m = _rhat_candidate(n, flag)
-        assert _satisfies_quadratic(m), reading
-        assert n < 2 or _satisfies_braid(m, n), reading
+        if not _satisfies_quadratic(m):
+            raise ArithmeticError(f"{reading} braid matrix fails the quadratic"
+                                  f" relation, n={n}")
+        if n >= 2 and not _satisfies_braid(m, n):
+            raise ArithmeticError(f"{reading} braid matrix fails the braid"
+                                  f" relation, n={n}")
         if _exchange_matches(m, n):
             return m, reading
-    raise AssertionError("no index reading reproduces the exchange relations")
+    raise ArithmeticError("no index reading reproduces the exchange relations")
 
 
 def rhat(n: int) -> QMatrix:

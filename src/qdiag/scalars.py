@@ -26,8 +26,26 @@ from .errors import PoleAtPoint
 
 __all__ = [
     "LaurentPoly", "QScalar", "ZERO", "ONE", "Q",
-    "qs", "q_power", "q_int", "omega", "parse_scalar",
+    "qs", "q_power", "q_int", "omega", "parse_scalar", "add_term",
 ]
+
+
+def add_term(d: dict, key, c) -> None:
+    """In place d[key] += c for a sparse combination; a zero sum drops the key.
+
+    An absent key stores c itself: adding it to a zero would rebuild the
+    scalar's canonical form, gcd included, for nothing.
+    """
+    old = d.get(key)
+    if old is None:
+        if c:
+            d[key] = c
+        return
+    s = old + c
+    if s:
+        d[key] = s
+    else:
+        del d[key]
 
 
 class LaurentPoly:
@@ -65,29 +83,17 @@ class LaurentPoly:
     def __add__(self, other):
         data = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            s = data.get(e, 0) + c
-            if s:
-                data[e] = s
-            else:
-                data.pop(e, None)
+            add_term(data, e, c)
         return LaurentPoly(data)
 
     def __neg__(self):
         return LaurentPoly({e: -c for e, c in self.coeffs.items()})
 
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         data = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                s = data.get(e, 0) + c1 * c2
-                if s:
-                    data[e] = s
-                else:
-                    data.pop(e, None)
+                add_term(data, e1 + e2, c1 * c2)
         return LaurentPoly(data)
 
     def scale(self, c) -> "LaurentPoly":
@@ -147,13 +153,9 @@ def _divmod_ordinary(a: LaurentPoly, b: LaurentPoly):
         da = max(rem)
         f = rem[da] / lb
         quo[da - db] = f
+        neg_f = -f
         for e, c in b.coeffs.items():
-            ee = e + da - db
-            s = rem.get(ee, 0) - f * c
-            if s:
-                rem[ee] = s
-            else:
-                rem.pop(ee, None)
+            add_term(rem, e + da - db, neg_f * c)
     return LaurentPoly(quo), LaurentPoly(rem)
 
 
@@ -203,10 +205,10 @@ class QScalar:
             num_ord = num.shift(-t) if t else num
             g = _poly_gcd(num_ord, den)
             if not g.is_one():
-                num_ord, r = _divmod_ordinary(num_ord, g)
-                assert not r
-                den, r = _divmod_ordinary(den, g)
-                assert not r
+                num_ord, r1 = _divmod_ordinary(num_ord, g)
+                den, r2 = _divmod_ordinary(den, g)
+                if r1 or r2:
+                    raise ArithmeticError(f"polynomial gcd {g} leaves a remainder")
             num = num_ord.shift(t) if t else num_ord
             # make the denominator monic
             lc = den.leading_coeff

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from qdiag import cli
 from qdiag.checks import CheckReport, run_check
 from qdiag.cli import main
 from qdiag.errors import UnknownCheck
@@ -59,6 +60,23 @@ def test_cache_reproduces_reports(tmp_path, capsys):
     assert code1 == code2 == 0
     assert out1 == out2  # byte-identical, including timing
     assert list((tmp_path / "cache").glob("*.json"))
+
+
+def test_cache_keyed_on_source_digest(tmp_path, capsys, monkeypatch):
+    cache = tmp_path / "cache"
+    argv = ("run", "braid-identity", "--format", "json",
+            "--cache-dir", str(cache))
+    run_cli(capsys, *argv)
+    (path,) = cache.glob("*.json")
+    stale = json.loads(path.read_text())
+    stale["detail"]["stale"] = True
+    path.write_text(json.dumps(stale))
+    _, out = run_cli(capsys, *argv)
+    assert json.loads(out)[0]["detail"]["stale"]  # same code: a cache hit
+    monkeypatch.setattr(cli, "_source_digest", lambda: "edited sources")
+    _, out = run_cli(capsys, *argv)
+    assert "stale" not in json.loads(out)[0]["detail"]
+    assert len(list(cache.glob("*.json"))) == 2
 
 
 def test_out_directory(tmp_path, capsys):

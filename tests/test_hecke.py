@@ -7,8 +7,9 @@ import pytest
 from qdiag.errors import SizeMismatch
 from qdiag.hecke import (DiagElt, HeckeElt, diag_kernel_of_p, formal_product,
                          idempotents_r2, idempotents_r3, project_p,
-                         projection_matrix, r3_normalizers, t, t_upper, theta)
-from qdiag.permutations import all_perms, perm_of_word, reduced_word, s
+                         projection_matrix, r3_normalizers, t, theta)
+from qdiag.permutations import (all_perms, inverse, perm_of_word, reduced_word,
+                                s)
 from qdiag.scalars import ONE, ZERO, omega, q_power, qs
 
 
@@ -75,11 +76,12 @@ def test_size_mismatch():
 
 
 def test_upper_basis_coset_table():
-    assert t_upper((1, 3, 2)) == t(perm_of_word(3, (2,)))
-    assert t_upper((2, 1, 3)) == t(perm_of_word(3, (1,)))
-    assert t_upper((3, 1, 2)) == t(perm_of_word(3, (2, 1)))
-    assert t_upper((2, 3, 1)) == t(perm_of_word(3, (1, 2)))
-    assert t_upper((1, 2, 3)) == HeckeElt.one(3)
+    # the upper-index basis T^p is T_(p^-1)
+    assert t(inverse((1, 3, 2))) == t(perm_of_word(3, (2,)))
+    assert t(inverse((2, 1, 3))) == t(perm_of_word(3, (1,)))
+    assert t(inverse((3, 1, 2))) == t(perm_of_word(3, (2, 1)))
+    assert t(inverse((2, 3, 1))) == t(perm_of_word(3, (1, 2)))
+    assert t(inverse((1, 2, 3))) == HeckeElt.one(3)
 
 
 def test_projection_examples():

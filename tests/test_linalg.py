@@ -81,18 +81,6 @@ def test_kernel_identity_and_singular():
     assert ker.rows[0] == {0: ONE, 1: -ONE}
 
 
-def test_sum_and_intersection_dimension_formula():
-    rng = random.Random(9)
-    for _ in range(15):
-        a = SubspaceBasis.from_vectors([rand_vec(rng, 6) for _ in range(2)], 6)
-        b = SubspaceBasis.from_vectors([rand_vec(rng, 6) for _ in range(2)], 6)
-        total = a.sum_with(b)
-        inter = a.intersect(b)
-        assert a.dim + b.dim == total.dim + inter.dim
-        for row in inter.rows:
-            assert a.contains(row) and b.contains(row)
-
-
 def test_matrix_algebra():
     m = QMatrix(2, 2, {(0, 1): ONE, (1, 0): ONE, (1, 1): omega()})
     ident = QMatrix.identity(2)
