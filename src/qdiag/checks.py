@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .errors import UnknownCheck
+from .errors import BoundExceeded, UnknownCheck
 from .hecke import (DiagElt, HeckeElt, formal_product, idempotents_r2,
                     idempotents_r3, projection_matrix, r3_normalizers, t,
                     theta)
@@ -484,7 +484,12 @@ def run_check(name: str, params: dict) -> CheckReport:
         raise UnknownCheck(f"unknown check {name!r}; try one of "
                            + ", ".join(check_names()))
     start = time.perf_counter()
-    detail = fn(params)
+    try:
+        detail = fn(params)
+    except BoundExceeded as exc:
+        # a size bound is a verdict-free outcome: report it, do not crash
+        detail = {"status": "SKIP", "reason": f"BoundExceeded: {exc}",
+                  "params": dict(sorted(params.items()))}
     seconds = time.perf_counter() - start
     status = detail.pop("status")
     artifacts = detail.pop("_artifacts", {})

@@ -4,8 +4,9 @@ Reports are emitted as text (one line per check plus detail) or as a JSON
 array.  Results are cached content-addressed by (check, parameters, source
 digest), where the digest covers the package's .py and data files, so an
 edited check never serves its old report; re-running with identical
-parameters reproduces the stored report byte for byte.  Exit status is 0 iff
-every executed check passes.
+parameters reproduces the stored report byte for byte.  Exit status is 0 when
+every executed check passes, 1 when one fails, and 2 when none fails but one
+was skipped at a size bound (or the check name is unknown).
 """
 
 from __future__ import annotations
@@ -153,7 +154,9 @@ def main(argv=None) -> int:
         for report in reports:
             _print_text(report)
         failed = sum(1 for r in reports if r.status == "FAIL")
-        print(f"== {len(reports)} check(s), {failed} failure(s)")
+        skipped = sum(1 for r in reports if r.status == "SKIP")
+        summary = f"== {len(reports)} check(s), {failed} failure(s)"
+        print(summary + (f", {skipped} skipped" if skipped else ""))
     if args.out:
         args.out.mkdir(parents=True, exist_ok=True)
         (args.out / "report.json").write_text(json.dumps(payload, indent=1))
@@ -165,7 +168,8 @@ def main(argv=None) -> int:
             for name, blob in report.artifacts.items():
                 path = args.out / f"{stem}.{name}.json"
                 path.write_text(json.dumps(blob, indent=1))
-    return 1 if any(r.status == "FAIL" for r in reports) else 0
+    statuses = {r.status for r in reports}
+    return 1 if "FAIL" in statuses else 2 if "SKIP" in statuses else 0
 
 
 if __name__ == "__main__":

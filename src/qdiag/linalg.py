@@ -27,13 +27,18 @@ def _vec_sub_scaled(vec: dict, row: dict, c: QScalar):
 
 
 class QMatrix:
-    """Sparse matrix over Q(q); entries map (row, col) -> nonzero scalar."""
+    """Sparse matrix over Q(q); entries map (row, col) -> nonzero scalar.
 
-    __slots__ = ("nrows", "ncols", "entries")
+    A matrix is not changed after construction, so ``apply`` can keep the
+    entries grouped by column once they are first needed.
+    """
+
+    __slots__ = ("nrows", "ncols", "entries", "_by_col")
 
     def __init__(self, nrows: int, ncols: int, entries=None):
         self.nrows = nrows
         self.ncols = ncols
+        self._by_col = None
         self.entries = {}
         if entries:
             for key, val in entries.items():
@@ -98,11 +103,15 @@ class QMatrix:
         return {j: val for (r, j), val in self.entries.items() if r == i}
 
     def apply(self, vec: dict) -> dict:
-        """Matrix times a sparse column vector."""
+        """Matrix times a sparse column vector, visiting only its columns."""
+        by_col = self._by_col
+        if by_col is None:
+            by_col = self._by_col = {}
+            for (i, j), val in self.entries.items():
+                by_col.setdefault(j, []).append((i, val))
         out: dict = {}
-        for (i, j), val in self.entries.items():
-            c = vec.get(j)
-            if c is not None:
+        for j, c in vec.items():
+            for i, val in by_col.get(j, ()):
                 add_term(out, i, val * c)
         return out
 
@@ -220,7 +229,8 @@ def kernel(m: QMatrix) -> SubspaceBasis:
                 vec[p] = -c
         vectors.append(vec)
     basis = SubspaceBasis.from_vectors(vectors, m.ncols)
-    # rank-nullity, and each basis vector really is annihilated
+    # rank-nullity, and each basis vector really is annihilated (apply groups
+    # the entries by column once, on its first call)
     if row_space.dim + basis.dim != m.ncols:
         raise ArithmeticError(
             f"rank {row_space.dim} + nullity {basis.dim} != {m.ncols} columns")

@@ -1,14 +1,21 @@
 """Exact arithmetic in the field Q(q) of rational functions of q.
 
-A scalar is a reduced ratio of Laurent polynomials in q with exact rational
-coefficients.  The canonical form is unique:
+A scalar is a ratio num/den of Laurent polynomials in q with integer
+coefficients (the idea of FLINT's ``fmpq_poly``: an integer polynomial over
+one denominator, here a polynomial one).  The canonical form is unique:
 
-- the denominator is an ordinary polynomial (lowest exponent 0) and monic,
-- numerator and denominator share no polynomial factor,
+- the denominator is an ordinary polynomial (lowest exponent 0) whose
+  leading coefficient is positive,
+- the integer content of numerator and denominator together is 1,
+- numerator and denominator share no polynomial factor; the gcd is taken by
+  a primitive pseudo-remainder sequence over Z,
 - the zero scalar is 0/1.
 
-Since the form is unique, ``==`` is literal structural equality and every
-downstream equality test (matrix entries, subspace comparison) reduces to it.
+So 1/4 q^4 is stored as q^4 over 4.  Since the form is unique, ``==`` is
+literal structural equality and every downstream equality test (matrix
+entries, subspace comparison) reduces to it.  ``Fraction`` appears only at
+the boundaries: rational constants (``qs``), parsing, evaluation and the
+text form, which divides by the denominator's leading coefficient.
 
 >>> str(q_int(3))
 'q^2 + 1 + q^-2'
@@ -16,11 +23,15 @@ downstream equality test (matrix entries, subspace comparison) reduces to it.
 'q^2 - q^-2'
 >>> parse_scalar('(q^2 - q^-2)/(q + q^-1)') == omega()
 True
+>>> str(parse_scalar('q/(2*q^2 + 2)'))
+'((1/2)*q)/(q^2 + 1)'
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
+from operator import index
 
 from .errors import PoleAtPoint
 
@@ -48,65 +59,77 @@ def add_term(d: dict, key, c) -> None:
         del d[key]
 
 
-class LaurentPoly:
-    """Laurent polynomial in q: a finitely supported map exponent -> Fraction."""
+def _integer(c) -> int:
+    """A coefficient as an int; a float or a non-integral Fraction is refused."""
+    if isinstance(c, Fraction) and c.denominator == 1:
+        return c.numerator
+    try:
+        return index(c)
+    except TypeError:
+        raise TypeError(f"Laurent coefficients are integers, not {c!r}") from None
 
-    __slots__ = ("coeffs", "_key")
+
+# -- sparse integer Laurent polynomials: dicts exponent -> nonzero int -------
+# Integer sums cost nothing to re-check, so these helpers accumulate first
+# and drop the zeros once instead of going through add_term per term.
+
+def _padd(a: dict, b: dict) -> dict:
+    if len(a) < len(b):
+        a, b = b, a
+    out = dict(a)
+    get = out.get
+    for e, c in b.items():
+        out[e] = get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _pmul(a: dict, b: dict) -> dict:
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) == 1:
+        ((e1, c1),) = a.items()
+        if c1 == 1:
+            return {e1 + e: c for e, c in b.items()}
+        return {e1 + e: c1 * c for e, c in b.items()}
+    out: dict = {}
+    get = out.get
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = e1 + e2
+            out[e] = get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _pshift(a: dict, k: int) -> dict:
+    return {e + k: c for e, c in a.items()}
+
+
+class LaurentPoly:
+    """Laurent polynomial in q: a finitely supported map exponent -> int."""
+
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
         data = {}
         if coeffs:
             for e, c in coeffs.items():
-                c = c if isinstance(c, Fraction) else Fraction(c)
+                c = _integer(c)
                 if c:
                     data[e] = c
         self.coeffs = data
-        self._key = tuple(sorted(data.items()))
 
     @staticmethod
     def const(c) -> "LaurentPoly":
-        return LaurentPoly({0: Fraction(c)})
-
-    @staticmethod
-    def term(c, e: int) -> "LaurentPoly":
-        return LaurentPoly({e: Fraction(c)})
+        return LaurentPoly({0: c})
 
     def __bool__(self):
         return bool(self.coeffs)
 
     def __eq__(self, other):
-        return isinstance(other, LaurentPoly) and self._key == other._key
+        return isinstance(other, LaurentPoly) and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(self._key)
-
-    def __add__(self, other):
-        data = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            add_term(data, e, c)
-        return LaurentPoly(data)
-
-    def __neg__(self):
-        return LaurentPoly({e: -c for e, c in self.coeffs.items()})
-
-    def __mul__(self, other):
-        data = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                add_term(data, e1 + e2, c1 * c2)
-        return LaurentPoly(data)
-
-    def scale(self, c) -> "LaurentPoly":
-        c = Fraction(c)
-        if not c:
-            return LaurentPoly()
-        return LaurentPoly({e: cc * c for e, cc in self.coeffs.items()})
-
-    def shift(self, k: int) -> "LaurentPoly":
-        """Multiply by q^k."""
-        if k == 0:
-            return self
-        return LaurentPoly({e + k: c for e, c in self.coeffs.items()})
+        return hash(frozenset(self.coeffs.items()))
 
     @property
     def min_exp(self) -> int:
@@ -117,11 +140,8 @@ class LaurentPoly:
         return max(self.coeffs)
 
     @property
-    def leading_coeff(self) -> Fraction:
+    def leading_coeff(self) -> int:
         return self.coeffs[self.max_exp]
-
-    def is_one(self) -> bool:
-        return self.coeffs == {0: Fraction(1)}
 
     def evaluate(self, point) -> Fraction:
         point = Fraction(point)
@@ -133,53 +153,172 @@ class LaurentPoly:
         return total
 
     def __str__(self):
-        return _render_poly(self)
+        return _render_poly(self.coeffs)
 
     def __repr__(self):
         return f"LaurentPoly({self.coeffs!r})"
 
 
-_POLY_ZERO = LaurentPoly()
+def _poly(data: dict) -> LaurentPoly:
+    """Wrap a dict of nonzero ints without checking it again."""
+    p = object.__new__(LaurentPoly)
+    p.coeffs = data
+    return p
+
+
+_ONE_COEFFS = {0: 1}
 _POLY_ONE = LaurentPoly.const(1)
 
 
-def _divmod_ordinary(a: LaurentPoly, b: LaurentPoly):
-    """Polynomial division for ordinary (min_exp >= 0) polynomials."""
-    rem = dict(a.coeffs)
-    quo = {}
-    db = b.max_exp
-    lb = b.leading_coeff
-    while rem and max(rem) >= db:
-        da = max(rem)
-        f = rem[da] / lb
-        quo[da - db] = f
-        neg_f = -f
-        for e, c in b.coeffs.items():
-            add_term(rem, e + da - db, neg_f * c)
-    return LaurentPoly(quo), LaurentPoly(rem)
+# -- gcd and exact division of ordinary polynomials over Z -------------------
+# Dense lists, highest degree first, no leading zero.
+
+def _dense(p: dict, low: int = 0) -> list:
+    """Dense form of q^-low p, for p with lowest exponent low."""
+    top = max(p)
+    out = [0] * (top - low + 1)
+    for e, c in p.items():
+        out[top - e] = c
+    return out
 
 
-def _gcd_ordinary(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Monic gcd of two ordinary polynomials (Euclid, monic at each step)."""
-    while b:
-        b = b.scale(1 / b.leading_coeff)
-        _, r = _divmod_ordinary(a, b)
+def _sparse(lst: list, shift: int = 0) -> dict:
+    top = len(lst) - 1 + shift
+    return {top - i: c for i, c in enumerate(lst) if c}
+
+
+def _primitive(lst: list) -> list:
+    g = gcd(*lst)
+    if lst[0] < 0:
+        g = -g
+    return lst if g == 1 else [c // g for c in lst]
+
+
+def _pseudo_rem(a: list, b: list) -> list:
+    """Primitive part of the remainder of m a by b over Z, for some int m > 0.
+
+    Any nonzero constant multiple of the remainder serves the gcd, so each
+    step scales by lc(b)/g only, with g the gcd of the two leading terms.
+    """
+    r = list(a)
+    lb = b[0]
+    nb = len(b)
+    for i in range(len(r) - nb + 1):
+        c = r[i]
+        if not c:
+            continue
+        g = gcd(c, lb)
+        m, f = lb // g, c // g
+        if m != 1:
+            for j in range(i + 1, len(r)):
+                r[j] *= m
+        for j in range(1, nb):
+            r[i + j] -= f * b[j]
+    rest = r[len(r) - nb + 1:]
+    for k, c in enumerate(rest):
+        if c:
+            return _primitive(rest[k:])
+    return []
+
+
+def _gcd_dense(a: list, b: list):
+    """Primitive gcd with positive leading coefficient; None when it is 1."""
+    a, b = _primitive(a), _primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        r = _pseudo_rem(a, b)
+        if not r:
+            return b
         a, b = b, r
-    return a.scale(1 / a.leading_coeff)
+    return None
+
+
+def _exact_div(a: list, g: list) -> list:
+    """a / g over Z; ArithmeticError if g does not divide a there."""
+    r = list(a)
+    lg = g[0]
+    ng = len(g)
+    quo = []
+    for i in range(len(r) - ng + 1):
+        c, m = divmod(r[i], lg)
+        if m:
+            raise ArithmeticError(f"{lg} does not divide {r[i]} in Z")
+        quo.append(c)
+        if c:
+            for j in range(1, ng):
+                r[i + j] -= c * g[j]
+    if any(r[len(r) - ng + 1:]):
+        raise ArithmeticError("polynomial gcd leaves a remainder")
+    return quo
 
 
 _gcd_cache: dict = {}
 
 
-def _poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    key = (a._key, b._key)
-    g = _gcd_cache.get(key)
-    if g is None:
-        g = _gcd_ordinary(a, b)
-        if len(_gcd_cache) > 1 << 16:
-            _gcd_cache.clear()
-        _gcd_cache[key] = g
+def _poly_gcd(a: list, b: list):
+    key = (tuple(a), tuple(b))
+    try:
+        return _gcd_cache[key]
+    except KeyError:
+        pass
+    g = _gcd_dense(a, b)
+    if len(_gcd_cache) > 1 << 16:
+        _gcd_cache.clear()
+    _gcd_cache[key] = g
     return g
+
+
+def _scalar(num: dict, den: dict) -> "QScalar":
+    """QScalar from data already in canonical form."""
+    out = object.__new__(QScalar)
+    out.num = _poly(num)
+    out.den = _POLY_ONE if den == _ONE_COEFFS else _poly(den)
+    return out
+
+
+def _reduced(num: dict, den: dict) -> "QScalar":
+    """num/den, free of common polynomial factors, in canonical form.
+
+    den is ordinary; what is left is the joint integer content and the sign
+    of the leading coefficient of den.
+    """
+    c = gcd(*num.values(), *den.values())
+    if den[max(den)] < 0:
+        c = -c
+    if c != 1:
+        num = {e: v // c for e, v in num.items()}
+        den = {e: v // c for e, v in den.items()}
+    return _scalar(num, den)
+
+
+def _cancel(num: dict, den: dict):
+    """Divide num and the ordinary, non-constant den by their polynomial gcd."""
+    if len(num) == 1:
+        return num, den
+    t = min(num)
+    a = _dense(num, t)
+    b = _dense(den)
+    g = _poly_gcd(a, b)
+    if g is None:
+        return num, den
+    return _sparse(_exact_div(a, g), t), _sparse(_exact_div(b, g))
+
+
+def _canon(num: dict, den: dict) -> "QScalar":
+    """Canonical form of num/den for integer Laurent polynomials, den != 0."""
+    if not den:
+        raise ZeroDivisionError("zero denominator in Q(q)")
+    if not num:
+        return ZERO
+    s = min(den)
+    if s:
+        # move q-powers out of the denominator
+        den = _pshift(den, -s)
+        num = _pshift(num, -s)
+    if len(den) > 1:
+        num, den = _cancel(num, den)
+    return _reduced(num, den)
 
 
 class QScalar:
@@ -188,49 +327,26 @@ class QScalar:
     __slots__ = ("num", "den")
 
     def __init__(self, num: LaurentPoly, den: LaurentPoly = _POLY_ONE):
-        if not den:
-            raise ZeroDivisionError("zero denominator in Q(q)")
-        if not num:
-            self.num = _POLY_ZERO
-            self.den = _POLY_ONE
-            return
-        if not den.is_one():
-            # move q-powers out of the denominator
-            s = den.min_exp
-            if s:
-                den = den.shift(-s)
-                num = num.shift(-s)
-            # cancel the polynomial gcd (computed on the ordinary parts)
-            t = num.min_exp
-            num_ord = num.shift(-t) if t else num
-            g = _poly_gcd(num_ord, den)
-            if not g.is_one():
-                num_ord, r1 = _divmod_ordinary(num_ord, g)
-                den, r2 = _divmod_ordinary(den, g)
-                if r1 or r2:
-                    raise ArithmeticError(f"polynomial gcd {g} leaves a remainder")
-            num = num_ord.shift(t) if t else num_ord
-            # make the denominator monic
-            lc = den.leading_coeff
-            if lc != 1:
-                den = den.scale(1 / lc)
-                num = num.scale(1 / lc)
-        self.num = num
-        self.den = den
+        out = _canon(num.coeffs, den.coeffs)
+        self.num = out.num
+        self.den = out.den
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def from_fraction(c) -> "QScalar":
-        return QScalar(LaurentPoly.const(Fraction(c)))
+        c = Fraction(c)
+        if not c:
+            return ZERO
+        return _scalar({0: c.numerator}, {0: c.denominator})
 
     # -- predicates --------------------------------------------------------
 
     def __bool__(self):
-        return bool(self.num)
+        return bool(self.num.coeffs)
 
     def is_one(self) -> bool:
-        return self.num.is_one() and self.den.is_one()
+        return self.den is _POLY_ONE and self.num.coeffs == _ONE_COEFFS
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -246,37 +362,70 @@ class QScalar:
     def __add__(self, other):
         if not isinstance(other, QScalar):
             return NotImplemented
-        if self.den.is_one() and other.den.is_one():
-            s = self.num + other.num
-            return QScalar(s) if s else ZERO
-        return QScalar(self.num * other.den + other.num * self.den,
-                       self.den * other.den)
+        a, b = self.num.coeffs, other.num.coeffs
+        da, db = self.den, other.den
+        if da is _POLY_ONE and db is _POLY_ONE:
+            s = _padd(a, b)
+            return _scalar(s, _ONE_COEFFS) if s else ZERO
+        da, db = da.coeffs, db.coeffs
+        if da == db:
+            s = _padd(a, b)
+            if not s:
+                return ZERO
+            if len(da) > 1:
+                s, da = _cancel(s, da)
+            return _reduced(s, da)
+        s = _padd(_pmul(a, db), _pmul(b, da))
+        if not s:
+            return ZERO
+        den = _pmul(da, db)
+        if len(da) > 1 and len(db) > 1:
+            # a constant denominator shares no factor with the sum; two
+            # polynomial ones may
+            s, den = _cancel(s, den)
+        return _reduced(s, den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
         out = object.__new__(QScalar)
-        out.num = -self.num
+        out.num = _poly({e: -c for e, c in self.num.coeffs.items()})
         out.den = self.den
         return out
 
     def __mul__(self, other):
         if not isinstance(other, QScalar):
             return NotImplemented
-        if not self.num or not other.num:
+        a, b = self.num.coeffs, other.num.coeffs
+        if not a or not b:
             return ZERO
-        if self.den.is_one() and other.den.is_one():
-            return QScalar(self.num * other.num)
-        return QScalar(self.num * other.num, self.den * other.den)
+        da, db = self.den, other.den
+        if da is _POLY_ONE and db is _POLY_ONE:
+            return _scalar(_pmul(a, b), _ONE_COEFFS)
+        da, db = da.coeffs, db.coeffs
+        # each numerator can share factors only with the other denominator
+        if len(db) > 1:
+            a, db = _cancel(a, db)
+        if len(da) > 1:
+            b, da = _cancel(b, da)
+        return _reduced(_pmul(a, b), _pmul(da, db))
 
     def __truediv__(self, other):
         return self * other.inv()
 
     def inv(self) -> "QScalar":
-        if not self.num:
+        num = self.num.coeffs
+        if not num:
             raise ZeroDivisionError("inverse of 0 in Q(q)")
-        return QScalar(self.den, self.num)
+        # den/num is reduced already: only the q-power and the sign move
+        t = min(num)
+        new_den = _pshift(num, -t) if t else num
+        new_num = _pshift(self.den.coeffs, -t)
+        if new_den[max(new_den)] < 0:
+            new_den = {e: -c for e, c in new_den.items()}
+            new_num = {e: -c for e, c in new_num.items()}
+        return _scalar(new_num, new_den)
 
     def __pow__(self, k: int) -> "QScalar":
         if k < 0:
@@ -300,17 +449,23 @@ class QScalar:
     # -- rendering ---------------------------------------------------------
 
     def __str__(self):
-        if self.den.is_one():
-            return _render_poly(self.num)
-        return f"({_render_poly(self.num)})/({_render_poly(self.den)})"
+        num, den = self.num.coeffs, self.den.coeffs
+        lc = den[max(den)]
+        if lc != 1:
+            num = {e: Fraction(c, lc) for e, c in num.items()}
+        if len(den) == 1:
+            return _render_poly(num)
+        if lc != 1:
+            den = {e: Fraction(c, lc) for e, c in den.items()}
+        return f"({_render_poly(num)})/({_render_poly(den)})"
 
     def __repr__(self):
         return f"QScalar({self})"
 
 
-ZERO = QScalar(_POLY_ZERO)
-ONE = QScalar(_POLY_ONE)
-Q = QScalar(LaurentPoly.term(1, 1))
+ZERO = _scalar({}, _ONE_COEFFS)
+ONE = _scalar({0: 1}, _ONE_COEFFS)
+Q = _scalar({1: 1}, _ONE_COEFFS)
 
 
 def qs(c) -> QScalar:
@@ -320,24 +475,24 @@ def qs(c) -> QScalar:
 
 def q_power(k: int) -> QScalar:
     """q^k."""
-    return QScalar(LaurentPoly.term(1, k))
+    return _scalar({k: 1}, _ONE_COEFFS)
 
 
 def q_int(n: int) -> QScalar:
     """Quantum integer [n] = (q^n - q^-n)/(q - q^-1) = q^(n-1) + ... + q^-(n-1)."""
     if n < 1:
         raise ValueError("quantum integer needs n >= 1")
-    return QScalar(LaurentPoly({e: Fraction(1) for e in range(-(n - 1), n, 2)}))
+    return _scalar({e: 1 for e in range(-(n - 1), n, 2)}, _ONE_COEFFS)
 
 
 def omega() -> QScalar:
     """The deformation parameter q - q^-1."""
-    return QScalar(LaurentPoly({1: Fraction(1), -1: Fraction(-1)}))
+    return _scalar({1: 1, -1: -1}, _ONE_COEFFS)
 
 
 # -- text form -------------------------------------------------------------
 
-def _render_term(e: int, c: Fraction, first: bool) -> str:
+def _render_term(e: int, c, first: bool) -> str:
     sign = "-" if c < 0 else "+"
     c = abs(c)
     if e == 0:
@@ -355,12 +510,13 @@ def _render_term(e: int, c: Fraction, first: bool) -> str:
     return f" {sign} {body}"
 
 
-def _render_poly(p: LaurentPoly) -> str:
-    if not p:
+def _render_poly(coeffs: dict) -> str:
+    """Text of exponent -> int or Fraction coefficients, highest power first."""
+    if not coeffs:
         return "0"
     parts = []
-    for e in sorted(p.coeffs, reverse=True):
-        parts.append(_render_term(e, p.coeffs[e], not parts))
+    for e in sorted(coeffs, reverse=True):
+        parts.append(_render_term(e, coeffs[e], not parts))
     return "".join(parts)
 
 

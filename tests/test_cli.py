@@ -100,6 +100,24 @@ def test_failure_exit_code(tmp_path, capsys):
     assert "witness" in payload[0]["detail"]
 
 
+def test_bound_exceeded_is_skip_report(capsys):
+    # a block over --max-block is reported, with its cause, instead of raised
+    code, out = run_cli(capsys, "run", "conjecture", "--d", "3", "--r", "4",
+                        "--max-block", "10", "--no-cache", "--format", "json")
+    assert code == 2
+    (report,) = json.loads(out)
+    assert report["status"] == "SKIP"
+    assert report["detail"] == {
+        "reason": "BoundExceeded: block ((3, 1, 0), (3, 1, 0)) has 16 words"
+                  " (> 10)",
+        "params": {"d": 3, "max_block": 10, "r": 4}}
+    code, out = run_cli(capsys, "run", "conjecture", "--d", "3", "--r", "4",
+                        "--max-block", "10", "--no-cache")
+    assert code == 2
+    assert out.startswith("SKIP conjecture")
+    assert out.rstrip().endswith("0 failure(s), 1 skipped")
+
+
 def test_text_format_has_status_lines(tmp_path, capsys):
     code, out = run_cli(capsys, "run", "idempotents",
                         "--cache-dir", str(tmp_path / "cache"))

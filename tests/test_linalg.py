@@ -6,7 +6,7 @@ import pytest
 
 from qdiag.errors import DimensionMismatch
 from qdiag.linalg import QMatrix, SubspaceBasis, kernel
-from qdiag.scalars import ONE, omega, q_power, qs
+from qdiag.scalars import ONE, ZERO, omega, q_power, qs
 
 
 def vec(*pairs):
@@ -70,6 +70,27 @@ def test_kernel_and_rank_nullity():
         assert rows.dim + ker.dim == ncols
         for v in ker.rows:
             assert not m.apply(v)
+
+
+def test_apply_matches_row_products():
+    rng = random.Random(41)
+    for _ in range(15):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
+        entries = {}
+        for i in range(nrows):
+            for c, v in rand_vec(rng, ncols).items():
+                entries[(i, c)] = v
+        m = QMatrix(nrows, ncols, entries)
+        vec = rand_vec(rng, ncols)
+        expected = {}
+        for i in range(nrows):
+            total = ZERO
+            for c, v in m.row(i).items():
+                total = total + v * vec.get(c, ZERO)
+            if total:
+                expected[i] = total
+        assert m.apply(vec) == expected
+        assert m.apply(vec) == expected  # the column index is reused
 
 
 def test_kernel_identity_and_singular():

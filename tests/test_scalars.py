@@ -1,7 +1,9 @@
 """The ground field Q(q): canonical forms, field laws, text round-trips."""
 
+import operator
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -45,7 +47,7 @@ def test_canonical_form_unique():
     x = (q_power(2) - q_power(-2)) / q_int(2)
     assert x == omega()
     assert x.num == omega().num and x.den == omega().den
-    # denominator is monic with lowest exponent 0
+    # denominator has lowest exponent 0 and a positive leading coefficient
     y = ONE / q_int(2)
     assert y.den.min_exp == 0
     assert y.den.leading_coeff == 1
@@ -133,3 +135,105 @@ def test_module_doctests():
     import doctest
     import qdiag.scalars
     assert doctest.testmod(qdiag.scalars).failed == 0
+
+
+def test_coefficients_are_integers():
+    # a stray 1/lc would otherwise turn a coefficient into a float silently
+    with pytest.raises(TypeError):
+        LaurentPoly({0: Fraction(1, 2)})
+    for bad in (0.5, 2.0):
+        with pytest.raises(TypeError):
+            LaurentPoly({1: bad})
+    p = LaurentPoly({0: Fraction(4, 2), 3: True, 5: 0})
+    assert p.coeffs == {0: 2, 3: 1}
+    assert all(type(c) is int for c in p.coeffs.values())
+
+
+def test_golden_renderings():
+    # the text divides by the denominator's leading coefficient
+    x = qs(Fraction(1, 4)) * q_power(4)
+    assert str(x) == "(1/4)*q^4"
+    assert (x.num.coeffs, x.den.coeffs) == ({4: 1}, {0: 4})
+    y = qs(Fraction(1, 2)) * Q / (q_power(2) + ONE)
+    assert str(y) == "((1/2)*q)/(q^2 + 1)"
+    assert (y.num.coeffs, y.den.coeffs) == ({1: 1}, {2: 2, 0: 2})
+    z = (qs(Fraction(2, 3)) * q_power(2) - qs(Fraction(1, 3))) / (Q - qs(2))
+    assert str(z) == "((2/3)*q^2 - 1/3)/(q - 2)"
+    assert (z.num.coeffs, z.den.coeffs) == ({2: 2, 0: -1}, {1: 3, 0: -6})
+    for w in (x, y, z):
+        assert parse_scalar(str(w)) == w
+
+
+def test_sum_cancels_a_shared_denominator_factor():
+    # 2/((q-1)(q+1)) + 1/((q+1)(q+2)) = 3(q+1)/((q-1)(q+1)(q+2))
+    a = qs(2) / ((Q - ONE) * (Q + ONE))
+    b = ONE / ((Q + ONE) * (Q + qs(2)))
+    assert str(a + b) == "(3)/(q^2 + q - 2)"
+    assert a + b == qs(3) / ((Q - ONE) * (Q + qs(2)))
+
+
+def rand_rational_scalar(rng):
+    """A seeded scalar with non-integral coefficients over a non-monic den."""
+    def poly(exps):
+        return {e: Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                for e in exps}
+    while True:
+        num, den = poly(range(-2, 3)), poly(range(0, rng.randint(1, 3)))
+        if any(den.values()):
+            break
+    top = max(e for e, c in den.items() if c)
+    den[top] *= rng.choice([2, 3, -5])
+    x = ZERO
+    for e, c in num.items():
+        x = x + qs(c) * q_power(e)
+    y = ZERO
+    for e, c in den.items():
+        y = y + qs(c) * q_power(e)
+    return x / y, num, den
+
+
+def test_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    field, fq = sympy.field("q", sympy.QQ)
+    q = sympy.Symbol("q")
+
+    def to_field(coeffs):
+        return sum((field(sympy.Rational(c.numerator, c.denominator)) * fq ** e
+                    for e, c in coeffs.items()), field(0))
+
+    rng = random.Random(23)
+    ops = [operator.add, operator.sub, operator.mul, operator.truediv]
+    # factors shared between denominators exercise the gcd paths
+    shared = [{0: 1, 1: 1}, {0: -1, 1: 2}, {0: -2, 1: 1, 2: 3}, None]
+    operands = []
+    for _ in range(40):
+        x, num, den = rand_rational_scalar(rng)
+        sx = to_field(num) / to_field(den)
+        f = rng.choice(shared)
+        if f:
+            x = x / QScalar(LaurentPoly(f))
+            sx = sx / to_field({e: Fraction(c) for e, c in f.items()})
+        operands.append((x, sx))
+    pairs = list(zip(operands, operands[1:]))
+    pairs += [((a, sa), (a + ONE, sa + 1)) for a, sa in operands[:10]]
+    for (a, sa), (b, sb) in pairs:
+        for op in ops:
+            if op is operator.truediv and not b:
+                continue
+            x = op(a, b)
+            # sympy keeps field elements cancelled, so the difference is the
+            # cancelled difference (sympy.cancel on expressions is 10x slower)
+            text = str(x).replace("^", "**")
+            diff = field.from_expr(sympy.sympify(text)) - op(sa, sb)
+            assert diff == 0, text
+            num, den = x.num.coeffs, x.den.coeffs
+            assert all(type(c) is int for c in (*num.values(), *den.values()))
+            assert min(den) == 0 and den[max(den)] > 0
+            assert gcd(*num.values(), *den.values()) == 1
+            if num:
+                t = min(num)
+                g = sympy.gcd(
+                    sympy.Poly.from_dict({(e - t,): c for e, c in num.items()},
+                                         q),
+                    sympy.Poly.from_dict({(e,): c for e, c in den.items()}, q))
+                assert g.degree() == 0, (str(x), g)
