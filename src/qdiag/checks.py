@@ -2,8 +2,10 @@
 
 Every check computes exact algebraic facts and returns a CheckReport; a FAIL
 report always carries a witness (first differing entry, residual vector, or
-the offending pair).  Checks are pure given their parameters, so reports are
-cacheable by (check name, parameters, source digest).
+the offending pair).  A check that meets a size bound reports SKIP, and one
+whose internal membership claim fails reports ERROR with the residual.
+Checks are pure given their parameters, so reports are cacheable by (check
+name, parameters, source digest).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import time
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .errors import BoundExceeded, UnknownCheck
+from .errors import BoundExceeded, MembershipFailure, UnknownCheck
 from .hecke import (DiagElt, HeckeElt, formal_product, idempotents_r2,
                     idempotents_r3, projection_matrix, r3_normalizers, t,
                     theta)
@@ -38,7 +40,7 @@ _SEED = 20121
 class CheckReport:
     check: str
     params: dict
-    status: str          # PASS | FAIL | SKIP
+    status: str          # PASS | FAIL | SKIP | ERROR
     detail: dict = field(default_factory=dict)
     seconds: float = 0.0
     artifacts: dict = field(default_factory=dict)  # name -> dump payload
@@ -489,6 +491,11 @@ def run_check(name: str, params: dict) -> CheckReport:
     except BoundExceeded as exc:
         # a size bound is a verdict-free outcome: report it, do not crash
         detail = {"status": "SKIP", "reason": f"BoundExceeded: {exc}",
+                  "params": dict(sorted(params.items()))}
+    except MembershipFailure as exc:
+        # an internal claim that does not hold: report it with its witness
+        detail = {"status": "ERROR", "reason": f"MembershipFailure: {exc}",
+                  "residual": exc.residual,
                   "params": dict(sorted(params.items()))}
     seconds = time.perf_counter() - start
     status = detail.pop("status")

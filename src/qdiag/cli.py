@@ -5,8 +5,8 @@ array.  Results are cached content-addressed by (check, parameters, source
 digest), where the digest covers the package's .py and data files, so an
 edited check never serves its old report; re-running with identical
 parameters reproduces the stored report byte for byte.  Exit status is 0 when
-every executed check passes, 1 when one fails, and 2 when none fails but one
-was skipped at a size bound (or the check name is unknown).
+every executed check passes, 1 when one fails or reports an error, and 2 when
+none does but one was skipped at a size bound (or the check name is unknown).
 """
 
 from __future__ import annotations
@@ -154,8 +154,11 @@ def main(argv=None) -> int:
         for report in reports:
             _print_text(report)
         failed = sum(1 for r in reports if r.status == "FAIL")
+        errors = sum(1 for r in reports if r.status == "ERROR")
         skipped = sum(1 for r in reports if r.status == "SKIP")
         summary = f"== {len(reports)} check(s), {failed} failure(s)"
+        if errors:
+            summary += f", {errors} error(s)"
         print(summary + (f", {skipped} skipped" if skipped else ""))
     if args.out:
         args.out.mkdir(parents=True, exist_ok=True)
@@ -169,7 +172,9 @@ def main(argv=None) -> int:
                 path = args.out / f"{stem}.{name}.json"
                 path.write_text(json.dumps(blob, indent=1))
     statuses = {r.status for r in reports}
-    return 1 if "FAIL" in statuses else 2 if "SKIP" in statuses else 0
+    if statuses & {"FAIL", "ERROR"}:
+        return 1
+    return 2 if "SKIP" in statuses else 0
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ from functools import lru_cache
 from .errors import BoundExceeded, SizeMismatch
 from .linalg import SubspaceBasis, QMatrix, kernel
 from .permutations import (
-    all_perms, apply_gen, identity, inverse, length, perm_of_word,
+    all_perms, apply_gen, descends, identity, inverse, length, perm_of_word,
     perm_str, reduced_word, sign,
 )
 from .scalars import (LaurentPoly, ONE, ZERO, QScalar, add_term, omega, q_int,
@@ -142,9 +142,8 @@ def _mul_gen(terms: dict, i: int) -> dict:
     w = omega()
     out: dict = {}
     for p, c in terms.items():
-        ps = apply_gen(p, i)
-        add_term(out, ps, c)
-        if length(ps) < length(p):
+        add_term(out, apply_gen(p, i), c)
+        if descends(p, i):
             add_term(out, p, c * w)
     return out
 
@@ -299,12 +298,11 @@ def formal_product(r: int, word_a, word_b) -> dict:
         nxt: dict = {}
         for word, c in out.items():
             p = perm_of_word(r, word)
-            ps = apply_gen(p, i)
-            if length(ps) > length(p):
+            if not descends(p, i):
                 add_term(nxt, word + (i,), c)
             else:
                 shorter = word[:-1] if word and word[-1] == i \
-                    else reduced_word(ps)
+                    else reduced_word(apply_gen(p, i))
                 add_term(nxt, shorter, c)
                 add_term(nxt, shorter + (i,), c * w)
         out = nxt

@@ -5,7 +5,15 @@ reduced row echelon form with pivot entries 1; since scalar canonical forms
 are unique, two subspaces are equal iff their RREF data are identical, and
 that comparison is used everywhere downstream.
 
-Pivoting is deterministic: leftmost column first, no magnitude pivoting.
+Pivoting is deterministic: every row is pivoted on its leftmost nonzero
+column, with no magnitude pivoting.  ``SubspaceBasis.from_vectors`` consumes
+its input rows sparsest first (a stable sort on the nonzero count, so ties
+keep the input order): a dense row reduced early spreads fill-in, and with
+it rational-function growth, into every later row.  The order cannot change
+the result.  The pivot columns of the RREF are exactly the leftmost columns
+{min(support v) : v in the span}, and a reduced echelon basis with pivot
+entries 1 is the only basis of the span with those pivots cleared from
+every other row, so any order of the same rows gives the same data.
 Every arithmetic step re-canonicalizes, which keeps entries reduced; at the
 block sizes this package works with, no extra denominator-clearing pass is
 needed (the relation rows are short and the full suite runs in seconds).
@@ -145,7 +153,7 @@ class SubspaceBasis:
     @staticmethod
     def from_vectors(vectors, ambient: int, labels=None) -> "SubspaceBasis":
         pivot_rows: dict = {}
-        for vec in vectors:
+        for vec in sorted(vectors, key=len):
             row = dict(vec)
             _reduce_by(row, pivot_rows)
             if not row:

@@ -24,7 +24,7 @@ from functools import lru_cache
 from .errors import BoundExceeded, SizeMismatch
 
 __all__ = [
-    "identity", "s", "compose", "inverse", "length", "apply_gen",
+    "identity", "s", "compose", "inverse", "length", "apply_gen", "descends",
     "reduced_word", "perm_of_word", "sign", "standardize",
     "all_perms", "multi_indices", "weight", "weight_blocks",
     "perm_str", "DEFAULT_RANK_BOUND",
@@ -71,6 +71,11 @@ def length(p: Perm) -> int:
 def apply_gen(p: Perm, i: int) -> Perm:
     """Right multiplication p.s_i: swap the values i and i+1 in the word."""
     return tuple(i + 1 if v == i else i if v == i + 1 else v for v in p)
+
+
+def descends(p: Perm, i: int) -> bool:
+    """Is p.s_i shorter than p?  True iff value i+1 stands before value i."""
+    return p.index(i + 1) < p.index(i)
 
 
 @lru_cache(maxsize=None)

@@ -78,25 +78,34 @@ def ppk_generators(d: int) -> list:
     return gens
 
 
-def ideal_component(d: int, r: int, bound: int = 100_000) -> dict:
-    """Degree-r component of the cubic ideal, one RREF basis per weight."""
+def ideal_component(d: int, r: int, bound: int = 100_000,
+                    weight_vec: tuple | None = None) -> dict:
+    """Degree-r component of the cubic ideal, one RREF basis per weight.
+
+    With ``weight_vec`` only that weight's block is built.
+    """
     if r < 3:
         return {}
     if d ** r > bound:
         raise BoundExceeded(f"{d}^{r} words exceeds bound {bound}")
     labels = {}
     for w in itertools.product(range(1, d + 1), repeat=r):
-        labels.setdefault(weight(w, d), []).append(w)
+        wv = weight(w, d)
+        if weight_vec is None or wv == weight_vec:
+            labels.setdefault(wv, []).append(w)
     index = {wv: {w: i for i, w in enumerate(ws)}
              for wv, ws in labels.items()}
     by_weight: dict = {wv: [] for wv in labels}
     pads = list(itertools.product(range(1, d + 1), repeat=r - 3))
     for gen in ppk_generators(d):
+        first = next(iter(gen.terms))
         for pad in pads:
+            # every cut of the pad gives a word of the same weight
+            wv = weight(first + pad, d)
+            if wv not in by_weight:
+                continue
             for cut in range(len(pad) + 1):
                 u, v = pad[:cut], pad[cut:]
-                first = next(iter(gen.terms))
-                wv = weight(u + first + v, d)
                 by_weight[wv].append(
                     {index[wv][u + w + v]: c for w, c in gen.terms.items()})
     return {wv: SubspaceBasis.from_vectors(vecs, len(labels[wv]),
@@ -141,20 +150,22 @@ def preplactic_ideal_component(r: int, variant: str = "concat",
     """
     if not 3 <= r <= max_rank:
         raise BoundExceeded(f"rank {r} outside 3..{max_rank}")
-    base = ideal_component(r, r).get((1,) * r)
+    distinct = (1,) * r
+    base = ideal_component(r, r, weight_vec=distinct)[distinct]
     perms = all_perms(r)
-    if base is None:
-        base = SubspaceBasis.from_vectors([], len(perms), labels=perms)
     base.labels = perms
     if variant == "concat":
         return base
     if variant != "action-closed":
         raise ValueError(f"unknown variant {variant!r}")
     index = {p: i for i, p in enumerate(perms)}
-    span = base
+    # Semi-naive closure: each round maps only the rows whose pivot is new.
+    # Those rows and the old span span the new span, so the images of the
+    # old rows are already in it.
+    span, fresh = base, base.rows
     while True:
         new_rows = list(span.rows)
-        for row in span.rows:
+        for row in fresh:
             coeffs = {perms[i]: c for i, c in row.items()}
             for i in range(1, r):
                 image = _diag_action(coeffs, i, r)
@@ -163,6 +174,9 @@ def preplactic_ideal_component(r: int, variant: str = "concat",
                                             labels=perms)
         if bigger.dim == span.dim:
             return bigger
+        old = set(span.pivots)
+        fresh = [row for p, row in zip(bigger.pivots, bigger.rows)
+                 if p not in old]
         span = bigger
 
 

@@ -17,6 +17,7 @@ the monomials x_A = x^(sorted)_A whenever those are independent.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 
 from .errors import BlockMismatch, BoundExceeded
@@ -128,6 +129,11 @@ def _degree2_relations(n: int) -> tuple:
     return tuple(out)
 
 
+def _check_block_size(block: tuple, words: int, bound: int) -> None:
+    if words > bound:
+        raise BoundExceeded(f"block {block} has {words} words (> {bound})")
+
+
 def _tuple_sub(a: tuple, b: tuple):
     out = tuple(x - y for x, y in zip(a, b))
     return out if all(x >= 0 for x in out) else None
@@ -141,10 +147,7 @@ class BlockQuotient:
         upper_w, lower_w = block
         uppers = _arrangements(upper_w)
         lowers = _arrangements(lower_w)
-        if len(uppers) * len(lowers) > bound:
-            raise BoundExceeded(
-                f"block {block} has {len(uppers) * len(lowers)} words"
-                f" (> {bound})")
+        _check_block_size(block, len(uppers) * len(lowers), bound)
         self.n = n
         self.r = r
         self.block = block
@@ -248,11 +251,16 @@ def diag_relation_kernel(n: int, r: int,
     """Per-weight kernels of the diagonal expansion matrices.
 
     A kernel vector c (coordinates = diagonal multi-indices, lex) encodes the
-    relation sum c_A x^A_A = 0 of the quantum diagonal algebra.
+    relation sum c_A x^A_A = 0 of the quantum diagonal algebra.  Every block
+    size is checked against the bound before any block is built.
     """
     weights = sorted({tuple(weight(w, n))
                       for w in itertools.product(range(1, n + 1), repeat=r)},
                      reverse=True)
+    for wv in weights:
+        # block (wv, wv) has (r! / prod wv_i!)^2 words
+        arrangements = math.factorial(r) // math.prod(map(math.factorial, wv))
+        _check_block_size((wv, wv), arrangements ** 2, bound)
     out = {}
     for wv in weights:
         diag, _, m = expand_diagonal(n, r, wv, bound)

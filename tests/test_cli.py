@@ -4,10 +4,10 @@ import json
 
 import pytest
 
-from qdiag import cli
+from qdiag import checks, cli
 from qdiag.checks import CheckReport, run_check
 from qdiag.cli import main
-from qdiag.errors import UnknownCheck
+from qdiag.errors import MembershipFailure, UnknownCheck
 
 
 def run_cli(capsys, *argv):
@@ -116,6 +116,29 @@ def test_bound_exceeded_is_skip_report(capsys):
     assert code == 2
     assert out.startswith("SKIP conjecture")
     assert out.rstrip().endswith("0 failure(s), 1 skipped")
+
+
+def test_membership_failure_is_error_report(capsys, monkeypatch):
+    # a failed internal membership claim is reported with its witness
+    def broken(params):
+        raise MembershipFailure("substitution for ((1, 2), (2, 1)) is not a"
+                                " relation", residual={"12|21": "q"})
+
+    monkeypatch.setitem(checks.CHECKS, "systd", broken)
+    code, out = run_cli(capsys, "run", "systd", "--no-cache",
+                        "--format", "json")
+    assert code == 1
+    (report,) = json.loads(out)
+    assert report["status"] == "ERROR"
+    assert report["detail"] == {
+        "reason": "MembershipFailure: substitution for ((1, 2), (2, 1)) is"
+                  " not a relation",
+        "residual": {"12|21": "q"},
+        "params": {}}
+    code, out = run_cli(capsys, "run", "systd", "--no-cache")
+    assert code == 1
+    assert out.startswith("ERROR systd")
+    assert out.rstrip().endswith("0 failure(s), 1 error(s)")
 
 
 def test_text_format_has_status_lines(tmp_path, capsys):

@@ -5,7 +5,9 @@ import random
 import pytest
 
 from qdiag.errors import DimensionMismatch
+from qdiag.hecke import projection_matrix
 from qdiag.linalg import QMatrix, SubspaceBasis, kernel
+from qdiag.qma import block_quotient
 from qdiag.scalars import ONE, ZERO, omega, q_power, qs
 
 
@@ -91,6 +93,26 @@ def test_apply_matches_row_products():
                 expected[i] = total
         assert m.apply(vec) == expected
         assert m.apply(vec) == expected  # the column index is reused
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_rref_independent_of_row_order(seed):
+    # the canonical RREF is unique, whatever order the rows arrive in
+    block = ((2, 1, 1), (2, 1, 1))
+    quotient = block_quotient(3, 4, block)
+    rows = list(quotient._relation_rows())
+    random.Random(seed).shuffle(rows)
+    span = SubspaceBasis.from_vectors(rows, len(quotient.words))
+    assert span == quotient.span
+
+
+def test_kernel_independent_of_row_order():
+    m = projection_matrix(5).transpose()
+    order = list(range(m.nrows))
+    random.Random(5).shuffle(order)
+    shuffled = QMatrix(m.nrows, m.ncols, {(order[i], j): v
+                                          for (i, j), v in m.entries.items()})
+    assert kernel(shuffled) == kernel(m)
 
 
 def test_kernel_identity_and_singular():

@@ -3,10 +3,10 @@
 import pytest
 
 from qdiag.errors import BoundExceeded, SizeMismatch
-from qdiag.permutations import (all_perms, apply_gen, compose, identity,
-                                inverse, length, multi_indices, perm_of_word,
-                                perm_str, reduced_word, s, standardize,
-                                weight, weight_blocks)
+from qdiag.permutations import (all_perms, apply_gen, compose, descends,
+                                identity, inverse, length, multi_indices,
+                                perm_of_word, perm_str, reduced_word, s,
+                                standardize, weight, weight_blocks)
 
 
 def test_composition_convention():
@@ -76,6 +76,12 @@ def test_bound_exceeded():
     with pytest.raises(BoundExceeded):
         multi_indices(2, 9)
     assert len(all_perms(7, bound=7)) == 5040
+
+
+def test_descent_test_matches_length():
+    for p in all_perms(5):
+        for i in range(1, 5):
+            assert descends(p, i) == (length(apply_gen(p, i)) < length(p))
 
 
 def test_perm_str():

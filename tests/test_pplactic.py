@@ -7,7 +7,8 @@ import pytest
 from qdiag.errors import BoundExceeded
 from qdiag.hecke import DiagElt, project_p
 from qdiag.permutations import all_perms
-from qdiag.pplactic import (hecke_side_kernel, ideal_component,
+from qdiag.linalg import SubspaceBasis
+from qdiag.pplactic import (_diag_action, hecke_side_kernel, ideal_component,
                             lemma_brute_check, ppk_generators,
                             preplactic_ideal_component, verify_conjecture)
 from qdiag.scalars import ONE, ZERO, omega, q_int, q_power, qs
@@ -118,6 +119,36 @@ def test_preplactic_degree5_concat_matches_kernel():
     concat = preplactic_ideal_component(5, "concat")
     assert concat.dim == ker.dim == 59
     assert concat == ker
+
+
+@pytest.mark.parametrize("r", [4, 5])
+def test_distinct_letter_block_alone(r):
+    distinct = (1,) * r
+    alone = ideal_component(r, r, weight_vec=distinct)
+    assert list(alone) == [distinct]
+    full = ideal_component(r, r)[distinct]
+    assert alone[distinct] == full
+    assert alone[distinct].labels == full.labels == all_perms(r)
+
+
+@pytest.mark.parametrize("r", [4, 5])
+def test_semi_naive_closure_matches_naive(r):
+    # naive closure: map every row of the span each round
+    perms = all_perms(r)
+    index = {p: i for i, p in enumerate(perms)}
+    span = preplactic_ideal_component(r, "concat")
+    while True:
+        rows = list(span.rows)
+        for row in span.rows:
+            coeffs = {perms[i]: c for i, c in row.items()}
+            for i in range(1, r):
+                image = _diag_action(coeffs, i, r)
+                rows.append({index[p]: c for p, c in image.items()})
+        bigger = SubspaceBasis.from_vectors(rows, len(perms))
+        if bigger.dim == span.dim:
+            break
+        span = bigger
+    assert preplactic_ideal_component(r, "action-closed") == bigger
 
 
 def test_preplactic_bounds():

@@ -5,6 +5,8 @@ from importlib import resources
 
 import pytest
 
+from qdiag import qma
+from qdiag.checks import run_check
 from qdiag.errors import BlockMismatch, BoundExceeded
 from qdiag.hecke import projection_matrix
 from qdiag.linalg import SubspaceBasis
@@ -155,6 +157,23 @@ def test_block_mismatch():
 def test_block_bound():
     with pytest.raises(BoundExceeded):
         block_quotient(3, 3, ((1, 1, 1), (1, 1, 1)), bound=10)
+
+
+def test_block_bound_checked_before_any_block(monkeypatch):
+    # every block size is known from its weight, so the bound is met first
+    built = []
+    original = qma.BlockQuotient.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(qma.BlockQuotient, "__init__", counting_init)
+    report = run_check("conjecture", {"d": 3, "r": 6})
+    assert report.status == "SKIP"
+    assert report.detail["reason"] == (
+        "BoundExceeded: block ((2, 2, 2), (2, 2, 2)) has 8100 words (> 4096)")
+    assert built == []
 
 
 def test_rank_nullity_every_expansion_matrix():
