@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import BoundExceeded, SizeMismatch
+from .errors import SizeMismatch
 from .linalg import SubspaceBasis, QMatrix, kernel
 from .permutations import (
     all_perms, apply_gen, descends, identity, inverse, length, perm_of_word,
@@ -30,7 +30,7 @@ from .scalars import (LaurentPoly, ONE, ZERO, QScalar, add_term, omega, q_int,
                       q_power, qs)
 
 __all__ = [
-    "HeckeElt", "DiagElt", "t", "project_p",
+    "HeckeElt", "t", "project_p",
     "idempotents_r2", "idempotents_r3", "r3_normalizers",
     "theta", "diag_kernel_of_p", "projection_matrix", "formal_product",
 ]
@@ -48,10 +48,6 @@ class HeckeElt:
             for p, c in terms.items():
                 if c:
                     self.terms[p] = c
-
-    @staticmethod
-    def zero(r: int) -> "HeckeElt":
-        return HeckeElt(r)
 
     @staticmethod
     def one(r: int) -> "HeckeElt":
@@ -158,26 +154,18 @@ def t_word(r: int, word) -> HeckeElt:
     return t(perm_of_word(r, word))
 
 
-class DiagElt:
-    """Element of the diagonal space: sum c_alpha T~^alpha_alpha."""
+def project_p(r: int, coeffs: dict) -> HeckeElt:
+    """p(sum c_alpha T~^alpha_alpha) = sum c_alpha T_(alpha^-1) T_alpha.
 
-    __slots__ = ("r", "coeffs")
-
-    def __init__(self, r: int, coeffs=None):
-        self.r = r
-        self.coeffs = {p: c for p, c in (coeffs or {}).items() if c}
-
-    @staticmethod
-    def basis(p) -> "DiagElt":
-        return DiagElt(len(p), {tuple(p): ONE})
-
-
-def project_p(x: DiagElt) -> HeckeElt:
-    """The double-coset projection: sum c_alpha T_(alpha^-1) T_alpha."""
-    out = HeckeElt.zero(x.r)
-    for alpha, c in x.coeffs.items():
-        out = out + (t(inverse(alpha)) * t(alpha)).scale(c)
-    return out
+    The images are the rows of ``projection_matrix(r)``.
+    """
+    perms = all_perms(r)
+    out: dict = {}
+    for (i, j), v in projection_matrix(r).entries.items():
+        c = coeffs.get(perms[i])
+        if c:
+            add_term(out, perms[j], c * v)
+    return HeckeElt(r, out)
 
 
 # -- idempotents -------------------------------------------------------------
@@ -267,15 +255,15 @@ def projection_matrix(r: int) -> QMatrix:
 
 
 @lru_cache(maxsize=None)
-def diag_kernel_of_p(r: int, max_rank: int = 5) -> SubspaceBasis:
+def diag_kernel_of_p(r: int) -> SubspaceBasis:
     """Exact kernel of p on the r!-dimensional diagonal space.
 
-    Coordinates are indexed by S_r in lex order; a kernel vector c means
-    sum c_alpha T~^alpha_alpha projects to zero.
+    Coordinates are indexed and labelled by S_r in lex order; a kernel vector
+    c means sum c_alpha T~^alpha_alpha projects to zero.
     """
-    if r > max_rank:
-        raise BoundExceeded(f"rank {r} exceeds bound {max_rank}")
-    return kernel(projection_matrix(r).transpose())
+    ker = kernel(projection_matrix(r).transpose())
+    ker.labels = all_perms(r)
+    return ker
 
 
 # -- word-level products ------------------------------------------------------

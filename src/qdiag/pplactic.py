@@ -25,10 +25,11 @@ from functools import lru_cache
 from importlib import resources
 
 from .errors import BoundExceeded, MembershipFailure
-from .hecke import diag_kernel_of_p, idempotents_r3, t
+from .hecke import diag_kernel_of_p, idempotents_r3
 from .linalg import SubspaceBasis
-from .permutations import all_perms, inverse, s, weight
-from .qma import FreeElt, block_quotient, diag_relation_kernel
+from .permutations import all_perms, apply_gen, descends, weight
+from .qma import (FreeElt, _arrangements, _tuple_sub, _weights, block_quotient,
+                  diag_relation_kernel)
 from .rmatrix import pi, word_index
 from .scalars import (ONE, ZERO, add_term, omega, parse_scalar, q_int,
                       q_power, qs)
@@ -78,81 +79,78 @@ def ppk_generators(d: int) -> list:
     return gens
 
 
-def ideal_component(d: int, r: int, bound: int = 100_000,
-                    weight_vec: tuple | None = None) -> dict:
+def ideal_component(d: int, r: int, weight_vec: tuple | None = None) -> dict:
     """Degree-r component of the cubic ideal, one RREF basis per weight.
 
-    With ``weight_vec`` only that weight's block is built.
+    A weight's coordinates are its arrangements, and each generator is padded
+    by the arrangements of the weight it leaves over.  With ``weight_vec``
+    only that weight's block is built.
     """
     if r < 3:
         return {}
-    if d ** r > bound:
-        raise BoundExceeded(f"{d}^{r} words exceeds bound {bound}")
-    labels = {}
-    for w in itertools.product(range(1, d + 1), repeat=r):
-        wv = weight(w, d)
-        if weight_vec is None or wv == weight_vec:
-            labels.setdefault(wv, []).append(w)
-    index = {wv: {w: i for i, w in enumerate(ws)}
-             for wv, ws in labels.items()}
-    by_weight: dict = {wv: [] for wv in labels}
-    pads = list(itertools.product(range(1, d + 1), repeat=r - 3))
-    for gen in ppk_generators(d):
-        first = next(iter(gen.terms))
-        for pad in pads:
-            # every cut of the pad gives a word of the same weight
-            wv = weight(first + pad, d)
-            if wv not in by_weight:
+    gens = [(weight(next(iter(g.terms)), d), g.terms)
+            for g in ppk_generators(d)]
+    out = {}
+    for wv in [weight_vec] if weight_vec else _weights(d, r):
+        labels = _arrangements(wv)
+        index = {w: i for i, w in enumerate(labels)}
+        vecs = []
+        for gen_weight, terms in gens:
+            rest = _tuple_sub(wv, gen_weight)
+            if rest is None:
                 continue
-            for cut in range(len(pad) + 1):
-                u, v = pad[:cut], pad[cut:]
-                by_weight[wv].append(
-                    {index[wv][u + w + v]: c for w, c in gen.terms.items()})
-    return {wv: SubspaceBasis.from_vectors(vecs, len(labels[wv]),
-                                           labels=labels[wv])
-            for wv, vecs in by_weight.items() if vecs}
+            for pad in _arrangements(rest):
+                # every cut of the pad gives a word of the same weight
+                for cut in range(len(pad) + 1):
+                    u, v = pad[:cut], pad[cut:]
+                    vecs.append({index[u + w + v]: c
+                                 for w, c in terms.items()})
+        if vecs:
+            out[wv] = SubspaceBasis.from_vectors(vecs, len(labels),
+                                                 labels=labels)
+    return out
 
 
-def hecke_side_kernel(r: int):
+def hecke_side_kernel(r: int) -> SubspaceBasis:
     """Kernel of the projection on the diagonal space, labelled by S_r."""
-    ker = diag_kernel_of_p(r)
-    ker.labels = all_perms(r)
-    return ker
+    return diag_kernel_of_p(r)
 
 
-def _diag_action(coeffs: dict, i: int, r: int) -> dict:
+def _diag_action(coeffs: dict, i: int) -> dict:
     """Left module action of T_si on a diagonal vector, then compression.
 
     The action T_rho . Ttilde^sigma = T_(rho^-1) T_(sigma^-1) (x) T_sigma T_rho
     lands in the full two-sided tensor square; the result is compressed back
-    to the diagonal coordinates (T_(beta^-1), T_beta).
+    to the diagonal coordinates (T_(beta^-1), T_beta).  The right factor is
+    T_alpha T_si = T_(alpha.si), plus omega T_alpha when alpha descends at i.
+    The anti-involution T_w -> T_(w^-1) maps it to the left factor
+    T_si T_(alpha^-1), so the left coefficient at T_(beta^-1) equals the right
+    one at T_beta, and the compressed action is alpha -> alpha.si, plus
+    omega^2 alpha on a descent.
     """
+    w2 = omega() ** 2
     out: dict = {}
-    gen = t(s(r, i))
     for alpha, c in coeffs.items():
-        left = gen * t(inverse(alpha))
-        right = t(alpha) * gen
-        for mu, cl in left.terms.items():
-            beta = inverse(mu)
-            cr = right.terms.get(beta)
-            if cr is not None:
-                add_term(out, beta, c * cl * cr)
+        add_term(out, apply_gen(alpha, i), c)
+        if descends(alpha, i):
+            add_term(out, alpha, w2 * c)
     return out
 
 
-def preplactic_ideal_component(r: int, variant: str = "concat",
-                               max_rank: int = 5) -> SubspaceBasis:
+def preplactic_ideal_component(r: int,
+                               variant: str = "concat") -> SubspaceBasis:
     """Degree-r pre-plactic ideal inside the diagonal space of H_r (x) H_r.
 
     variant 'concat' is the two-sided concatenation ideal of the standardized
     distinct-letter generator; 'action-closed' additionally closes it under
     the left module action of the Hecke generators.
     """
-    if not 3 <= r <= max_rank:
-        raise BoundExceeded(f"rank {r} outside 3..{max_rank}")
+    if r < 3:
+        raise BoundExceeded(f"rank {r} is below 3, the degree of the "
+                            "cubic generators")
+    perms = all_perms(r)
     distinct = (1,) * r
     base = ideal_component(r, r, weight_vec=distinct)[distinct]
-    perms = all_perms(r)
     base.labels = perms
     if variant == "concat":
         return base
@@ -168,7 +166,7 @@ def preplactic_ideal_component(r: int, variant: str = "concat",
         for row in fresh:
             coeffs = {perms[i]: c for i, c in row.items()}
             for i in range(1, r):
-                image = _diag_action(coeffs, i, r)
+                image = _diag_action(coeffs, i)
                 new_rows.append({index[p]: c for p, c in image.items()})
         bigger = SubspaceBasis.from_vectors(new_rows, len(perms),
                                             labels=perms)
@@ -392,8 +390,9 @@ def verify_conjecture(d: int, r: int, bound: int = 4096) -> dict:
     kernel of the diagonal expansion matrix as a canonical subspace; any
     difference is reported with a witness vector.
     """
-    ideal = ideal_component(d, r) if r >= 3 else {}
+    # the kernels check every block size before any block or ideal is built
     kernels = diag_relation_kernel(d, r, bound)
+    ideal = ideal_component(d, r)
     blocks = []
     verdict = "PASS"
     for wv in sorted(kernels, reverse=True):

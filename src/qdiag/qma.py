@@ -99,6 +99,14 @@ def _arrangements(w: tuple) -> list:
     return sorted(set(itertools.permutations(letters)))
 
 
+def _weights(n: int, r: int) -> list:
+    """All weights of degree-r words over {1..n}, reverse lexicographic."""
+    if n == 0:
+        return [()] if r == 0 else []
+    return [(k,) + rest for k in range(r, -1, -1)
+            for rest in _weights(n - 1, r - k)]
+
+
 @lru_cache(maxsize=None)
 def _degree2_relations(n: int) -> tuple:
     """Degree-2 relation vectors from rhat.(x(x)x) - (x(x)x).rhat, deduplicated.
@@ -254,9 +262,7 @@ def diag_relation_kernel(n: int, r: int,
     relation sum c_A x^A_A = 0 of the quantum diagonal algebra.  Every block
     size is checked against the bound before any block is built.
     """
-    weights = sorted({tuple(weight(w, n))
-                      for w in itertools.product(range(1, n + 1), repeat=r)},
-                     reverse=True)
+    weights = _weights(n, r)
     for wv in weights:
         # block (wv, wv) has (r! / prod wv_i!)^2 words
         arrangements = math.factorial(r) // math.prod(map(math.factorial, wv))

@@ -89,15 +89,22 @@ def test_out_directory(tmp_path, capsys):
     assert report[0]["detail"]["readings"] == {"2": "descending"}
 
 
-def test_failure_exit_code(tmp_path, capsys):
-    # the lemma-brute check records the reference-sign mismatch as FAIL
-    code, out = run_cli(capsys, "run", "lemma-brute", "--sign", "plus",
-                        "--format", "json",
+def test_failure_exit_code(tmp_path, capsys, monkeypatch):
+    # a FAIL verdict exits with 1 and keeps its witness
+    def failing(params):
+        return {"status": "FAIL", "witness": {"row": "123", "col": 0}}
+
+    monkeypatch.setitem(checks.CHECKS, "systd", failing)
+    code, out = run_cli(capsys, "run", "systd", "--format", "json",
                         "--cache-dir", str(tmp_path / "cache"))
     assert code == 1
     payload = json.loads(out)
     assert payload[0]["status"] == "FAIL"
-    assert "witness" in payload[0]["detail"]
+    assert payload[0]["detail"] == {"witness": {"row": "123", "col": 0}}
+    code, out = run_cli(capsys, "run", "systd", "--no-cache")
+    assert code == 1
+    assert out.startswith("FAIL systd")
+    assert out.rstrip().endswith("1 failure(s)")
 
 
 def test_bound_exceeded_is_skip_report(capsys):

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from qdiag.errors import SizeMismatch
-from qdiag.hecke import (DiagElt, HeckeElt, diag_kernel_of_p, formal_product,
+from qdiag.hecke import (HeckeElt, diag_kernel_of_p, formal_product,
                          idempotents_r2, idempotents_r3, project_p,
                          projection_matrix, r3_normalizers, t, theta)
 from qdiag.permutations import (all_perms, inverse, perm_of_word, reduced_word,
@@ -85,12 +85,18 @@ def test_upper_basis_coset_table():
 
 
 def test_projection_examples():
-    assert project_p(DiagElt.basis((1, 2, 3))) == HeckeElt.one(3)
-    assert project_p(DiagElt.basis((2, 1, 3))) == \
+    assert project_p(3, {(1, 2, 3): ONE}) == HeckeElt.one(3)
+    assert project_p(3, {(2, 1, 3): ONE}) == \
         HeckeElt.one(3) + t(s(3, 1)).scale(omega())
-    gen = DiagElt(3, {(1, 3, 2): ONE, (3, 1, 2): -ONE,
-                      (2, 1, 3): -ONE, (2, 3, 1): ONE})
-    assert not project_p(gen)
+    gen = {(1, 3, 2): ONE, (3, 1, 2): -ONE, (2, 1, 3): -ONE, (2, 3, 1): ONE}
+    assert not project_p(3, gen)
+    # the rows of projection_matrix against T_(alpha^-1) T_alpha directly
+    coeffs = {p: qs(k + 1) * q_power(k % 3 - 1)
+              for k, p in enumerate(all_perms(4))}
+    direct = HeckeElt(4)
+    for alpha, c in coeffs.items():
+        direct = direct + (t(inverse(alpha)) * t(alpha)).scale(c)
+    assert project_p(4, coeffs) == direct
 
 
 def test_rank2_idempotents():
@@ -152,6 +158,12 @@ def test_diag_kernel_dimensions():
     from qdiag.linalg import SubspaceBasis as SB
     image_dim = SB.from_vectors([m4.row(i) for i in range(24)], 24).dim
     assert k4.dim == 24 - image_dim
+
+
+def test_diag_kernel_labelled_without_other_calls():
+    # the kernel carries its own labels, whatever ran before in the process
+    diag_kernel_of_p.cache_clear()
+    assert diag_kernel_of_p(4).labels == all_perms(4)
 
 
 def test_formal_product_tracks_words():

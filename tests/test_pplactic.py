@@ -1,17 +1,56 @@
 """Cubic generators, ideals on both sides, the brute-force restriction."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
+from qdiag import pplactic
+from qdiag.checks import run_check
 from qdiag.errors import BoundExceeded
-from qdiag.hecke import DiagElt, project_p
-from qdiag.permutations import all_perms
+from qdiag.hecke import project_p, t
+from qdiag.permutations import all_perms, inverse, s, weight
 from qdiag.linalg import SubspaceBasis
 from qdiag.pplactic import (_diag_action, hecke_side_kernel, ideal_component,
                             lemma_brute_check, ppk_generators,
                             preplactic_ideal_component, verify_conjecture)
-from qdiag.scalars import ONE, ZERO, omega, q_int, q_power, qs
+from qdiag.scalars import ONE, ZERO, add_term, omega, q_int, q_power, qs
+
+
+def hecke_product_action(coeffs, i, r):
+    """T_si . (sum c_alpha T~^alpha_alpha) by two Hecke products per term."""
+    out = {}
+    gen = t(s(r, i))
+    for alpha, c in coeffs.items():
+        left = gen * t(inverse(alpha))
+        right = t(alpha) * gen
+        for mu, cl in left.terms.items():
+            beta = inverse(mu)
+            cr = right.terms.get(beta)
+            if cr is not None:
+                add_term(out, beta, c * cl * cr)
+    return out
+
+
+def scanned_ideal_component(d, r):
+    """The ideal component with every weight labelled by a scan of d^r."""
+    labels = {}
+    for w in itertools.product(range(1, d + 1), repeat=r):
+        labels.setdefault(weight(w, d), []).append(w)
+    index = {wv: {w: i for i, w in enumerate(ws)}
+             for wv, ws in labels.items()}
+    by_weight = {wv: [] for wv in labels}
+    pads = list(itertools.product(range(1, d + 1), repeat=r - 3))
+    for gen in ppk_generators(d):
+        for pad in pads:
+            wv = weight(next(iter(gen.terms)) + pad, d)
+            for cut in range(len(pad) + 1):
+                u, v = pad[:cut], pad[cut:]
+                by_weight[wv].append(
+                    {index[wv][u + w + v]: c for w, c in gen.terms.items()})
+    return {wv: SubspaceBasis.from_vectors(vecs, len(labels[wv]),
+                                           labels=labels[wv])
+            for wv, vecs in by_weight.items() if vecs}
 
 
 def test_generator_counts():
@@ -87,20 +126,18 @@ def test_preplactic_degree3():
     ratio = coeffs[(1, 3, 2)]
     assert coeffs == {(1, 3, 2): ratio, (3, 1, 2): -ratio,
                       (2, 1, 3): -ratio, (2, 3, 1): ratio}
-    gen = DiagElt(3, coeffs)
-    assert not project_p(gen)
+    assert not project_p(3, coeffs)
 
 
 def test_generator_halves_hit_braid_words():
     # each Knuth half of the standardized generator projects to
     # -omega times the basis element of the longest word
-    from qdiag.hecke import t
     w = omega()
     top = t((3, 2, 1)).scale(-w)
-    first = DiagElt(3, {(1, 3, 2): ONE, (3, 1, 2): -ONE})
-    second = DiagElt(3, {(2, 1, 3): ONE, (2, 3, 1): -ONE})
-    assert project_p(first) == top
-    assert project_p(second) == top
+    first = {(1, 3, 2): ONE, (3, 1, 2): -ONE}
+    second = {(2, 1, 3): ONE, (2, 3, 1): -ONE}
+    assert project_p(3, first) == top
+    assert project_p(3, second) == top
 
 
 def test_preplactic_degree4_variants():
@@ -142,7 +179,7 @@ def test_semi_naive_closure_matches_naive(r):
         for row in span.rows:
             coeffs = {perms[i]: c for i, c in row.items()}
             for i in range(1, r):
-                image = _diag_action(coeffs, i, r)
+                image = _diag_action(coeffs, i)
                 rows.append({index[p]: c for p, c in image.items()})
         bigger = SubspaceBasis.from_vectors(rows, len(perms))
         if bigger.dim == span.dim:
@@ -151,9 +188,39 @@ def test_semi_naive_closure_matches_naive(r):
     assert preplactic_ideal_component(r, "action-closed") == bigger
 
 
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_closed_form_action_matches_hecke_products(r):
+    for alpha in all_perms(r):
+        for i in range(1, r):
+            assert _diag_action({alpha: ONE}, i) == \
+                hecke_product_action({alpha: ONE}, i, r)
+
+
+@pytest.mark.parametrize("d, r", [(3, 4), (2, 5)])
+def test_weight_labelled_ideal_matches_scan(d, r):
+    scanned = scanned_ideal_component(d, r)
+    labelled = ideal_component(d, r)
+    assert sorted(labelled) == sorted(scanned)
+    for wv, basis in scanned.items():
+        assert labelled[wv] == basis
+        assert labelled[wv].labels == basis.labels
+
+
+def test_conjecture_skip_before_ideal(monkeypatch):
+    # the block sizes are checked before the ideal component is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("ideal component built before the size check")
+
+    monkeypatch.setattr(pplactic, "ideal_component", refuse)
+    report = run_check("conjecture", {"d": 3, "r": 6})
+    assert report.status == "SKIP"
+    assert report.detail["reason"] == (
+        "BoundExceeded: block ((2, 2, 2), (2, 2, 2)) has 8100 words (> 4096)")
+
+
 def test_preplactic_bounds():
     with pytest.raises(BoundExceeded):
-        preplactic_ideal_component(6)
+        preplactic_ideal_component(7)
     with pytest.raises(ValueError):
         preplactic_ideal_component(4, "bogus")
 
