@@ -18,7 +18,8 @@ from importlib import resources
 
 from .errors import BoundExceeded, MembershipFailure, UnknownCheck
 from .hecke import (HeckeElt, formal_product, idempotents_r2, idempotents_r3,
-                    project_p, projection_matrix, r3_normalizers, t, theta)
+                    project_p, projection_matrix, r3_normalizers, t, theta,
+                    weight_kernel)
 from .linalg import SubspaceBasis
 from .permutations import (all_perms, inverse, perm_of_word, perm_str,
                            reduced_word, s)
@@ -272,6 +273,13 @@ def check_diag_kernel(params) -> dict:
     n = params.get("n") or params.get("d") or 3
     r = params.get("r", 3)
     kernels = diag_relation_kernel(n, r)
+    # the FRT route cross-checks the Hecke route that `conjecture` uses
+    for wv, ker in sorted(kernels.items(), reverse=True):
+        hecke = weight_kernel(wv)
+        if hecke != ker or hecke.labels != ker.labels:
+            return {"status": "FAIL", "witness": {
+                "weight": "".join(map(str, wv)),
+                "frt": ker.to_json(), "hecke": hecke.to_json()}}
     golden = _data("expansion_matrices.json")
     detail = {"blocks": {}, "_artifacts": {"kernels": {}}}
     total = 0
@@ -397,7 +405,7 @@ def check_lemma_brute(params) -> dict:
 def check_conjecture(params) -> dict:
     d = params.get("d") or params.get("n") or 3
     r = params.get("r", 3)
-    rep = verify_conjecture(d, r, bound=params.get("max_block", 4096))
+    rep = verify_conjecture(d, r)
     rep["status"] = rep.pop("verdict")
     return rep
 

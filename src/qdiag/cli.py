@@ -21,7 +21,7 @@ from pathlib import Path
 from .checks import ALL_ORDER, CheckReport, check_names, run_many
 from .errors import UnknownCheck
 
-PARAM_KEYS = ("n", "d", "r", "sign", "variant", "max_block")
+PARAM_KEYS = ("n", "d", "r", "sign", "variant")
 
 
 @lru_cache(maxsize=None)
@@ -80,8 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="parallel worker processes for independent checks")
     runp.add_argument("--out", type=Path, default=None,
                       help="directory for JSON report and dump files")
-    runp.add_argument("--max-block", dest="max_block", type=int, default=None,
-                      help="safety bound on weight-block size")
     runp.add_argument("--cache-dir", type=Path,
                       default=Path(".qdiag-cache"))
     runp.add_argument("--no-cache", action="store_true")

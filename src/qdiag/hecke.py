@@ -10,6 +10,33 @@ and a general product factors the right operand into its reduced word.
 T^alpha denotes T_(alpha^-1); the double-coset projection of a diagonal
 element sum c_alpha T^alpha (x) T_alpha is p = sum c_alpha T_(alpha^-1) T_alpha.
 
+The diagonal kernels that the conjecture check compares are computed here
+from the rows of P = ``projection_matrix(r)``, one composition lambda of r at
+a time.  S_lambda is
+the Young subgroup of lambda; its blocks are the letter blocks of
+``standardize`` and serve both as value blocks (right action) and as
+position blocks (left action).  For p in S_r let d(p) be the minimal element
+of S_lambda p S_lambda, and for the diagonal words A of weight lambda with
+beta_A = standardize(A) put
+
+    M_lambda[A, d] = sum over p with d(p) = d of q^(l(p) - l(d)) P[beta_A, p].
+
+The left kernel of M_lambda, labelled by the arrangements of lambda, is the
+kernel of the FRT diagonal expansion at lambda.  Proof sketch: under the
+Schur functor the diagonal monomial x^A_A goes to y_A = x T_(beta^-1) T_beta x
+in xH_rx, where x = sum over u in S_lambda of q^l(u) T_u.  Write p = u d v with
+u, v in S_lambda and the lengths adding; then x T_p x = q^(l(p) - l(d)) x T_d x.
+Each x T_d x is a nonzero multiple pi_d of the Dipper-James basis element of
+xH_rx supported on S_lambda d S_lambda, so y_A has coordinate
+pi_d M_lambda[A, d] there, and scaling a column by a nonzero constant leaves
+the left kernel unchanged.  d(p) is read off the contingency table N[a][b],
+the number of positions in block a whose value lies in block b: for a in
+order and b in order, the next N[a][b] positions take the next N[a][b]
+unused values of block b.  At lambda = 1^r the group is trivial and M_lambda
+is P itself.  A weight with zero parts has the kernel of its composition:
+an FRT block involves only its own letters, and rhat depends only on their
+order.
+
 The module also houses the minimal idempotents of H_2 and H_3.  The mixed pair
 e21+/e21- is entered coefficient by coefficient; the full symmetrizer and
 antisymmetrizer are built as q-weighted sums over S_r whose normalization is
@@ -23,8 +50,8 @@ from functools import lru_cache
 from .errors import SizeMismatch
 from .linalg import SubspaceBasis, QMatrix, kernel
 from .permutations import (
-    all_perms, apply_gen, descends, identity, inverse, length, perm_of_word,
-    perm_str, reduced_word, sign,
+    _arrangements, all_perms, apply_gen, descends, identity, inverse, length,
+    perm_of_word, perm_str, reduced_word, sign, standardize,
 )
 from .scalars import (LaurentPoly, ONE, ZERO, QScalar, add_term, omega, q_int,
                       q_power, qs)
@@ -32,7 +59,8 @@ from .scalars import (LaurentPoly, ONE, ZERO, QScalar, add_term, omega, q_int,
 __all__ = [
     "HeckeElt", "t", "project_p",
     "idempotents_r2", "idempotents_r3", "r3_normalizers",
-    "theta", "diag_kernel_of_p", "projection_matrix", "formal_product",
+    "theta", "weight_kernel", "diag_kernel_of_p", "projection_matrix",
+    "formal_product",
 ]
 
 
@@ -254,16 +282,68 @@ def projection_matrix(r: int) -> QMatrix:
     return QMatrix(len(perms), len(perms), entries)
 
 
-@lru_cache(maxsize=None)
-def diag_kernel_of_p(r: int) -> SubspaceBasis:
-    """Exact kernel of p on the r!-dimensional diagonal space.
+def _minimal_coset_rep(p, blocks: list, starts: list):
+    """The minimal element d(p) of S_lambda p S_lambda (see the module doc)."""
+    table = [[0] * len(starts) for _ in starts]
+    for pos, v in enumerate(p):
+        table[blocks[pos]][blocks[v - 1]] += 1
+    nxt = list(starts)
+    d = []
+    for counts in table:
+        for b, k in enumerate(counts):
+            d.extend(range(nxt[b], nxt[b] + k))
+            nxt[b] += k
+    return tuple(d)
 
-    Coordinates are indexed and labelled by S_r in lex order; a kernel vector
-    c means sum c_alpha T~^alpha_alpha projects to zero.
+
+@lru_cache(maxsize=None)
+def _composition_kernel(lam: tuple) -> SubspaceBasis:
+    """Unlabelled left kernel of M_lambda for a composition with no zero part."""
+    r = sum(lam)
+    perms = all_perms(r)
+    row_of = {standardize(a): k for k, a in enumerate(_arrangements(lam))}
+    blocks = [b for b, k in enumerate(lam) for _ in range(k)]
+    starts = [1 + sum(lam[:b]) for b in range(len(lam))]
+    reps: dict = {}
+    rows = [{} for _ in row_of]
+    for (i, j), c in projection_matrix(r).entries.items():
+        k = row_of.get(perms[i])
+        if k is None:
+            continue
+        p = perms[j]
+        rep = reps.get(p)
+        if rep is None:
+            d = _minimal_coset_rep(p, blocks, starts)
+            shift = q_power(length(p) - length(d)) if d != p else None
+            rep = reps[p] = (d, shift)
+        d, shift = rep
+        add_term(rows[k], d, c * shift if shift else c)
+    col = {d: j for j, d in enumerate(sorted({d for d, _ in reps.values()}))}
+    entries = {(k, col[d]): c for k, row in enumerate(rows)
+               for d, c in row.items()}
+    return kernel(QMatrix(len(rows), len(col), entries).transpose())
+
+
+def weight_kernel(weight_vec: tuple) -> SubspaceBasis:
+    """Kernel of the diagonal expansion at one weight, from Hecke data alone.
+
+    A kernel vector c (coordinates = the arrangements of the weight, lex)
+    encodes the relation sum c_A x^A_A = 0 of the quantum diagonal algebra.
+    The kernel is computed once per composition (the weight without its zero
+    parts); each call returns a new basis, labelled for this weight, that
+    shares the rows of the cached one.
     """
-    ker = kernel(projection_matrix(r).transpose())
-    ker.labels = all_perms(r)
-    return ker
+    ker = _composition_kernel(tuple(k for k in weight_vec if k))
+    return SubspaceBasis(ker.ambient, ker.rows, ker.pivots,
+                         _arrangements(weight_vec))
+
+
+def diag_kernel_of_p(r: int) -> SubspaceBasis:
+    """Exact kernel of p on the r!-dimensional diagonal space, labelled by S_r.
+
+    A kernel vector c means sum c_alpha T~^alpha_alpha projects to zero.
+    """
+    return weight_kernel((1,) * r)
 
 
 # -- word-level products ------------------------------------------------------

@@ -159,6 +159,22 @@ def weight_blocks(d: int, r: int, bound: int = DEFAULT_RANK_BOUND) -> dict:
     return blocks
 
 
+def _arrangements(w: tuple) -> list:
+    """All distinct words with the given weight, lexicographic."""
+    letters = []
+    for v, k in enumerate(w, start=1):
+        letters.extend([v] * k)
+    return sorted(set(itertools.permutations(letters)))
+
+
+def _weights(n: int, r: int) -> list:
+    """All weights of degree-r words over {1..n}, reverse lexicographic."""
+    if n == 0:
+        return [()] if r == 0 else []
+    return [(k,) + rest for k in range(r, -1, -1)
+            for rest in _weights(n - 1, r - k)]
+
+
 def perm_str(p: Perm) -> str:
     """Digit-string rendering, e.g. (3, 1, 2) -> '312'."""
     return "".join(str(v) for v in p) if len(p) < 10 else ",".join(map(str, p))

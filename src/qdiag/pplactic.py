@@ -11,9 +11,10 @@ generators are, with [a,b] = ab - ba and [u,v]_{q^2} = uv - q^2 vu,
 giving C(d,3) + 2 C(d,2) generators in total.  On the Hecke side the
 standardized distinct-letter generator spans the degree-3 pre-plactic ideal;
 its degree-r components are compared against the exact kernel of the
-double-coset projection, and on the quantum-matrix side the letter-word
-ideal components are compared against the kernels of the diagonal expansion
-matrices.  Both comparisons are canonical-subspace equalities over Q(q).
+double-coset projection, and the letter-word ideal components are compared,
+weight by weight, against the kernels of the diagonal expansion of the
+quantum matrix algebra, which ``hecke.weight_kernel`` computes on the Hecke
+side.  Both comparisons are canonical-subspace equalities over Q(q).
 """
 
 from __future__ import annotations
@@ -24,12 +25,12 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 
-from .errors import BoundExceeded, MembershipFailure
-from .hecke import diag_kernel_of_p, idempotents_r3
+from .errors import MembershipFailure
+from .hecke import diag_kernel_of_p, idempotents_r3, weight_kernel
 from .linalg import SubspaceBasis
-from .permutations import all_perms, apply_gen, descends, weight
-from .qma import (FreeElt, _arrangements, _tuple_sub, _weights, block_quotient,
-                  diag_relation_kernel)
+from .permutations import (_arrangements, _weights, all_perms, apply_gen,
+                           descends, weight)
+from .qma import FreeElt, _tuple_sub, block_quotient
 from .rmatrix import pi, word_index
 from .scalars import (ONE, ZERO, add_term, omega, parse_scalar, q_int,
                       q_power, qs)
@@ -143,14 +144,13 @@ def preplactic_ideal_component(r: int,
 
     variant 'concat' is the two-sided concatenation ideal of the standardized
     distinct-letter generator; 'action-closed' additionally closes it under
-    the left module action of the Hecke generators.
+    the left module action of the Hecke generators.  Below degree 3, the
+    degree of the generators, the ideal is zero.
     """
-    if r < 3:
-        raise BoundExceeded(f"rank {r} is below 3, the degree of the "
-                            "cubic generators")
     perms = all_perms(r)
     distinct = (1,) * r
-    base = ideal_component(r, r, weight_vec=distinct)[distinct]
+    base = ideal_component(r, r, weight_vec=distinct).get(
+        distinct, SubspaceBasis(len(perms), [], []))
     base.labels = perms
     if variant == "concat":
         return base
@@ -383,15 +383,15 @@ def lemma_brute_check(sign: int) -> dict:
     return report
 
 
-def verify_conjecture(d: int, r: int, bound: int = 4096) -> dict:
+def verify_conjecture(d: int, r: int) -> dict:
     """Per-block comparison of the cubic ideal with the expansion kernels.
 
     PASS means every weight block of the degree-r ideal component equals the
-    kernel of the diagonal expansion matrix as a canonical subspace; any
-    difference is reported with a witness vector.
+    kernel of the diagonal expansion matrix, computed on the Hecke side, as a
+    canonical subspace; any difference is reported with a witness vector.
     """
-    # the kernels check every block size before any block or ideal is built
-    kernels = diag_relation_kernel(d, r, bound)
+    # the kernels meet the rank bound before the ideal is built
+    kernels = {wv: weight_kernel(wv) for wv in _weights(d, r)}
     ideal = ideal_component(d, r)
     blocks = []
     verdict = "PASS"

@@ -11,7 +11,15 @@ span in RREF, a normal-form basis of non-pivot words, and reduction.
 The column order inside a block puts words whose upper index is sorted last
 (and among those, lexicographically smaller lowers later), so pivots prefer
 to eliminate non-sorted words and the surviving normal-form basis is exactly
-the monomials x_A = x^(sorted)_A whenever those are independent.
+the monomials x_A = x^(sorted)_A whenever those are independent.  Each block
+checks its quotient dimension against the PBW count: the number of
+contingency tables with the block's margins.
+
+The kernels that the conjecture verdict compares are computed on the Hecke
+side (``hecke.weight_kernel``), with no block.  ``diag_relation_kernel`` is
+the FRT route to the same kernels, kept as the independent cross-check that
+the ``diag-kernel`` check runs at every weight; the blocks also carry the
+membership and proportionality claims of the brute-force restriction.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from functools import lru_cache
 
 from .errors import BlockMismatch, BoundExceeded
 from .linalg import QMatrix, SubspaceBasis, kernel
-from .permutations import weight
+from .permutations import _arrangements, _weights, weight
 from .rmatrix import index_word, rhat
 from .scalars import ONE, ZERO, QScalar, add_term
 
@@ -91,22 +99,6 @@ class FreeElt:
                 for (u, l), c in sorted(self.terms.items())}
 
 
-def _arrangements(w: tuple) -> list:
-    """All distinct words with the given weight, lexicographic."""
-    letters = []
-    for v, k in enumerate(w, start=1):
-        letters.extend([v] * k)
-    return sorted(set(itertools.permutations(letters)))
-
-
-def _weights(n: int, r: int) -> list:
-    """All weights of degree-r words over {1..n}, reverse lexicographic."""
-    if n == 0:
-        return [()] if r == 0 else []
-    return [(k,) + rest for k in range(r, -1, -1)
-            for rest in _weights(n - 1, r - k)]
-
-
 @lru_cache(maxsize=None)
 def _degree2_relations(n: int) -> tuple:
     """Degree-2 relation vectors from rhat.(x(x)x) - (x(x)x).rhat, deduplicated.
@@ -140,6 +132,27 @@ def _degree2_relations(n: int) -> tuple:
 def _check_block_size(block: tuple, words: int, bound: int) -> None:
     if words > bound:
         raise BoundExceeded(f"block {block} has {words} words (> {bound})")
+
+
+def _splits(k: int, caps: tuple):
+    """Tuples of nonnegative ints, each at most its cap, that sum to k."""
+    if not caps:
+        if k == 0:
+            yield ()
+        return
+    for x in range(min(k, caps[0]) + 1):
+        for rest in _splits(k - x, caps[1:]):
+            yield (x,) + rest
+
+
+@lru_cache(maxsize=None)
+def _contingency_tables(rows: tuple, cols: tuple) -> int:
+    """Number of nonnegative integer matrices with these row and column sums."""
+    if not rows:
+        return 0 if any(cols) else 1
+    return sum(_contingency_tables(rows[1:],
+                                   tuple(c - x for c, x in zip(cols, split)))
+               for split in _splits(rows[0], cols))
 
 
 def _tuple_sub(a: tuple, b: tuple):
@@ -176,6 +189,13 @@ class BlockQuotient:
         self.basis_words = sorted(w for i, w in enumerate(self.words)
                                   if i not in pivots)
         self._basis_set = set(self.basis_words)
+        # PBW: the ordered monomials in the n^2 generators are a basis, and
+        # those of this block are counted by the contingency tables
+        tables = _contingency_tables(upper_w, lower_w)
+        if self.quotient_dim != tables:
+            raise ArithmeticError(
+                f"block {block} has quotient dimension {self.quotient_dim},"
+                f" but {tables} contingency tables with its margins")
 
     def _relation_rows(self):
         n, r = self.n, self.r

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from qdiag import checks, cli
+from qdiag import checks, cli, pplactic, qma
 from qdiag.checks import CheckReport, run_check
 from qdiag.cli import main
 from qdiag.errors import MembershipFailure, UnknownCheck
@@ -107,22 +107,47 @@ def test_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert out.rstrip().endswith("1 failure(s)")
 
 
-def test_bound_exceeded_is_skip_report(capsys):
-    # a block over --max-block is reported, with its cause, instead of raised
-    code, out = run_cli(capsys, "run", "conjecture", "--d", "3", "--r", "4",
-                        "--max-block", "10", "--no-cache", "--format", "json")
+def test_bound_exceeded_is_skip_report(capsys, monkeypatch):
+    # the rank bound is reported, with its cause, before any block or ideal
+    # is built, instead of raised
+    def refuse(*args, **kwargs):
+        raise AssertionError("built before the rank bound was checked")
+
+    monkeypatch.setattr(qma.BlockQuotient, "__init__", refuse)
+    monkeypatch.setattr(pplactic, "ideal_component", refuse)
+    code, out = run_cli(capsys, "run", "conjecture", "--d", "3", "--r", "7",
+                        "--no-cache", "--format", "json")
     assert code == 2
     (report,) = json.loads(out)
     assert report["status"] == "SKIP"
     assert report["detail"] == {
-        "reason": "BoundExceeded: block ((3, 1, 0), (3, 1, 0)) has 16 words"
-                  " (> 10)",
-        "params": {"d": 3, "max_block": 10, "r": 4}}
-    code, out = run_cli(capsys, "run", "conjecture", "--d", "3", "--r", "4",
-                        "--max-block", "10", "--no-cache")
+        "reason": "BoundExceeded: rank 7 exceeds bound 6",
+        "params": {"d": 3, "r": 7}}
+    code, out = run_cli(capsys, "run", "conjecture", "--d", "3", "--r", "7",
+                        "--no-cache")
     assert code == 2
     assert out.startswith("SKIP conjecture")
+    assert "reason: BoundExceeded: rank 7 exceeds bound 6" in out
     assert out.rstrip().endswith("0 failure(s), 1 skipped")
+
+
+def test_max_block_option_is_gone(capsys):
+    with pytest.raises(SystemExit):
+        main(["run", "conjecture", "--d", "3", "--r", "4",
+              "--max-block", "10"])
+    assert "unrecognized arguments: --max-block" in capsys.readouterr().err
+
+
+def test_preplactic_below_degree_three_passes(capsys):
+    # the degree-2 ideal and the kernel of p at r = 2 are both zero
+    code, out = run_cli(capsys, "run", "preplactic", "--r", "2",
+                        "--no-cache", "--format", "json")
+    assert code == 0
+    (report,) = json.loads(out)
+    assert report["status"] == "PASS"
+    assert report["detail"]["dim_kernel"] == 0
+    assert report["detail"]["variants"]["concat"] == {
+        "dim": 0, "contained_in_kernel": True, "equals_kernel": True}
 
 
 def test_membership_failure_is_error_report(capsys, monkeypatch):

@@ -4,12 +4,16 @@ import random
 
 import pytest
 
+from qdiag import hecke
 from qdiag.errors import SizeMismatch
 from qdiag.hecke import (HeckeElt, diag_kernel_of_p, formal_product,
                          idempotents_r2, idempotents_r3, project_p,
-                         projection_matrix, r3_normalizers, t, theta)
-from qdiag.permutations import (all_perms, inverse, perm_of_word, reduced_word,
-                                s)
+                         projection_matrix, r3_normalizers, t, theta,
+                         weight_kernel)
+from qdiag.linalg import kernel
+from qdiag.permutations import (_weights, all_perms, inverse, perm_of_word,
+                                reduced_word, s)
+from qdiag.qma import diag_relation_kernel
 from qdiag.scalars import ONE, ZERO, omega, q_power, qs
 
 
@@ -161,9 +165,51 @@ def test_diag_kernel_dimensions():
 
 
 def test_diag_kernel_labelled_without_other_calls():
-    # the kernel carries its own labels, whatever ran before in the process
-    diag_kernel_of_p.cache_clear()
+    # the kernel carries its own labels, whatever ran before in the process:
+    # here the cached composition (1,1,1,1) is first reached from a weight
+    # with a zero part, over the letters 1, 3, 4, 5
+    hecke._composition_kernel.cache_clear()
+    assert weight_kernel((1, 0, 1, 1, 1)).labels[0] == (1, 3, 4, 5)
     assert diag_kernel_of_p(4).labels == all_perms(4)
+
+
+@pytest.mark.parametrize("d, r", [(3, 3), (2, 4), (3, 4), (4, 4), (5, 4),
+                                  (3, 5)])
+def test_weight_kernel_matches_frt_route(d, r):
+    frt = diag_relation_kernel(d, r)
+    assert list(frt) == _weights(d, r)
+    for wv, ker in frt.items():
+        hecke_ker = weight_kernel(wv)
+        assert hecke_ker == ker, wv
+        assert hecke_ker.labels == ker.labels
+
+
+def test_projection_matrix_is_the_distinct_letter_case():
+    # at lambda = 1^r the Young subgroup is trivial and M_lambda is P
+    for r in (3, 4):
+        assert diag_kernel_of_p(r) == kernel(projection_matrix(r).transpose())
+
+
+def test_zero_parts_strip_on_both_routes():
+    # a weight with zero parts has the kernel of its composition over the
+    # smaller alphabet, relabelled by the monotone map of the letters
+    frt_by_d = {d: diag_relation_kernel(d, 4) for d in (1, 2, 3)}
+    for wv, frt in frt_by_d[3].items():
+        stripped = tuple(k for k in wv if k)
+        if stripped == wv:
+            continue
+        letters = [v for v, k in enumerate(wv, start=1) if k]
+        small = frt_by_d[len(stripped)][stripped]
+        assert (frt.rows, frt.pivots) == (small.rows, small.pivots), wv
+        assert frt.labels == [tuple(letters[v - 1] for v in a)
+                              for a in small.labels]
+        hecke_ker = weight_kernel(wv)
+        hecke_small = weight_kernel(stripped)
+        assert hecke_ker.rows is hecke_small.rows
+        assert hecke_ker.labels == frt.labels
+        assert hecke_small.labels == small.labels
+    # for example (2, 0, 2) and (2, 2)
+    assert frt_by_d[3][(2, 0, 2)].dim == frt_by_d[2][(2, 2)].dim == 3
 
 
 def test_formal_product_tracks_words():

@@ -207,20 +207,31 @@ def test_weight_labelled_ideal_matches_scan(d, r):
 
 
 def test_conjecture_skip_before_ideal(monkeypatch):
-    # the block sizes are checked before the ideal component is built
+    # the kernels meet the rank bound before the ideal component is built
     def refuse(*args, **kwargs):
-        raise AssertionError("ideal component built before the size check")
+        raise AssertionError("ideal component built before the rank check")
 
     monkeypatch.setattr(pplactic, "ideal_component", refuse)
-    report = run_check("conjecture", {"d": 3, "r": 6})
+    report = run_check("conjecture", {"d": 3, "r": 7})
     assert report.status == "SKIP"
-    assert report.detail["reason"] == (
-        "BoundExceeded: block ((2, 2, 2), (2, 2, 2)) has 8100 words (> 4096)")
+    assert report.detail["reason"] == "BoundExceeded: rank 7 exceeds bound 6"
+
+
+@pytest.mark.parametrize("d, r, dim", [(3, 6, 590), (5, 5, 2069)])
+def test_conjecture_beyond_frt_reach(d, r, dim):
+    rep = verify_conjecture(d, r)
+    assert rep["verdict"] == "PASS"
+    assert rep["total_kernel_dim"] == rep["total_ideal_dim"] == dim
 
 
 def test_preplactic_bounds():
     with pytest.raises(BoundExceeded):
         preplactic_ideal_component(7)
+    for r in (1, 2):
+        for variant in ("concat", "action-closed"):
+            zero = preplactic_ideal_component(r, variant)
+            assert zero.dim == 0 and zero.ambient == len(all_perms(r))
+            assert zero == hecke_side_kernel(r)
     with pytest.raises(ValueError):
         preplactic_ideal_component(4, "bogus")
 

@@ -159,8 +159,8 @@ def test_block_bound():
         block_quotient(3, 3, ((1, 1, 1), (1, 1, 1)), bound=10)
 
 
-def test_block_bound_checked_before_any_block(monkeypatch):
-    # every block size is known from its weight, so the bound is met first
+def test_rank_bound_checked_before_any_block(monkeypatch):
+    # conjecture builds no block; the rank bound is met before anything else
     built = []
     original = qma.BlockQuotient.__init__
 
@@ -169,11 +169,29 @@ def test_block_bound_checked_before_any_block(monkeypatch):
         original(self, *args, **kwargs)
 
     monkeypatch.setattr(qma.BlockQuotient, "__init__", counting_init)
-    report = run_check("conjecture", {"d": 3, "r": 6})
+    report = run_check("conjecture", {"d": 3, "r": 7})
     assert report.status == "SKIP"
-    assert report.detail["reason"] == (
-        "BoundExceeded: block ((2, 2, 2), (2, 2, 2)) has 8100 words (> 4096)")
+    assert report.detail["reason"] == "BoundExceeded: rank 7 exceeds bound 6"
+    assert run_check("conjecture", {"d": 3, "r": 4}).status == "PASS"
     assert built == []
+
+
+def test_pbw_guard(monkeypatch):
+    # the quotient dimension is the number of contingency tables
+    assert qma._contingency_tables((2, 2, 1), (2, 2, 1)) == 11
+    block = ((2, 2, 1), (2, 2, 1))
+    assert qma.BlockQuotient(3, 5, block).quotient_dim == 11
+    # dropping every other relation row leaves too big a quotient
+    original = qma.BlockQuotient._relation_rows
+
+    def fewer_rows(self):
+        return (row for i, row in enumerate(original(self)) if i % 2)
+
+    monkeypatch.setattr(qma.BlockQuotient, "_relation_rows", fewer_rows)
+    with pytest.raises(ArithmeticError,
+                       match=r"block \(\(2, 2, 1\), \(2, 2, 1\)\) has quotient"
+                             r" dimension \d+, but 11 contingency tables"):
+        qma.BlockQuotient(3, 5, block)
 
 
 def test_rank_nullity_every_expansion_matrix():
