@@ -183,7 +183,7 @@ def check_idempotents(params) -> dict:
 
 
 def check_rhat(params) -> dict:
-    dims = [params.get("n")] if params.get("n") else [2, 3, 4]
+    dims = [params["n"]] if "n" in params else [2, 3, 4]
     detail = {"readings": {}}
     for n in dims:
         # construction raises unless the quadratic and braid relations hold
@@ -270,7 +270,7 @@ def check_systd(params) -> dict:
 
 
 def check_diag_kernel(params) -> dict:
-    n = params.get("n") or params.get("d") or 3
+    n = params.get("n", params.get("d", 3))
     r = params.get("r", 3)
     kernels = diag_relation_kernel(n, r)
     # the FRT route cross-checks the Hecke route that `conjecture` uses
@@ -403,7 +403,7 @@ def check_lemma_brute(params) -> dict:
 
 
 def check_conjecture(params) -> dict:
-    d = params.get("d") or params.get("n") or 3
+    d = params.get("d", params.get("n", 3))
     r = params.get("r", 3)
     rep = verify_conjecture(d, r)
     rep["status"] = rep.pop("verdict")

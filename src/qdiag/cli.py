@@ -24,6 +24,14 @@ from .errors import UnknownCheck
 PARAM_KEYS = ("n", "d", "r", "sign", "variant")
 
 
+def _size(text: str) -> int:
+    """A letter count or a degree: an integer of at least 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer of at least 1, got {text!r}")
+    return int(text)
+
+
 @lru_cache(maxsize=None)
 def _source_digest() -> str:
     """sha256 over the package's .py files and data/*.json, with their names."""
@@ -68,10 +76,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     runp = sub.add_parser("run", help="run one check, or `all`")
     runp.add_argument("check", help="check name; see `qdiag list`")
-    runp.add_argument("--n", "--d", dest="n", type=int, default=None,
-                      help="dimension of V / number of diagonal letters")
-    runp.add_argument("--r", dest="r", type=int, default=None,
-                      help="tensor degree")
+    runp.add_argument("--n", "--d", dest="n", type=_size, default=None,
+                      help="dimension of V / number of diagonal letters, >= 1")
+    runp.add_argument("--r", dest="r", type=_size, default=None,
+                      help="tensor degree, >= 1")
     runp.add_argument("--sign", choices=("plus", "minus"), default=None)
     runp.add_argument("--variant", choices=("concat", "action-closed"),
                       default=None)

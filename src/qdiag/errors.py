@@ -14,7 +14,7 @@ class BlockMismatch(ValueError):
 
 
 class BoundExceeded(ValueError):
-    """A requested computation exceeds the configured desk-scale bound."""
+    """A requested computation exceeds a fixed desk-scale bound."""
 
 
 class PoleAtPoint(ZeroDivisionError):

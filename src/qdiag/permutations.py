@@ -27,10 +27,10 @@ __all__ = [
     "identity", "s", "compose", "inverse", "length", "apply_gen", "descends",
     "reduced_word", "perm_of_word", "sign", "standardize",
     "all_perms", "multi_indices", "weight", "weight_blocks",
-    "perm_str", "DEFAULT_RANK_BOUND",
+    "perm_str", "RANK_BOUND",
 ]
 
-DEFAULT_RANK_BOUND = 6
+RANK_BOUND = 6
 
 Perm = tuple  # one-line word of {1..r}
 
@@ -126,20 +126,20 @@ def standardize(w) -> Perm:
     return tuple(out)
 
 
-def _check_rank(r: int, bound: int):
-    if r > bound:
-        raise BoundExceeded(f"rank {r} exceeds bound {bound}")
+def _check_rank(r: int):
+    if r > RANK_BOUND:
+        raise BoundExceeded(f"rank {r} exceeds bound {RANK_BOUND}")
 
 
-def all_perms(r: int, bound: int = DEFAULT_RANK_BOUND) -> list:
+def all_perms(r: int) -> list:
     """All permutations of S_r in lexicographic word order."""
-    _check_rank(r, bound)
+    _check_rank(r)
     return [tuple(p) for p in itertools.permutations(range(1, r + 1))]
 
 
-def multi_indices(d: int, r: int, bound: int = DEFAULT_RANK_BOUND) -> list:
+def multi_indices(d: int, r: int) -> list:
     """All words of length r over {1..d}, lexicographic."""
-    _check_rank(r, bound)
+    _check_rank(r)
     return [tuple(w) for w in itertools.product(range(1, d + 1), repeat=r)]
 
 
@@ -151,10 +151,10 @@ def weight(w, d: int) -> tuple:
     return tuple(counts)
 
 
-def weight_blocks(d: int, r: int, bound: int = DEFAULT_RANK_BOUND) -> dict:
+def weight_blocks(d: int, r: int) -> dict:
     """Partition of all words in {1..d}^r by weight, blocks in lex order."""
     blocks: dict = {}
-    for w in multi_indices(d, r, bound):
+    for w in multi_indices(d, r):
         blocks.setdefault(weight(w, d), []).append(w)
     return blocks
 

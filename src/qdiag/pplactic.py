@@ -15,6 +15,11 @@ double-coset projection, and the letter-word ideal components are compared,
 weight by weight, against the kernels of the diagonal expansion of the
 quantum matrix algebra, which ``hecke.weight_kernel`` computes on the Hecke
 side.  Both comparisons are canonical-subspace equalities over Q(q).
+
+The composition of a weight (its nonzero parts, in order) is the unit on
+both sides: the kernel sees only the order of the letters (the Schur
+functor), and so do the generators (see ``ideal_component``).  Each side is
+built once per composition and cached.
 """
 
 from __future__ import annotations
@@ -80,36 +85,41 @@ def ppk_generators(d: int) -> list:
     return gens
 
 
-def ideal_component(d: int, r: int, weight_vec: tuple | None = None) -> dict:
-    """Degree-r component of the cubic ideal, one RREF basis per weight.
+@lru_cache(maxsize=None)
+def _composition_ideal(lam: tuple) -> SubspaceBasis:
+    """Unlabelled ideal component for a composition with no zero part.
 
-    A weight's coordinates are its arrangements, and each generator is padded
-    by the arrangements of the weight it leaves over.  With ``weight_vec``
-    only that weight's block is built.
+    Each generator that fits is padded by the arrangements of the weight it
+    leaves over, at every cut of the pad.
     """
-    if r < 3:
-        return {}
-    gens = [(weight(next(iter(g.terms)), d), g.terms)
-            for g in ppk_generators(d)]
-    out = {}
-    for wv in [weight_vec] if weight_vec else _weights(d, r):
-        labels = _arrangements(wv)
-        index = {w: i for i, w in enumerate(labels)}
-        vecs = []
-        for gen_weight, terms in gens:
-            rest = _tuple_sub(wv, gen_weight)
-            if rest is None:
-                continue
-            for pad in _arrangements(rest):
-                # every cut of the pad gives a word of the same weight
-                for cut in range(len(pad) + 1):
-                    u, v = pad[:cut], pad[cut:]
-                    vecs.append({index[u + w + v]: c
-                                 for w, c in terms.items()})
-        if vecs:
-            out[wv] = SubspaceBasis.from_vectors(vecs, len(labels),
-                                                 labels=labels)
-    return out
+    labels = _arrangements(lam)
+    index = {w: i for i, w in enumerate(labels)}
+    vecs = []
+    for g in ppk_generators(len(lam)):
+        rest = _tuple_sub(lam, weight(next(iter(g.terms)), len(lam)))
+        if rest is None:
+            continue
+        for pad in _arrangements(rest):
+            for cut in range(len(pad) + 1):
+                u, v = pad[:cut], pad[cut:]
+                vecs.append({index[u + w + v]: c for w, c in g.terms.items()})
+    return SubspaceBasis.from_vectors(vecs, len(labels))
+
+
+def ideal_component(weight_vec: tuple) -> SubspaceBasis:
+    """The cubic ideal at one weight: an RREF basis over its arrangements.
+
+    It is built once per composition (the weight without its zero parts).
+    The generators are defined by letter order alone, so the order-preserving
+    relabelling of the composition's letters maps generators to generators
+    and lex-ordered arrangements to lex-ordered arrangements; RREF does not
+    depend on row order, so the rows and pivots agree.  The returned basis is
+    new, labelled by ``_arrangements(weight_vec)``, and shares the cached
+    rows.  Where no generator fits (degree below 3, one letter) it is zero.
+    """
+    idl = _composition_ideal(tuple(k for k in weight_vec if k))
+    return SubspaceBasis(idl.ambient, idl.rows, idl.pivots,
+                         _arrangements(weight_vec))
 
 
 def hecke_side_kernel(r: int) -> SubspaceBasis:
@@ -148,10 +158,7 @@ def preplactic_ideal_component(r: int,
     degree of the generators, the ideal is zero.
     """
     perms = all_perms(r)
-    distinct = (1,) * r
-    base = ideal_component(r, r, weight_vec=distinct).get(
-        distinct, SubspaceBasis(len(perms), [], []))
-    base.labels = perms
+    base = ideal_component((1,) * r)
     if variant == "concat":
         return base
     if variant != "action-closed":
@@ -384,46 +391,29 @@ def lemma_brute_check(sign: int) -> dict:
 
 
 def verify_conjecture(d: int, r: int) -> dict:
-    """Per-block comparison of the cubic ideal with the expansion kernels.
+    """Per-weight comparison of the cubic ideal with the expansion kernels.
 
-    PASS means every weight block of the degree-r ideal component equals the
+    PASS means every weight component of the degree-r ideal equals the
     kernel of the diagonal expansion matrix, computed on the Hecke side, as a
     canonical subspace; any difference is reported with a witness vector.
     """
-    # the kernels meet the rank bound before the ideal is built
-    kernels = {wv: weight_kernel(wv) for wv in _weights(d, r)}
-    ideal = ideal_component(d, r)
     blocks = []
     verdict = "PASS"
-    for wv in sorted(kernels, reverse=True):
-        ker = kernels[wv]
-        idl = ideal.get(wv)
-        dim_ideal = idl.dim if idl else 0
+    for wv in _weights(d, r):
+        # the kernel meets the rank bound before any ideal is built
+        ker = weight_kernel(wv)
+        idl = ideal_component(wv)
         entry = {"weight": list(wv), "dim_kernel": ker.dim,
-                 "dim_ideal": dim_ideal}
-        if idl is None:
-            equal = ker.dim == 0
-        else:
-            equal = idl == ker
-        entry["equal"] = equal
-        if not equal:
+                 "dim_ideal": idl.dim, "equal": idl == ker}
+        if not entry["equal"]:
             verdict = "FAIL"
-            witness = None
-            if idl is not None:
-                for row in idl.rows:
-                    if not ker.contains(row):
-                        witness = row
-                        break
-            if witness is None:
-                for row in ker.rows:
-                    if idl is None or not idl.contains(row):
-                        witness = row
-                        break
-            if witness is not None:
-                labels = ker.labels
-                entry["witness"] = {
-                    "".join(map(str, labels[i])): str(c)
-                    for i, c in sorted(witness.items())}
+            # unequal canonical subspaces: one is not inside the other
+            witness = next(itertools.chain(
+                (row for row in idl.rows if not ker.contains(row)),
+                (row for row in ker.rows if not idl.contains(row))))
+            entry["witness"] = {
+                "".join(map(str, ker.labels[i])): str(c)
+                for i, c in sorted(witness.items())}
         blocks.append(entry)
     return {"d": d, "r": r, "verdict": verdict, "blocks": blocks,
             "total_kernel_dim": sum(b["dim_kernel"] for b in blocks),

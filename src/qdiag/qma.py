@@ -37,10 +37,10 @@ from .scalars import ONE, ZERO, QScalar, add_term
 __all__ = [
     "FreeElt", "BlockQuotient", "block_of", "block_quotient",
     "expand_diagonal", "diag_relation_kernel",
-    "membership", "proportionality", "DEFAULT_BLOCK_BOUND",
+    "membership", "proportionality", "BLOCK_BOUND",
 ]
 
-DEFAULT_BLOCK_BOUND = 4096
+BLOCK_BOUND = 4096
 
 Word = tuple  # (upper multi-index, lower multi-index)
 
@@ -129,9 +129,10 @@ def _degree2_relations(n: int) -> tuple:
     return tuple(out)
 
 
-def _check_block_size(block: tuple, words: int, bound: int) -> None:
-    if words > bound:
-        raise BoundExceeded(f"block {block} has {words} words (> {bound})")
+def _check_block_size(block: tuple, words: int) -> None:
+    if words > BLOCK_BOUND:
+        raise BoundExceeded(
+            f"block {block} has {words} words (> {BLOCK_BOUND})")
 
 
 def _splits(k: int, caps: tuple):
@@ -163,12 +164,11 @@ def _tuple_sub(a: tuple, b: tuple):
 class BlockQuotient:
     """One weight block of the degree-r component with its normal form."""
 
-    def __init__(self, n: int, r: int, block: tuple,
-                 bound: int = DEFAULT_BLOCK_BOUND):
+    def __init__(self, n: int, r: int, block: tuple):
         upper_w, lower_w = block
         uppers = _arrangements(upper_w)
         lowers = _arrangements(lower_w)
-        _check_block_size(block, len(uppers) * len(lowers), bound)
+        _check_block_size(block, len(uppers) * len(lowers))
         self.n = n
         self.r = r
         self.block = block
@@ -250,19 +250,17 @@ class BlockQuotient:
 
 
 @lru_cache(maxsize=None)
-def block_quotient(n: int, r: int, block: tuple,
-                   bound: int = DEFAULT_BLOCK_BOUND) -> BlockQuotient:
-    return BlockQuotient(n, r, block, bound)
+def block_quotient(n: int, r: int, block: tuple) -> BlockQuotient:
+    return BlockQuotient(n, r, block)
 
 
-def expand_diagonal(n: int, r: int, weight_vec: tuple,
-                    bound: int = DEFAULT_BLOCK_BOUND):
+def expand_diagonal(n: int, r: int, weight_vec: tuple):
     """Expansion matrix of the diagonal monomials x^A_A of one weight.
 
     Returns (row labels = diagonal multi-indices lex, column labels =
     normal-form basis words lex, matrix M) with M[A] = reduce(x^A_A).
     """
-    q = block_quotient(n, r, (weight_vec, weight_vec), bound)
+    q = block_quotient(n, r, (weight_vec, weight_vec))
     diag = _arrangements(weight_vec)
     col = {w: j for j, w in enumerate(q.basis_words)}
     entries = {}
@@ -274,8 +272,7 @@ def expand_diagonal(n: int, r: int, weight_vec: tuple,
                                               entries)
 
 
-def diag_relation_kernel(n: int, r: int,
-                         bound: int = DEFAULT_BLOCK_BOUND) -> dict:
+def diag_relation_kernel(n: int, r: int) -> dict:
     """Per-weight kernels of the diagonal expansion matrices.
 
     A kernel vector c (coordinates = diagonal multi-indices, lex) encodes the
@@ -286,31 +283,30 @@ def diag_relation_kernel(n: int, r: int,
     for wv in weights:
         # block (wv, wv) has (r! / prod wv_i!)^2 words
         arrangements = math.factorial(r) // math.prod(map(math.factorial, wv))
-        _check_block_size((wv, wv), arrangements ** 2, bound)
+        _check_block_size((wv, wv), arrangements ** 2)
     out = {}
     for wv in weights:
-        diag, _, m = expand_diagonal(n, r, wv, bound)
+        diag, _, m = expand_diagonal(n, r, wv)
         ker = kernel(m.transpose())
         ker.labels = diag
         out[wv] = ker
     return out
 
 
-def membership(elt: FreeElt, r: int, bound: int = DEFAULT_BLOCK_BOUND) -> bool:
+def membership(elt: FreeElt, r: int) -> bool:
     """Is the element a relation, i.e. zero in the quantum matrix algebra?"""
     if not elt:
         return True
-    return block_quotient(elt.n, r, elt.block, bound).contains(elt)
+    return block_quotient(elt.n, r, elt.block).contains(elt)
 
 
-def proportionality(v: FreeElt, w: FreeElt, r: int,
-                    bound: int = DEFAULT_BLOCK_BOUND):
+def proportionality(v: FreeElt, w: FreeElt, r: int):
     """The scalar c with v = c.w modulo the block's relation span, if any.
 
     Returns 0 when v reduces to zero, None when the residuals are not
     proportional (or w reduces to zero while v does not).
     """
-    q = block_quotient(v.n, r, v.block if v else w.block, bound)
+    q = block_quotient(v.n, r, v.block if v else w.block)
     rv = q.residual(v)
     if not rv:
         return ZERO

@@ -30,10 +30,10 @@ from .scalars import ONE, Q, add_term, omega, q_power
 __all__ = [
     "rhat", "rhat_reading", "pi", "word_index", "index_word",
     "generator_matrix", "idempotent_block", "appendix_blocks",
-    "multiset_classes", "DEFAULT_DIM_BOUND",
+    "multiset_classes", "DIM_BOUND",
 ]
 
-DEFAULT_DIM_BOUND = 4096
+DIM_BOUND = 4096
 
 
 def word_index(word, n: int) -> int:
@@ -160,11 +160,11 @@ def _basis_matrix(perm, n: int) -> QMatrix:
     return out
 
 
-def pi(x: HeckeElt, n: int, bound: int = DEFAULT_DIM_BOUND) -> QMatrix:
+def pi(x: HeckeElt, n: int) -> QMatrix:
     """The representation of H_r(q) on V^(x)r, extended linearly over T_sigma."""
     dim = n ** x.r
-    if dim > bound:
-        raise BoundExceeded(f"dim V^(x){x.r} = {dim} exceeds {bound}")
+    if dim > DIM_BOUND:
+        raise BoundExceeded(f"dim V^(x){x.r} = {dim} exceeds {DIM_BOUND}")
     out = QMatrix(dim, dim)
     for p, c in x.terms.items():
         out = out + _basis_matrix(p, n).scale(c)

@@ -138,6 +138,39 @@ def test_max_block_option_is_gone(capsys):
     assert "unrecognized arguments: --max-block" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ("conjecture", "--d", "0", "--r", "3"),
+    ("diag-kernel", "--n", "0"),
+    ("rhat", "--n", "0"),
+    ("conjecture", "--d", "3", "--r", "0"),
+    ("conjecture", "--d", "3", "--r", "-1"),
+    ("preplactic", "--r", "-2"),
+    ("preplactic", "--r", "x"),
+], ids=["d0", "diag-kernel-n0", "rhat-n0", "r0", "r-1", "preplactic-r-2",
+        "r-not-int"])
+def test_sizes_below_one_are_usage_errors(capsys, argv):
+    # refused by the parser: no check runs and no report is printed
+    with pytest.raises(SystemExit) as exc:
+        main(["run", *argv, "--no-cache", "--format", "json"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "expected an integer of at least 1" in captured.err
+
+
+def test_smallest_sizes_are_taken_as_given(capsys):
+    code, out = run_cli(capsys, "run", "diag-kernel", "--n", "1", "--r", "3",
+                        "--no-cache", "--format", "json")
+    assert code == 0
+    (report,) = json.loads(out)
+    assert report["params"] == {"n": 1, "r": 3}
+    assert report["detail"]["blocks"] == {"3": 0}
+    code, out = run_cli(capsys, "run", "rhat", "--n", "1", "--no-cache",
+                        "--format", "json")
+    assert code == 0
+    assert list(json.loads(out)[0]["detail"]["readings"]) == ["1"]
+
+
 def test_preplactic_below_degree_three_passes(capsys):
     # the degree-2 ideal and the kernel of p at r = 2 are both zero
     code, out = run_cli(capsys, "run", "preplactic", "--r", "2",

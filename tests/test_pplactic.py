@@ -9,7 +9,8 @@ from qdiag import pplactic
 from qdiag.checks import run_check
 from qdiag.errors import BoundExceeded
 from qdiag.hecke import project_p, t
-from qdiag.permutations import all_perms, inverse, s, weight
+from qdiag.permutations import (_arrangements, _weights, all_perms, inverse,
+                                s, weight)
 from qdiag.linalg import SubspaceBasis
 from qdiag.pplactic import (_diag_action, hecke_side_kernel, ideal_component,
                             lemma_brute_check, ppk_generators,
@@ -94,7 +95,7 @@ def test_generators_vanish_at_q1_commutatively():
 
 
 def test_degree3_component_is_generator_span():
-    comp = ideal_component(3, 3)
+    comp = {wv: ideal_component(wv) for wv in _weights(3, 3)}
     assert sum(b.dim for b in comp.values()) == 7
     for g in ppk_generators(3):
         wv = tuple(sum(1 for w in next(iter(g.terms)) if w == i)
@@ -105,16 +106,18 @@ def test_degree3_component_is_generator_span():
 
 
 def test_ideal_component_trivial_cases():
-    assert ideal_component(1, 3) == {}
-    assert ideal_component(1, 5) == {}
-    assert ideal_component(2, 2) == {}
+    # one letter, or degree below 3: no generator fits
+    for d, r in ((1, 3), (1, 5), (2, 2)):
+        for wv in _weights(d, r):
+            zero = ideal_component(wv)
+            assert zero.dim == 0
+            assert zero.ambient == len(zero.labels) == len(_arrangements(wv))
 
 
 def test_degree4_component_dimension_pinned():
-    comp = ideal_component(2, 4)
-    dims = {wv: b.dim for wv, b in sorted(comp.items(), reverse=True)}
+    dims = {wv: ideal_component(wv).dim for wv in _weights(2, 4)}
     # derived once with this engine and frozen
-    assert dims == {(3, 1): 2, (2, 2): 3, (1, 3): 2}
+    assert dims == {(4, 0): 0, (3, 1): 2, (2, 2): 3, (1, 3): 2, (0, 4): 0}
 
 
 def test_preplactic_degree3():
@@ -161,11 +164,9 @@ def test_preplactic_degree5_concat_matches_kernel():
 @pytest.mark.parametrize("r", [4, 5])
 def test_distinct_letter_block_alone(r):
     distinct = (1,) * r
-    alone = ideal_component(r, r, weight_vec=distinct)
-    assert list(alone) == [distinct]
-    full = ideal_component(r, r)[distinct]
-    assert alone[distinct] == full
-    assert alone[distinct].labels == full.labels == all_perms(r)
+    alone = ideal_component(distinct)
+    assert alone.labels == all_perms(r)
+    assert alone == scanned_ideal_component(r, r)[distinct]
 
 
 @pytest.mark.parametrize("r", [4, 5])
@@ -199,11 +200,85 @@ def test_closed_form_action_matches_hecke_products(r):
 @pytest.mark.parametrize("d, r", [(3, 4), (2, 5)])
 def test_weight_labelled_ideal_matches_scan(d, r):
     scanned = scanned_ideal_component(d, r)
-    labelled = ideal_component(d, r)
-    assert sorted(labelled) == sorted(scanned)
-    for wv, basis in scanned.items():
-        assert labelled[wv] == basis
-        assert labelled[wv].labels == basis.labels
+    assert set(scanned) <= set(_weights(d, r))
+    for wv in _weights(d, r):
+        labelled = ideal_component(wv)
+        if wv in scanned:
+            assert labelled == scanned[wv]
+            assert labelled.labels == scanned[wv].labels
+        else:
+            assert labelled.dim == 0
+            assert labelled.labels == _arrangements(wv)
+
+
+def test_one_ideal_per_composition():
+    pplactic._composition_ideal.cache_clear()
+    verify_conjecture(3, 5)
+    assert len(_weights(3, 5)) == 21
+    assert pplactic._composition_ideal.cache_info().currsize == 11
+    # both pre-plactic variants start from the one distinct-letter component
+    pplactic._composition_ideal.cache_clear()
+    preplactic_ideal_component(4, "concat")
+    preplactic_ideal_component(4, "action-closed")
+    assert pplactic._composition_ideal.cache_info().misses == 1
+
+
+def test_weight_shares_rows_of_its_composition():
+    wide = ideal_component((1, 0, 1, 1))
+    narrow = ideal_component((1, 1, 1))
+    cached = pplactic._composition_ideal((1, 1, 1))
+    assert wide.rows is narrow.rows is cached.rows
+    assert wide == narrow == cached
+    assert wide.labels == _arrangements((1, 0, 1, 1))
+    assert wide.labels[0] == (1, 3, 4)
+    assert narrow.labels == all_perms(3)
+    assert cached.labels is None
+
+
+def _patch_kernel_at(monkeypatch, target, change):
+    real = pplactic.weight_kernel
+
+    def patched(wv):
+        ker = real(wv)
+        return change(ker) if wv == target else ker
+
+    monkeypatch.setattr(pplactic, "weight_kernel", patched)
+
+
+def _only_failed_block(rep, target):
+    assert rep["verdict"] == "FAIL"
+    bad = [b for b in rep["blocks"] if not b["equal"]]
+    assert [b["weight"] for b in bad] == [list(target)]
+    labels = {"".join(map(str, a)) for a in _arrangements(target)}
+    assert bad[0]["witness"] and set(bad[0]["witness"]) <= labels
+    return bad[0]
+
+
+def test_conjecture_fail_witness_from_ideal(monkeypatch):
+    # a kernel that lost a row misses an ideal row, keyed by the weight's
+    # own labels (letters 1 and 3), not by its composition's
+    target = (2, 0, 2)
+    _patch_kernel_at(monkeypatch, target, lambda ker: SubspaceBasis(
+        ker.ambient, ker.rows[1:], ker.pivots[1:], ker.labels))
+    block = _only_failed_block(verify_conjecture(3, 4), target)
+    assert block["dim_ideal"] == block["dim_kernel"] + 1 == 3
+    witness = {tuple(map(int, k)): v for k, v in block["witness"].items()}
+    assert min(witness) == (1, 1, 3, 3)
+    assert witness[(1, 1, 3, 3)] == "1"
+
+
+def test_conjecture_fail_witness_from_kernel(monkeypatch):
+    # a kernel that is the whole space has a row outside the ideal
+    target = (2, 1, 1)
+    _patch_kernel_at(monkeypatch, target,
+                     lambda ker: SubspaceBasis.from_vectors(
+                         [{i: ONE} for i in range(ker.ambient)],
+                         ker.ambient, ker.labels))
+    block = _only_failed_block(verify_conjecture(3, 4), target)
+    assert block["dim_kernel"] == len(_arrangements(target)) == 12
+    assert block["dim_ideal"] < 12
+    (value,) = block["witness"].values()
+    assert value == "1"
 
 
 def test_conjecture_skip_before_ideal(monkeypatch):
@@ -276,8 +351,7 @@ def test_ideal_contained_in_kernel_always():
     # soundness direction, block by block
     from qdiag.qma import diag_relation_kernel
     for d, r in ((2, 3), (3, 3), (2, 4)):
-        ideal = ideal_component(d, r)
         kernels = diag_relation_kernel(d, r)
-        for wv, basis in ideal.items():
-            for row in basis.rows:
+        for wv in _weights(d, r):
+            for row in ideal_component(wv).rows:
                 assert kernels[wv].contains(row)

@@ -155,8 +155,9 @@ def test_block_mismatch():
 
 
 def test_block_bound():
-    with pytest.raises(BoundExceeded):
-        block_quotient(3, 3, ((1, 1, 1), (1, 1, 1)), bound=10)
+    # 90 x 90 words, refused before the block's relation rows are built
+    with pytest.raises(BoundExceeded, match=r"has 8100 words \(> 4096\)"):
+        block_quotient(3, 6, ((2, 2, 2), (2, 2, 2)))
 
 
 def test_rank_bound_checked_before_any_block(monkeypatch):

@@ -135,4 +135,3 @@ def test_first_golden_entries():
 def test_dimension_bound():
     with pytest.raises(BoundExceeded):
         pi(HeckeElt.one(4), 10)
-    pi(HeckeElt.one(4), 10, bound=10 ** 4)

@@ -1,6 +1,8 @@
 """Properties of the package source itself."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import qdiag
@@ -32,3 +34,24 @@ def test_fractions_only_at_the_scalar_boundary():
                 importers.append(path.name)
     assert "scalars.py" in importers
     assert set(importers) == {"scalars.py"}, importers
+
+
+def test_tracer_names_resolve():
+    # the benchmark's tracer wraps these by name; importing it patches nothing
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for module_name, names in tracer.WRAPPED.values():
+        module = importlib.import_module(module_name)
+        for name in names:
+            if "." in name:
+                cls_name, attr = name.split(".")
+                cls = getattr(module, cls_name, None)
+                found = cls is not None and attr in cls.__dict__
+            else:
+                found = hasattr(module, name)
+            if not found:
+                missing.append(f"{module_name}.{name}")
+    assert tracer.WRAPPED and not missing, missing
