@@ -53,8 +53,8 @@ from .permutations import (
     _arrangements, all_perms, apply_gen, descends, identity, inverse, length,
     perm_of_word, perm_str, reduced_word, sign, standardize,
 )
-from .scalars import (LaurentPoly, ONE, ZERO, QScalar, add_term, omega, q_int,
-                      q_power, qs)
+from .scalars import (ONE, ZERO, QScalar, add_term, bar, omega, q_int, q_power,
+                      qs)
 
 __all__ = [
     "HeckeElt", "t", "project_p",
@@ -128,7 +128,7 @@ class HeckeElt:
 
     def bar_involution(self) -> "HeckeElt":
         """T_sigma -> (-1)^sigma T_sigma together with q -> q^-1."""
-        return HeckeElt(self.r, {p: _bar_scalar(c) * qs(sign(p))
+        return HeckeElt(self.r, {p: bar(c) * qs(sign(p))
                                  for p, c in self.terms.items()})
 
     def to_json(self):
@@ -152,13 +152,6 @@ class HeckeElt:
 
     def __repr__(self):
         return f"HeckeElt({self})"
-
-
-def _bar_scalar(c: QScalar) -> QScalar:
-    """q -> q^-1 on a scalar."""
-    num = LaurentPoly({-e: v for e, v in c.num.coeffs.items()})
-    den = LaurentPoly({-e: v for e, v in c.den.coeffs.items()})
-    return QScalar(num, den)
 
 
 def _mul_gen(terms: dict, i: int) -> dict:

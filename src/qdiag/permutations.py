@@ -19,6 +19,7 @@ relabels one by 1..r preserving relative order, ties broken left to right.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 
 from .errors import BoundExceeded, SizeMismatch
@@ -27,10 +28,11 @@ __all__ = [
     "identity", "s", "compose", "inverse", "length", "apply_gen", "descends",
     "reduced_word", "perm_of_word", "sign", "standardize",
     "all_perms", "multi_indices", "weight", "weight_blocks",
-    "perm_str", "RANK_BOUND",
+    "perm_str", "RANK_BOUND", "WEIGHT_BOUND",
 ]
 
 RANK_BOUND = 6
+WEIGHT_BOUND = 4096  # weights of degree-r words over {1..n}, C(n+r-1, r)
 
 Perm = tuple  # one-line word of {1..r}
 
@@ -168,11 +170,21 @@ def _arrangements(w: tuple) -> list:
 
 
 def _weights(n: int, r: int) -> list:
-    """All weights of degree-r words over {1..n}, reverse lexicographic."""
-    if n == 0:
-        return [()] if r == 0 else []
-    return [(k,) + rest for k in range(r, -1, -1)
-            for rest in _weights(n - 1, r - k)]
+    """All weights of degree-r words over {1..n}, n >= 1, reverse lex.
+
+    A weight is r stars cut by n - 1 bars; the parts are the gaps between
+    the bar positions, and reversed lex order of the bars is reverse lex
+    order of the parts.
+    """
+    count = math.comb(n + r - 1, r)
+    if count > WEIGHT_BOUND:
+        raise BoundExceeded(
+            f"{count} weights of degree {r} over {n} letters exceed "
+            f"{WEIGHT_BOUND}")
+    end = (n + r - 1,)
+    return [tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + end))
+            for bars in reversed(list(
+                itertools.combinations(range(n + r - 1), n - 1)))]
 
 
 def perm_str(p: Perm) -> str:

@@ -2,7 +2,15 @@
 
 A scalar is a ratio num/den of Laurent polynomials in q with integer
 coefficients (the idea of FLINT's ``fmpq_poly``: an integer polynomial over
-one denominator, here a polynomial one).  The canonical form is unique:
+one denominator, here a polynomial one).  ``num`` and ``den`` are plain
+dicts exponent -> nonzero int, and no module but this one reads them.  Two
+invariants hold for every stored dict:
+
+- it is never mutated once a scalar holds it, so scalars share dicts freely,
+- the denominator 1 is the one object ``_ONE_COEFFS``, so ``den is
+  _ONE_COEFFS`` tests for a Laurent polynomial.
+
+The canonical form is unique:
 
 - the denominator is an ordinary polynomial (lowest exponent 0) whose
   leading coefficient is positive,
@@ -36,8 +44,8 @@ from operator import index
 from .errors import PoleAtPoint
 
 __all__ = [
-    "LaurentPoly", "QScalar", "ZERO", "ONE", "Q",
-    "qs", "q_power", "q_int", "omega", "parse_scalar", "add_term",
+    "QScalar", "ZERO", "ONE", "Q",
+    "qs", "q_power", "q_int", "omega", "bar", "parse_scalar", "add_term",
 ]
 
 
@@ -67,6 +75,12 @@ def _integer(c) -> int:
         return index(c)
     except TypeError:
         raise TypeError(f"Laurent coefficients are integers, not {c!r}") from None
+
+
+def _checked(p: dict) -> dict:
+    """A fresh exponent -> nonzero int dict from caller data."""
+    ints = {e: _integer(c) for e, c in p.items()}
+    return {e: c for e, c in ints.items() if c}
 
 
 # -- sparse integer Laurent polynomials: dicts exponent -> nonzero int -------
@@ -104,70 +118,13 @@ def _pshift(a: dict, k: int) -> dict:
     return {e + k: c for e, c in a.items()}
 
 
-class LaurentPoly:
-    """Laurent polynomial in q: a finitely supported map exponent -> int."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=None):
-        data = {}
-        if coeffs:
-            for e, c in coeffs.items():
-                c = _integer(c)
-                if c:
-                    data[e] = c
-        self.coeffs = data
-
-    @staticmethod
-    def const(c) -> "LaurentPoly":
-        return LaurentPoly({0: c})
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        return isinstance(other, LaurentPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    @property
-    def min_exp(self) -> int:
-        return min(self.coeffs)
-
-    @property
-    def max_exp(self) -> int:
-        return max(self.coeffs)
-
-    @property
-    def leading_coeff(self) -> int:
-        return self.coeffs[self.max_exp]
-
-    def evaluate(self, point) -> Fraction:
-        point = Fraction(point)
-        if point == 0 and self.coeffs and self.min_exp < 0:
-            raise PoleAtPoint("negative powers of q at q=0")
-        total = Fraction(0)
-        for e, c in self.coeffs.items():
-            total += c * point ** e
-        return total
-
-    def __str__(self):
-        return _render_poly(self.coeffs)
-
-    def __repr__(self):
-        return f"LaurentPoly({self.coeffs!r})"
-
-
-def _poly(data: dict) -> LaurentPoly:
-    """Wrap a dict of nonzero ints without checking it again."""
-    p = object.__new__(LaurentPoly)
-    p.coeffs = data
-    return p
+def _evaluate(p: dict, point: Fraction) -> Fraction:
+    if point == 0 and p and min(p) < 0:
+        raise PoleAtPoint("negative powers of q at q=0")
+    return sum((c * point ** e for e, c in p.items()), Fraction(0))
 
 
 _ONE_COEFFS = {0: 1}
-_POLY_ONE = LaurentPoly.const(1)
 
 
 # -- gcd and exact division of ordinary polynomials over Z -------------------
@@ -272,8 +229,8 @@ def _poly_gcd(a: list, b: list):
 def _scalar(num: dict, den: dict) -> "QScalar":
     """QScalar from data already in canonical form."""
     out = object.__new__(QScalar)
-    out.num = _poly(num)
-    out.den = _POLY_ONE if den == _ONE_COEFFS else _poly(den)
+    out.num = num
+    out.den = _ONE_COEFFS if den == _ONE_COEFFS else den
     return out
 
 
@@ -326,48 +283,34 @@ class QScalar:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: LaurentPoly, den: LaurentPoly = _POLY_ONE):
-        out = _canon(num.coeffs, den.coeffs)
+    def __init__(self, num: dict, den: dict = _ONE_COEFFS):
+        """num/den for dicts exponent -> integer coefficient, den nonzero."""
+        out = _canon(_checked(num), _checked(den))
         self.num = out.num
         self.den = out.den
 
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def from_fraction(c) -> "QScalar":
-        c = Fraction(c)
-        if not c:
-            return ZERO
-        return _scalar({0: c.numerator}, {0: c.denominator})
-
-    # -- predicates --------------------------------------------------------
-
     def __bool__(self):
-        return bool(self.num.coeffs)
-
-    def is_one(self) -> bool:
-        return self.den is _POLY_ONE and self.num.coeffs == _ONE_COEFFS
+        return bool(self.num)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = QScalar.from_fraction(other)
+            other = qs(other)
         return (isinstance(other, QScalar)
                 and self.num == other.num and self.den == other.den)
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash((frozenset(self.num.items()), frozenset(self.den.items())))
 
     # -- field operations --------------------------------------------------
 
     def __add__(self, other):
         if not isinstance(other, QScalar):
             return NotImplemented
-        a, b = self.num.coeffs, other.num.coeffs
+        a, b = self.num, other.num
         da, db = self.den, other.den
-        if da is _POLY_ONE and db is _POLY_ONE:
+        if da is _ONE_COEFFS and db is _ONE_COEFFS:
             s = _padd(a, b)
             return _scalar(s, _ONE_COEFFS) if s else ZERO
-        da, db = da.coeffs, db.coeffs
         if da == db:
             s = _padd(a, b)
             if not s:
@@ -390,20 +333,19 @@ class QScalar:
 
     def __neg__(self):
         out = object.__new__(QScalar)
-        out.num = _poly({e: -c for e, c in self.num.coeffs.items()})
+        out.num = {e: -c for e, c in self.num.items()}
         out.den = self.den
         return out
 
     def __mul__(self, other):
         if not isinstance(other, QScalar):
             return NotImplemented
-        a, b = self.num.coeffs, other.num.coeffs
+        a, b = self.num, other.num
         if not a or not b:
             return ZERO
         da, db = self.den, other.den
-        if da is _POLY_ONE and db is _POLY_ONE:
+        if da is _ONE_COEFFS and db is _ONE_COEFFS:
             return _scalar(_pmul(a, b), _ONE_COEFFS)
-        da, db = da.coeffs, db.coeffs
         # each numerator can share factors only with the other denominator
         if len(db) > 1:
             a, db = _cancel(a, db)
@@ -415,13 +357,13 @@ class QScalar:
         return self * other.inv()
 
     def inv(self) -> "QScalar":
-        num = self.num.coeffs
+        num = self.num
         if not num:
             raise ZeroDivisionError("inverse of 0 in Q(q)")
         # den/num is reduced already: only the q-power and the sign move
         t = min(num)
         new_den = _pshift(num, -t) if t else num
-        new_num = _pshift(self.den.coeffs, -t)
+        new_num = _pshift(self.den, -t)
         if new_den[max(new_den)] < 0:
             new_den = {e: -c for e, c in new_den.items()}
             new_num = {e: -c for e, c in new_num.items()}
@@ -441,15 +383,16 @@ class QScalar:
 
     def evaluate(self, point) -> Fraction:
         """Evaluate at a rational point; raises PoleAtPoint on a pole."""
-        d = self.den.evaluate(point)
+        point = Fraction(point)
+        d = _evaluate(self.den, point)
         if d == 0:
             raise PoleAtPoint(f"denominator vanishes at q={point}")
-        return self.num.evaluate(point) / d
+        return _evaluate(self.num, point) / d
 
     # -- rendering ---------------------------------------------------------
 
     def __str__(self):
-        num, den = self.num.coeffs, self.den.coeffs
+        num, den = self.num, self.den
         lc = den[max(den)]
         if lc != 1:
             num = {e: Fraction(c, lc) for e, c in num.items()}
@@ -470,7 +413,10 @@ Q = _scalar({1: 1}, _ONE_COEFFS)
 
 def qs(c) -> QScalar:
     """Constant scalar from an int or Fraction."""
-    return QScalar.from_fraction(c)
+    c = Fraction(c)
+    if not c:
+        return ZERO
+    return _scalar({0: c.numerator}, {0: c.denominator})
 
 
 def q_power(k: int) -> QScalar:
@@ -488,6 +434,12 @@ def q_int(n: int) -> QScalar:
 def omega() -> QScalar:
     """The deformation parameter q - q^-1."""
     return _scalar({1: 1, -1: -1}, _ONE_COEFFS)
+
+
+def bar(c: QScalar) -> QScalar:
+    """The field automorphism q -> q^-1."""
+    return _canon({-e: v for e, v in c.num.items()},
+                  {-e: v for e, v in c.den.items()})
 
 
 # -- text form -------------------------------------------------------------

@@ -16,8 +16,8 @@ import random
 import time
 from importlib import resources
 
-from qdiag.hecke import (HeckeElt, _bar_scalar, formal_product,
-                         idempotents_r2, idempotents_r3, project_p, t, theta)
+from qdiag.hecke import (HeckeElt, formal_product, idempotents_r2,
+                         idempotents_r3, project_p, t, theta)
 from qdiag.linalg import QMatrix, SubspaceBasis
 from qdiag.permutations import (all_perms, inverse, perm_of_word, reduced_word,
                                 s)
@@ -28,7 +28,8 @@ from qdiag.qma import (FreeElt, diag_relation_kernel, expand_diagonal,
                        membership)
 from qdiag.rmatrix import (generator_matrix, idempotent_block, index_word,
                            multiset_classes, pi, rhat, rhat_reading)
-from qdiag.scalars import (ONE, ZERO, omega, parse_scalar, q_int, q_power, qs)
+from qdiag.scalars import (ONE, ZERO, bar, omega, parse_scalar, q_int, q_power,
+                           qs)
 
 
 def _verdict(num, ok, text):
@@ -224,7 +225,7 @@ def test_criterion_10_lemma_brute():
                  if g.kind == "upper-repeat" and g.letters[:2] == (1, 2))
     diagonal = FreeElt(3, {(wd, wd): c for wd, c in upper.terms.items()})
     ok = membership(diagonal, 3)
-    expected_12 = _bar_scalar(q_int(2) / (qs(4) * w * q_int(3)))
+    expected_12 = bar(q_int(2) / (qs(4) * w * q_int(3)))
     for sign in (1, -1):
         rep = lemma_brute_check(sign)
         ok = ok and rep["orthogonality"]

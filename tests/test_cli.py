@@ -131,6 +131,34 @@ def test_bound_exceeded_is_skip_report(capsys, monkeypatch):
     assert out.rstrip().endswith("0 failure(s), 1 skipped")
 
 
+def test_large_alphabet_degree_one_passes(capsys):
+    code, out = run_cli(capsys, "run", "conjecture", "--d", "1200", "--r", "1",
+                        "--no-cache", "--format", "json")
+    assert code == 0
+    (report,) = json.loads(out)
+    assert report["status"] == "PASS"
+    assert len(report["detail"]["blocks"]) == 1200
+
+
+@pytest.mark.parametrize("argv", [("conjecture", "--d"), ("diag-kernel", "--n")],
+                         ids=["conjecture", "diag-kernel"])
+def test_weight_count_bound_is_skip_report(capsys, monkeypatch, argv):
+    # C(1202, 3) weights: refused before any kernel, ideal or block is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("built before the weight bound was checked")
+
+    monkeypatch.setattr(pplactic, "weight_kernel", refuse)
+    monkeypatch.setattr(pplactic, "ideal_component", refuse)
+    monkeypatch.setattr(qma, "expand_diagonal", refuse)
+    code, out = run_cli(capsys, "run", *argv, "1200", "--r", "3",
+                        "--no-cache", "--format", "json")
+    assert code == 2
+    (report,) = json.loads(out)
+    assert report["status"] == "SKIP"
+    assert report["detail"]["reason"].startswith(
+        "BoundExceeded: 288720400 weights of degree 3 over 1200 letters")
+
+
 def test_max_block_option_is_gone(capsys):
     with pytest.raises(SystemExit):
         main(["run", "conjecture", "--d", "3", "--r", "4",
@@ -227,3 +255,30 @@ def test_parallel_jobs():
     reports = run_many([("systd", {}), ("braid-identity", {})], jobs=2)
     assert [r.check for r in reports] == ["systd", "braid-identity"]
     assert all(r.status == "PASS" for r in reports)
+
+
+def test_jobs_capped_at_task_count(monkeypatch):
+    # a pool may fork all of max_workers at once: ask for no more than tasks
+    import concurrent.futures
+    from qdiag.checks import run_many
+    asked = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    reports = run_many([("systd", {}), ("braid-identity", {})], jobs=10 ** 6)
+    assert asked == [2]
+    assert [r.status for r in reports] == ["PASS", "PASS"]

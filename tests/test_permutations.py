@@ -3,10 +3,11 @@
 import pytest
 
 from qdiag.errors import BoundExceeded, SizeMismatch
-from qdiag.permutations import (all_perms, apply_gen, compose, descends,
-                                identity, inverse, length, multi_indices,
-                                perm_of_word, perm_str, reduced_word, s,
-                                standardize, weight, weight_blocks)
+from qdiag.permutations import (WEIGHT_BOUND, _weights, all_perms, apply_gen,
+                                compose, descends, identity, inverse, length,
+                                multi_indices, perm_of_word, perm_str,
+                                reduced_word, s, standardize, weight,
+                                weight_blocks)
 
 
 def test_composition_convention():
@@ -85,6 +86,29 @@ def test_descent_test_matches_length():
 
 def test_perm_str():
     assert perm_str((3, 1, 2)) == "312"
+
+
+def _weights_recursive(n, r):
+    # the reference: the plain recursive definition, one level per letter
+    if n == 0:
+        return [()] if r == 0 else []
+    return [(k,) + rest for k in range(r, -1, -1)
+            for rest in _weights_recursive(n - 1, r - k)]
+
+
+def test_weights_match_the_recursive_definition():
+    for n in range(1, 7):
+        for r in range(8):
+            assert _weights(n, r) == _weights_recursive(n, r), (n, r)
+    # as many letters as would exhaust the recursion limit
+    assert len(_weights(1200, 1)) == 1200
+
+
+def test_weight_count_is_bounded():
+    with pytest.raises(BoundExceeded, match="weights"):
+        _weights(1200, 3)
+    # the bound itself is admitted: C(4096, 1) weights
+    assert len(_weights(WEIGHT_BOUND, 1)) == WEIGHT_BOUND
 
 
 def test_module_doctests():

@@ -13,7 +13,7 @@ from qdiag.linalg import SubspaceBasis
 from qdiag.permutations import all_perms
 from qdiag.qma import (FreeElt, block_quotient, diag_relation_kernel,
                        expand_diagonal, membership, proportionality)
-from qdiag.scalars import ONE, QScalar, ZERO, omega, parse_scalar, qs
+from qdiag.scalars import ONE, ZERO, omega, parse_scalar, qs
 
 
 def _golden(name):
@@ -46,7 +46,7 @@ def test_q1_specialization_is_commutators():
     q = block_quotient(2, 2, ((1, 1), (1, 1)))
     at_one = []
     for row in q.span.rows:
-        at_one.append({c: QScalar.from_fraction(v.evaluate(1))
+        at_one.append({c: qs(v.evaluate(1))
                        for c, v in row.items()
                        if v.evaluate(1)})
     specialized = SubspaceBasis.from_vectors(at_one, len(q.words))

@@ -36,6 +36,16 @@ def test_fractions_only_at_the_scalar_boundary():
     assert set(importers) == {"scalars.py"}, importers
 
 
+def test_scalar_format_stays_in_scalars():
+    # a QScalar's num/den dicts are read only inside scalars.py
+    readers = [f"{path.name}:{node.lineno}"
+               for path in SOURCES if path.name != "scalars.py"
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Attribute)
+               and node.attr in ("num", "den")]
+    assert SOURCES and not readers, readers
+
+
 def test_tracer_names_resolve():
     # the benchmark's tracer wraps these by name; importing it patches nothing
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
