@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, field
 from importlib import resources
 
 from .errors import BoundExceeded, MembershipFailure, UnknownCheck
@@ -40,14 +39,18 @@ _ALTERNATING_3 = {(1, 3, 2): ONE, (3, 1, 2): -ONE, (2, 1, 3): -ONE,
                   (2, 3, 1): ONE}
 
 
-@dataclass
 class CheckReport:
-    check: str
-    params: dict
-    status: str          # PASS | FAIL | SKIP | ERROR
-    detail: dict = field(default_factory=dict)
-    seconds: float = 0.0
-    artifacts: dict = field(default_factory=dict)  # name -> dump payload
+    """One check's outcome, as reported and cached."""
+
+    def __init__(self, check: str, params: dict, status: str,
+                 detail: dict = None, seconds: float = 0.0,
+                 artifacts: dict = None):
+        self.check = check
+        self.params = params
+        self.status = status  # PASS | FAIL | SKIP | ERROR
+        self.detail = {} if detail is None else detail
+        self.seconds = seconds
+        self.artifacts = {} if artifacts is None else artifacts  # name -> dump
 
     def to_json(self):
         return {"check": self.check, "params": self.params,

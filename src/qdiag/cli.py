@@ -12,7 +12,6 @@ none does but one was skipped at a size bound (or the check name is unknown).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from functools import lru_cache
@@ -35,6 +34,8 @@ def _size(text: str) -> int:
 @lru_cache(maxsize=None)
 def _source_digest() -> str:
     """sha256 over the package's .py files and data/*.json, with their names."""
+    import hashlib  # here, not at the top: --no-cache never hashes
+
     root = Path(__file__).parent
     digest = hashlib.sha256()
     for path in sorted(root.glob("*.py")) + sorted(root.glob("data/*.json")):
@@ -46,6 +47,8 @@ def _source_digest() -> str:
 
 
 def _cache_key(name: str, params: dict) -> str:
+    import hashlib
+
     blob = json.dumps({"check": name, "params": params,
                        "source": _source_digest()}, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()

@@ -6,7 +6,13 @@ so right multiplication by a generator is
     T_sigma . T_si = T_(sigma.si)                      if the length goes up,
     T_sigma . T_si = T_(sigma.si) + (q - q^-1) T_sigma otherwise,
 
-and a general product factors the right operand into its reduced word.
+and the basis product T_p T_rho walks the reduced word of rho.  Its terms
+are the structure constants of H_r, Laurent polynomials in q; a general
+product caches them per (p, rho) and gathers each coefficient of the result
+with one ``scalars.dot``.  ``projection_matrix(r)`` makes r! basis products
+T_(alpha^-1) T_alpha that nothing else asks for, so it walks them uncached:
+through the cache, its rows would stay in memory twice.
+
 T^alpha denotes T_(alpha^-1); the double-coset projection of a diagonal
 element sum c_alpha T^alpha (x) T_alpha is p = sum c_alpha T_(alpha^-1) T_alpha.
 
@@ -53,8 +59,8 @@ from .permutations import (
     _arrangements, all_perms, apply_gen, descends, identity, inverse, length,
     perm_of_word, perm_str, reduced_word, sign, standardize,
 )
-from .scalars import (ONE, ZERO, QScalar, add_term, bar, omega, q_int, q_power,
-                      qs)
+from .scalars import (ONE, ZERO, QScalar, add_term, bar, dot, omega, q_int,
+                      q_power, qs)
 
 __all__ = [
     "HeckeElt", "t", "project_p",
@@ -110,14 +116,14 @@ class HeckeElt:
         if isinstance(other, QScalar):
             return self.scale(other)
         self._check(other)
-        out: dict = {}
-        for rho, c in other.terms.items():
-            terms = self.terms
-            for i in reduced_word(rho):
-                terms = _mul_gen(terms, i)
-            for p, cc in terms.items():
-                add_term(out, p, c * cc)
-        return HeckeElt(self.r, out)
+        gathered: dict = {}
+        for p, c in self.terms.items():
+            for rho, d in other.terms.items():
+                cd = c * d
+                for sigma, s in _structure_constants(p, rho).items():
+                    gathered.setdefault(sigma, []).append((cd, s))
+        return HeckeElt(self.r, {sigma: dot(pairs)
+                                 for sigma, pairs in gathered.items()})
 
     def coeff(self, p) -> QScalar:
         return self.terms.get(p, ZERO)
@@ -163,6 +169,18 @@ def _mul_gen(terms: dict, i: int) -> dict:
         if descends(p, i):
             add_term(out, p, c * w)
     return out
+
+
+def _basis_product(p, rho) -> dict:
+    """T_p T_rho as a term dict, walking the reduced word of rho."""
+    terms = {p: ONE}
+    for i in reduced_word(rho):
+        terms = _mul_gen(terms, i)
+    return terms
+
+
+# every pair of S_5 fits; at r = 6 the bound keeps the cache finite
+_structure_constants = lru_cache(maxsize=1 << 14)(_basis_product)
 
 
 def t(p) -> HeckeElt:
@@ -269,8 +287,7 @@ def projection_matrix(r: int) -> QMatrix:
     col = {p: j for j, p in enumerate(perms)}
     entries = {}
     for i, alpha in enumerate(perms):
-        image = t(inverse(alpha)) * t(alpha)
-        for p, c in image.terms.items():
+        for p, c in _basis_product(inverse(alpha), alpha).items():
             entries[(i, col[p])] = c
     return QMatrix(len(perms), len(perms), entries)
 

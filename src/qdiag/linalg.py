@@ -22,7 +22,7 @@ needed (the relation rows are short and the full suite runs in seconds).
 from __future__ import annotations
 
 from .errors import DimensionMismatch
-from .scalars import ONE, ZERO, QScalar, add_term
+from .scalars import ONE, ZERO, QScalar, add_term, dot
 
 __all__ = ["QMatrix", "SubspaceBasis", "kernel"]
 
@@ -97,11 +97,12 @@ class QMatrix:
         by_row: dict = {}
         for (k, j), val in other.entries.items():
             by_row.setdefault(k, []).append((j, val))
-        data: dict = {}
+        gathered: dict = {}
         for (i, k), a in self.entries.items():
             for j, b in by_row.get(k, ()):
-                add_term(data, (i, j), a * b)
-        return QMatrix(self.nrows, other.ncols, data)
+                gathered.setdefault((i, j), []).append((a, b))
+        return QMatrix(self.nrows, other.ncols,
+                       {key: dot(pairs) for key, pairs in gathered.items()})
 
     def transpose(self) -> "QMatrix":
         return QMatrix(self.ncols, self.nrows,

@@ -161,12 +161,27 @@ def weight_blocks(d: int, r: int) -> dict:
     return blocks
 
 
-def _arrangements(w: tuple) -> list:
-    """All distinct words with the given weight, lexicographic."""
+@lru_cache(maxsize=None)
+def _composition_arrangements(lam: tuple) -> list:
+    """The lex arrangements of a composition with no zero part."""
     letters = []
-    for v, k in enumerate(w, start=1):
+    for v, k in enumerate(lam, start=1):
         letters.extend([v] * k)
     return sorted(set(itertools.permutations(letters)))
+
+
+def _arrangements(w: tuple) -> list:
+    """All distinct words with the given weight, lexicographic (a new list).
+
+    They are the arrangements of the composition w without its zero parts,
+    relabelled through the letters that occur; the relabelling is increasing,
+    so it keeps the lex order.
+    """
+    letters = [v for v, k in enumerate(w, start=1) if k]
+    words = _composition_arrangements(tuple(w[v - 1] for v in letters))
+    if len(letters) == len(w):
+        return list(words)
+    return [tuple(letters[a - 1] for a in word) for word in words]
 
 
 def _weights(n: int, r: int) -> list:

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 
@@ -47,12 +46,13 @@ __all__ = [
 ]
 
 
-@dataclass
 class RelationInstance:
     """One cubic generator: its kind, letters, and word expansion."""
-    kind: str
-    letters: tuple
-    terms: dict = field(repr=False)
+
+    def __init__(self, kind: str, letters: tuple, terms: dict):
+        self.kind = kind
+        self.letters = letters
+        self.terms = terms
 
 
 def _commutator(u: dict, v: dict, q2=None) -> dict:

@@ -25,7 +25,7 @@ from .errors import BoundExceeded
 from .hecke import HeckeElt, idempotents_r3
 from .linalg import QMatrix
 from .permutations import reduced_word
-from .scalars import ONE, Q, add_term, omega, q_power
+from .scalars import ONE, Q, add_term, dot, omega, q_power
 
 __all__ = [
     "rhat", "rhat_reading", "pi", "word_index", "index_word",
@@ -165,10 +165,12 @@ def pi(x: HeckeElt, n: int) -> QMatrix:
     dim = n ** x.r
     if dim > DIM_BOUND:
         raise BoundExceeded(f"dim V^(x){x.r} = {dim} exceeds {DIM_BOUND}")
-    out = QMatrix(dim, dim)
+    gathered: dict = {}
     for p, c in x.terms.items():
-        out = out + _basis_matrix(p, n).scale(c)
-    return out
+        for key, val in _basis_matrix(p, n).entries.items():
+            gathered.setdefault(key, []).append((c, val))
+    return QMatrix(dim, dim, {key: dot(pairs)
+                              for key, pairs in gathered.items()})
 
 
 def idempotent_block(m: QMatrix, words, n: int) -> list:

@@ -25,6 +25,18 @@ entries, subspace comparison) reduces to it.  ``Fraction`` appears only at
 the boundaries: rational constants (``qs``), parsing, evaluation and the
 text form, which divides by the denominator's leading coefficient.
 
+Sparse combinations have two primitives.  ``add_term`` scatters: it adds one
+scalar into a dict entry.  ``dot`` gathers: it returns the sum of a * b over
+a list of pairs, the shape of every matrix, Hecke and representation
+product, and canonicalizes once per group of products instead of once per
+product.  Grouping by equal denominators is exact: the products with
+denominators (da, db) sum to (sum of num_a num_b)/(da db), and the one
+canonicalization of that fraction gives the unique form that term-by-term
+addition would reach.
+
+>>> str(dot([(q_int(2), omega()), (ONE / q_int(2), q_int(2))]))
+'q^2 + 1 - q^-2'
+
 >>> str(q_int(3))
 'q^2 + 1 + q^-2'
 >>> str(omega() * q_int(2))
@@ -46,6 +58,7 @@ from .errors import PoleAtPoint
 __all__ = [
     "QScalar", "ZERO", "ONE", "Q",
     "qs", "q_power", "q_int", "omega", "bar", "parse_scalar", "add_term",
+    "dot",
 ]
 
 
@@ -65,6 +78,50 @@ def add_term(d: dict, key, c) -> None:
         d[key] = s
     else:
         del d[key]
+
+
+def dot(pairs) -> "QScalar":
+    """Sum of a * b over a list of scalar pairs, canonicalized per group.
+
+    The products are grouped by their pair of denominators (da, db); within
+    a group the numerator products accumulate in one integer dict, which is
+    canonicalized once over da * db.  A single pair, or a group of one, is
+    the ordinary product: a one-pair dot costs one multiply.
+    """
+    if len(pairs) == 1:
+        a, b = pairs[0]
+        return a * b
+    groups: dict = {}
+    for a, b in pairs:
+        if a.num and b.num:
+            da, db = a.den, b.den
+            key = (None if da is _ONE_COEFFS else frozenset(da.items()),
+                   None if db is _ONE_COEFFS else frozenset(db.items()))
+            groups.setdefault(key, []).append((a, b))
+    total = None
+    for group in groups.values():
+        if len(group) == 1:
+            a, b = group[0]
+            part = a * b
+        else:
+            acc: dict = {}
+            get = acc.get
+            for a, b in group:
+                an, bn = a.num, b.num
+                if len(an) > len(bn):
+                    an, bn = bn, an
+                for e1, c1 in an.items():
+                    for e2, c2 in bn.items():
+                        e = e1 + e2
+                        acc[e] = get(e, 0) + c1 * c2
+            acc = {e: c for e, c in acc.items() if c}
+            a, b = group[0]
+            if a.den is _ONE_COEFFS and b.den is _ONE_COEFFS:
+                part = _scalar(acc, _ONE_COEFFS) if acc else ZERO
+            else:
+                part = _canon(acc, _pmul(a.den, b.den))
+        total = part if total is None else total + part
+    return ZERO if total is None else total
 
 
 def _integer(c) -> int:

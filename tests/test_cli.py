@@ -1,9 +1,14 @@
 """CLI behaviour: report formats, exit codes, caching."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qdiag
 from qdiag import checks, cli, pplactic, qma
 from qdiag.checks import CheckReport, run_check
 from qdiag.cli import main
@@ -21,6 +26,18 @@ def test_list(capsys):
     assert code == 0
     names = out.split()
     assert "systd" in names and "conjecture" in names and "all" in names
+
+
+def test_import_leaves_out_dataclasses_and_hashlib():
+    # start-up cost: dataclasses pulls in inspect, and only the cache hashes
+    src = str(Path(qdiag.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    code = ("import sys, qdiag.cli; "
+            "print(sorted({'dataclasses', 'hashlib'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_systd_json_roundtrip(tmp_path, capsys):

@@ -11,10 +11,11 @@ from qdiag.hecke import (HeckeElt, diag_kernel_of_p, formal_product,
                          projection_matrix, r3_normalizers, t, theta,
                          weight_kernel)
 from qdiag.linalg import kernel
-from qdiag.permutations import (_weights, all_perms, inverse, perm_of_word,
-                                reduced_word, s)
+from qdiag.permutations import (_weights, all_perms, apply_gen, descends,
+                                inverse, perm_of_word, reduced_word, s)
 from qdiag.qma import diag_relation_kernel
-from qdiag.scalars import ONE, ZERO, omega, q_power, qs
+from qdiag.scalars import (ONE, Q, ZERO, add_term, omega, q_int, q_power,
+                           qs)
 
 
 def rand_elt(rng, r):
@@ -62,6 +63,46 @@ def test_associativity_random():
         for _ in range(50):
             x, y, z = (rand_elt(rng, r) for _ in range(3))
             assert (x * y) * z == x * (y * z)
+
+
+def walk_product(x, y):
+    """x * y by the generator walk: x T_rho along the reduced word of rho."""
+    w = omega()
+    out: dict = {}
+    for rho, c in y.terms.items():
+        terms = x.terms
+        for i in reduced_word(rho):
+            step: dict = {}
+            for p, cc in terms.items():
+                add_term(step, apply_gen(p, i), cc)
+                if descends(p, i):
+                    add_term(step, p, cc * w)
+            terms = step
+        for p, cc in terms.items():
+            add_term(out, p, c * cc)
+    return HeckeElt(x.r, out)
+
+
+def rand_rational_elt(rng, r, k):
+    dens = [ONE, q_int(2), q_int(3), Q + qs(2), qs(3)]
+    terms = {}
+    for p in rng.sample(all_perms(r), k=k):
+        c = (qs(rng.randint(-3, 3)) * q_power(rng.randint(-1, 1))
+             + qs(rng.randint(-2, 2)) * q_power(rng.randint(-2, 2)))
+        terms[p] = c / rng.choice(dens)
+    return HeckeElt(r, terms)
+
+
+def test_product_matches_generator_walk():
+    rng = random.Random(37)
+    by_rank = {3: list(idempotents_r3()), 4: [], 5: []}
+    for r, k, count in ((3, 4, 6), (4, 5, 5), (5, 4, 3)):
+        for _ in range(count):
+            by_rank[r] += [rand_elt(rng, r), rand_rational_elt(rng, r, k)]
+    for xs in by_rank.values():
+        for x in xs:
+            for y in rng.sample(xs, k=4):
+                assert x * y == walk_product(x, y)
 
 
 def test_reduced_word_independence():

@@ -8,7 +8,7 @@ from qdiag.errors import DimensionMismatch
 from qdiag.hecke import projection_matrix
 from qdiag.linalg import QMatrix, SubspaceBasis, kernel
 from qdiag.qma import block_quotient
-from qdiag.scalars import ONE, ZERO, omega, q_power, qs
+from qdiag.scalars import ONE, Q, ZERO, add_term, omega, q_int, q_power, qs
 
 
 def vec(*pairs):
@@ -93,6 +93,28 @@ def test_apply_matches_row_products():
                 expected[i] = total
         assert m.apply(vec) == expected
         assert m.apply(vec) == expected  # the column index is reused
+
+
+def test_product_matches_triple_loop():
+    rng = random.Random(47)
+    dens = [ONE, q_int(2), q_int(3), Q + qs(2), qs(3)]
+
+    def rand_matrix(nrows, ncols):
+        entries = {}
+        for i in range(nrows):
+            for c, v in rand_vec(rng, ncols).items():
+                entries[(i, c)] = v / rng.choice(dens)
+        return QMatrix(nrows, ncols, entries)
+
+    for _ in range(20):
+        n, k, m = rng.randint(1, 5), rng.randint(1, 6), rng.randint(1, 5)
+        a, b = rand_matrix(n, k), rand_matrix(k, m)
+        data: dict = {}
+        for (i, l), x in a.entries.items():
+            for (l2, j), y in b.entries.items():
+                if l == l2:
+                    add_term(data, (i, j), x * y)
+        assert a * b == QMatrix(n, m, data)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -1,13 +1,15 @@
 """Word conventions, reduced words, standardization, enumeration."""
 
+import itertools
+
 import pytest
 
 from qdiag.errors import BoundExceeded, SizeMismatch
-from qdiag.permutations import (WEIGHT_BOUND, _weights, all_perms, apply_gen,
-                                compose, descends, identity, inverse, length,
-                                multi_indices, perm_of_word, perm_str,
-                                reduced_word, s, standardize, weight,
-                                weight_blocks)
+from qdiag.permutations import (WEIGHT_BOUND, _arrangements, _weights,
+                                all_perms, apply_gen, compose, descends,
+                                identity, inverse, length, multi_indices,
+                                perm_of_word, perm_str, reduced_word, s,
+                                standardize, weight, weight_blocks)
 
 
 def test_composition_convention():
@@ -109,6 +111,25 @@ def test_weight_count_is_bounded():
         _weights(1200, 3)
     # the bound itself is admitted: C(4096, 1) weights
     assert len(_weights(WEIGHT_BOUND, 1)) == WEIGHT_BOUND
+
+
+def _arrangements_by_sorting(w):
+    letters = []
+    for v, k in enumerate(w, start=1):
+        letters.extend([v] * k)
+    return sorted(set(itertools.permutations(letters)))
+
+
+def test_arrangements_match_the_sorting_definition():
+    for n in range(1, 5):
+        for r in range(1, 7):
+            for w in _weights(n, r):
+                assert _arrangements(w) == _arrangements_by_sorting(w), w
+    wide = [0] * 1200
+    wide[4], wide[700], wide[1199] = 1, 2, 1
+    assert _arrangements(tuple(wide)) == _arrangements_by_sorting(wide)
+    # each call returns a new list
+    assert _arrangements((1, 1)) is not _arrangements((1, 1))
 
 
 def test_module_doctests():

@@ -10,9 +10,10 @@ from qdiag.errors import BoundExceeded
 from qdiag.hecke import HeckeElt, idempotents_r3, t
 from qdiag.linalg import QMatrix
 from qdiag.permutations import all_perms, s
-from qdiag.rmatrix import (generator_matrix, idempotent_block, index_word,
-                           multiset_classes, pi, rhat, rhat_reading)
-from qdiag.scalars import ONE, parse_scalar, q_power, qs
+from qdiag.rmatrix import (_basis_matrix, generator_matrix, idempotent_block,
+                           index_word, multiset_classes, pi, rhat,
+                           rhat_reading)
+from qdiag.scalars import ONE, Q, parse_scalar, q_int, q_power, qs
 
 
 def test_rhat_dimension_one():
@@ -80,6 +81,22 @@ def test_pi_idempotents():
     p, m = pi(ep, 3), pi(em, 3)
     assert p * p == p and m * m == m
     assert (p * m).is_zero() and (m * p).is_zero()
+
+
+def test_pi_is_the_sum_of_scaled_basis_matrices():
+    rng = random.Random(43)
+    dens = [ONE, q_int(2), q_int(3), Q + qs(2), qs(3)]
+    elements = list(idempotents_r3())
+    for _ in range(6):
+        terms = {p: qs(rng.randint(-3, 3)) * q_power(rng.randint(-1, 1))
+                 / rng.choice(dens) for p in rng.sample(all_perms(3), k=4)}
+        elements.append(HeckeElt(3, terms))
+    for n in (2, 3):
+        for x in elements:
+            expected = QMatrix(n ** 3, n ** 3)
+            for p, c in x.terms.items():
+                expected = expected + _basis_matrix(p, n).scale(c)
+            assert pi(x, n) == expected
 
 
 def test_multiset_zero_pattern():

@@ -8,8 +8,8 @@ from math import gcd
 import pytest
 
 from qdiag.errors import PoleAtPoint
-from qdiag.scalars import (ONE, Q, QScalar, ZERO, bar, omega, parse_scalar,
-                           q_int, q_power, qs)
+from qdiag.scalars import (ONE, Q, QScalar, ZERO, add_term, bar, dot, omega,
+                           parse_scalar, q_int, q_power, qs)
 
 
 def rand_scalar(rng, nonzero=False):
@@ -250,3 +250,61 @@ def test_matches_sympy():
                                          q),
                     sympy.Poly.from_dict({(e,): c for e, c in den.items()}, q))
                 assert g.degree() == 0, (str(x), g)
+
+
+def assert_canonical(x):
+    num, den = x.num, x.den
+    assert all(type(c) is int and c for c in (*num.values(), *den.values()))
+    assert min(den) == 0 and den[max(den)] > 0
+    assert gcd(*num.values(), *den.values()) == 1
+    again = QScalar(num, den)
+    assert (again.num, again.den) == (num, den)
+    # the denominator 1 is the shared object
+    assert (den is ONE.den) == (den == {0: 1})
+
+
+def test_dot_matches_sequential_sum():
+    rng = random.Random(41)
+
+    def laurent():
+        return qs(rng.randint(-3, 3)) * q_power(rng.randint(-2, 2)) + \
+            qs(rng.randint(-2, 2)) * q_power(rng.randint(-2, 2))
+
+    def same_den(x):
+        # equal to x, over an equal denominator that is another dict object
+        y = QScalar(dict(x.num), dict(x.den))
+        assert y == x and (y.den is not x.den or y.den is ONE.den)
+        return y
+
+    shared = [q_int(2), q_int(3), Q + qs(2), qs(3), qs(Fraction(1, 2))]
+    for _ in range(60):
+        dens = rng.sample(shared, k=rng.randint(1, 3))
+        pairs = []
+        for _ in range(rng.randint(2, 8)):
+            kind = rng.randrange(5)
+            if kind == 0:    # denominator 1 on both sides
+                a, b = laurent(), laurent()
+            elif kind == 1:  # a denominator shared with other pairs
+                a, b = laurent() / rng.choice(dens), laurent()
+            elif kind == 2:  # equal denominators in distinct dicts
+                a = same_den(laurent() / rng.choice(dens))
+                b = same_den(laurent() / rng.choice(dens))
+            elif kind == 3:  # unequal denominators from the random scalars
+                a, b = rand_scalar(rng), rand_scalar(rng)
+            else:            # a zero factor
+                a, b = ZERO, laurent() / rng.choice(dens)
+            pairs.append((a, b) if rng.random() < 0.5 else (b, a))
+        # a few sums that cancel to 0
+        if rng.random() < 0.3:
+            pairs += [(-a, b) for a, b in pairs]
+        sums: dict = {}
+        for a, b in pairs:
+            add_term(sums, 0, a * b)
+        got = dot(pairs)
+        assert got == sums.get(0, ZERO)
+        assert_canonical(got)
+    # a single pair is the product; an empty or all-zero list is 0
+    a, b = ONE / q_int(2), Q / (Q + qs(2))
+    assert dot([(a, b)]) == a * b
+    assert dot([]) == ZERO and dot([(ZERO, a), (b, ZERO)]) == ZERO
+    assert dot([(a, b), (-a, b)]) == ZERO
