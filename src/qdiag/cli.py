@@ -4,15 +4,18 @@ Reports are emitted as text (one line per check plus detail) or as a JSON
 array.  Results are cached content-addressed by (check, parameters, source
 digest), where the digest covers the package's .py and data files, so an
 edited check never serves its old report; re-running with identical
-parameters reproduces the stored report byte for byte.  Exit status is 0 when
-every executed check passes, 1 when one fails or reports an error, and 2 when
-none does but one was skipped at a size bound (or the check name is unknown).
+parameters reproduces the stored report byte for byte; an entry is renamed
+into place whole, and one that does not parse is recomputed.  Exit status is 0
+when every executed check passes, 1 when one fails or reports an error, and 2
+when none does but one was skipped at a size bound (or the check name is
+unknown).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import lru_cache
 from pathlib import Path
@@ -139,8 +142,10 @@ def main(argv=None) -> int:
         cached = None
         if use_cache:
             path = _cache_path(args.cache_dir, name, params)
-            if path.exists():
+            try:
                 cached = CheckReport.from_json(json.loads(path.read_text()))
+            except (FileNotFoundError, ValueError, KeyError, TypeError):
+                pass  # missing or partial: recomputed and overwritten
         if cached is not None:
             slots[idx] = cached
         else:
@@ -153,7 +158,9 @@ def main(argv=None) -> int:
         if use_cache:
             args.cache_dir.mkdir(parents=True, exist_ok=True)
             path = _cache_path(args.cache_dir, name, params)
-            path.write_text(json.dumps(report.to_json(), indent=1))
+            tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+            tmp.write_text(json.dumps(report.to_json(), indent=1))
+            os.replace(tmp, path)  # a reader sees the whole entry or none
     reports = [slots[i] for i in range(len(tasks))]
 
     payload = [r.to_json() for r in reports]

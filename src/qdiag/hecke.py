@@ -7,25 +7,25 @@ so right multiplication by a generator is
     T_sigma . T_si = T_(sigma.si) + (q - q^-1) T_sigma otherwise,
 
 and the basis product T_p T_rho walks the reduced word of rho.  Its terms
-are the structure constants of H_r, Laurent polynomials in q; a general
-product caches them per (p, rho) and gathers each coefficient of the result
-with one ``scalars.dot``.  ``projection_matrix(r)`` makes r! basis products
-T_(alpha^-1) T_alpha that nothing else asks for, so it walks them uncached:
-through the cache, its rows would stay in memory twice.
+are the structure constants of H_r, Laurent polynomials in q, held in one
+cache per (p, rho) that every product here reads; a general product gathers
+each coefficient of the result with one ``scalars.dot``.
 
 T^alpha denotes T_(alpha^-1); the double-coset projection of a diagonal
 element sum c_alpha T^alpha (x) T_alpha is p = sum c_alpha T_(alpha^-1) T_alpha.
 
-The diagonal kernels that the conjecture check compares are computed here
-from the rows of P = ``projection_matrix(r)``, one composition lambda of r at
-a time.  S_lambda is
-the Young subgroup of lambda; its blocks are the letter blocks of
-``standardize`` and serve both as value blocks (right action) and as
-position blocks (left action).  For p in S_r let d(p) be the minimal element
-of S_lambda p S_lambda, and for the diagonal words A of weight lambda with
-beta_A = standardize(A) put
+The diagonal kernels that the conjecture check compares are computed here,
+one composition lambda of r at a time.  S_lambda is the Young subgroup of
+lambda; its blocks are the letter blocks of ``standardize`` and serve both as
+value blocks (right action) and as position blocks (left action).  For p in
+S_r let d(p) be the minimal element of S_lambda p S_lambda, and for the
+diagonal words A of weight lambda with beta_A = standardize(A) and
+T_(beta_A^-1) T_(beta_A) = sum over p of c_A(p) T_p put
 
-    M_lambda[A, d] = sum over p with d(p) = d of q^(l(p) - l(d)) P[beta_A, p].
+    M_lambda[A, d] = sum over p with d(p) = d of q^(l(p) - l(d)) c_A(p),
+
+walking only these N_lambda products.  At lambda = 1^r, d(p) = p and
+M_lambda is the r! x r! matrix P = ``projection_matrix(r)`` of p.
 
 The left kernel of M_lambda, labelled by the arrangements of lambda, is the
 kernel of the FRT diagonal expansion at lambda.  Proof sketch: under the
@@ -38,10 +38,9 @@ pi_d M_lambda[A, d] there, and scaling a column by a nonzero constant leaves
 the left kernel unchanged.  d(p) is read off the contingency table N[a][b],
 the number of positions in block a whose value lies in block b: for a in
 order and b in order, the next N[a][b] positions take the next N[a][b]
-unused values of block b.  At lambda = 1^r the group is trivial and M_lambda
-is P itself.  A weight with zero parts has the kernel of its composition:
-an FRT block involves only its own letters, and rhat depends only on their
-order.
+unused values of block b.  A weight with zero parts has the kernel of its
+composition: an FRT block involves only its own letters, and rhat depends
+only on their order.
 
 The module also houses the minimal idempotents of H_2 and H_3.  The mixed pair
 e21+/e21- is entered coefficient by coefficient; the full symmetrizer and
@@ -56,8 +55,8 @@ from functools import lru_cache
 from .errors import SizeMismatch
 from .linalg import SubspaceBasis, QMatrix, kernel
 from .permutations import (
-    _arrangements, all_perms, apply_gen, descends, identity, inverse, length,
-    perm_of_word, perm_str, reduced_word, sign, standardize,
+    _arrangements, _check_rank, all_perms, apply_gen, descends, identity,
+    inverse, length, perm_of_word, perm_str, reduced_word, sign, standardize,
 )
 from .scalars import (ONE, ZERO, QScalar, add_term, bar, dot, omega, q_int,
                       q_power, qs)
@@ -160,9 +159,8 @@ class HeckeElt:
         return f"HeckeElt({self})"
 
 
-def _mul_gen(terms: dict, i: int) -> dict:
-    """Right multiplication of a term dict by T_si."""
-    w = omega()
+def _mul_gen(terms: dict, i: int, w: QScalar) -> dict:
+    """p -> p.si, plus w p where p descends at i: T_si on the right at omega."""
     out: dict = {}
     for p, c in terms.items():
         add_term(out, apply_gen(p, i), c)
@@ -171,16 +169,15 @@ def _mul_gen(terms: dict, i: int) -> dict:
     return out
 
 
-def _basis_product(p, rho) -> dict:
+# every pair of S_5 fits; at r = 6 the bound keeps the cache finite
+@lru_cache(maxsize=1 << 14)
+def _structure_constants(p, rho) -> dict:
     """T_p T_rho as a term dict, walking the reduced word of rho."""
+    w = omega()
     terms = {p: ONE}
     for i in reduced_word(rho):
-        terms = _mul_gen(terms, i)
+        terms = _mul_gen(terms, i, w)
     return terms
-
-
-# every pair of S_5 fits; at r = 6 the bound keeps the cache finite
-_structure_constants = lru_cache(maxsize=1 << 14)(_basis_product)
 
 
 def t(p) -> HeckeElt:
@@ -280,16 +277,9 @@ def theta() -> HeckeElt:
 # -- the projection as a linear map ------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def projection_matrix(r: int) -> QMatrix:
     """Matrix of p on the diagonal space: row alpha, column sigma, lex order."""
-    perms = all_perms(r)
-    col = {p: j for j, p in enumerate(perms)}
-    entries = {}
-    for i, alpha in enumerate(perms):
-        for p, c in _basis_product(inverse(alpha), alpha).items():
-            entries[(i, col[p])] = c
-    return QMatrix(len(perms), len(perms), entries)
+    return _composition_matrix((1,) * r)
 
 
 def _minimal_coset_rep(p, blocks: list, starts: list):
@@ -306,32 +296,35 @@ def _minimal_coset_rep(p, blocks: list, starts: list):
     return tuple(d)
 
 
-@lru_cache(maxsize=None)
-def _composition_kernel(lam: tuple) -> SubspaceBasis:
-    """Unlabelled left kernel of M_lambda for a composition with no zero part."""
-    r = sum(lam)
-    perms = all_perms(r)
-    row_of = {standardize(a): k for k, a in enumerate(_arrangements(lam))}
+def _composition_matrix(lam: tuple) -> QMatrix:
+    """M_lambda, columns d in lex order, for a composition with no zero part."""
+    _check_rank(sum(lam))
     blocks = [b for b, k in enumerate(lam) for _ in range(k)]
     starts = [1 + sum(lam[:b]) for b in range(len(lam))]
     reps: dict = {}
-    rows = [{} for _ in row_of]
-    for (i, j), c in projection_matrix(r).entries.items():
-        k = row_of.get(perms[i])
-        if k is None:
-            continue
-        p = perms[j]
-        rep = reps.get(p)
-        if rep is None:
-            d = _minimal_coset_rep(p, blocks, starts)
-            shift = q_power(length(p) - length(d)) if d != p else None
-            rep = reps[p] = (d, shift)
-        d, shift = rep
-        add_term(rows[k], d, c * shift if shift else c)
+    rows = []
+    for a in _arrangements(lam):
+        beta = standardize(a)
+        row: dict = {}
+        for p, c in _structure_constants(inverse(beta), beta).items():
+            rep = reps.get(p)
+            if rep is None:
+                d = _minimal_coset_rep(p, blocks, starts)
+                shift = q_power(length(p) - length(d)) if d != p else None
+                rep = reps[p] = (d, shift)
+            d, shift = rep
+            add_term(row, d, c * shift if shift else c)
+        rows.append(row)
     col = {d: j for j, d in enumerate(sorted({d for d, _ in reps.values()}))}
     entries = {(k, col[d]): c for k, row in enumerate(rows)
                for d, c in row.items()}
-    return kernel(QMatrix(len(rows), len(col), entries).transpose())
+    return QMatrix(len(rows), len(col), entries)
+
+
+@lru_cache(maxsize=None)
+def _composition_kernel(lam: tuple) -> SubspaceBasis:
+    """Unlabelled left kernel of M_lambda for a composition with no zero part."""
+    return kernel(_composition_matrix(lam).transpose())
 
 
 def weight_kernel(weight_vec: tuple) -> SubspaceBasis:

@@ -153,6 +153,11 @@ def weight(w, d: int) -> tuple:
     return tuple(counts)
 
 
+def _tuple_sub(a: tuple, b: tuple):
+    out = tuple(x - y for x, y in zip(a, b))
+    return out if all(x >= 0 for x in out) else None
+
+
 def weight_blocks(d: int, r: int) -> dict:
     """Partition of all words in {1..d}^r by weight, blocks in lex order."""
     blocks: dict = {}

@@ -30,11 +30,11 @@ from functools import lru_cache
 from importlib import resources
 
 from .errors import MembershipFailure
-from .hecke import diag_kernel_of_p, idempotents_r3, weight_kernel
+from .hecke import _mul_gen, diag_kernel_of_p, idempotents_r3, weight_kernel
 from .linalg import SubspaceBasis
-from .permutations import (_arrangements, _weights, all_perms, apply_gen,
-                           descends, weight)
-from .qma import FreeElt, _tuple_sub, block_quotient
+from .permutations import (_arrangements, _tuple_sub, _weights, all_perms,
+                           weight)
+from .qma import FreeElt, block_quotient
 from .rmatrix import pi, word_index
 from .scalars import (ONE, ZERO, add_term, omega, parse_scalar, q_int,
                       q_power, qs)
@@ -139,13 +139,7 @@ def _diag_action(coeffs: dict, i: int) -> dict:
     one at T_beta, and the compressed action is alpha -> alpha.si, plus
     omega^2 alpha on a descent.
     """
-    w2 = omega() ** 2
-    out: dict = {}
-    for alpha, c in coeffs.items():
-        add_term(out, apply_gen(alpha, i), c)
-        if descends(alpha, i):
-            add_term(out, alpha, w2 * c)
-    return out
+    return _mul_gen(coeffs, i, omega() ** 2)
 
 
 def preplactic_ideal_component(r: int,

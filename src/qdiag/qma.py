@@ -30,7 +30,7 @@ from functools import lru_cache
 
 from .errors import BlockMismatch, BoundExceeded
 from .linalg import QMatrix, SubspaceBasis, kernel
-from .permutations import _arrangements, _weights, weight
+from .permutations import _arrangements, _tuple_sub, _weights, weight
 from .rmatrix import index_word, rhat
 from .scalars import ONE, ZERO, QScalar, add_term
 
@@ -154,11 +154,6 @@ def _contingency_tables(rows: tuple, cols: tuple) -> int:
     return sum(_contingency_tables(rows[1:],
                                    tuple(c - x for c, x in zip(cols, split)))
                for split in _splits(rows[0], cols))
-
-
-def _tuple_sub(a: tuple, b: tuple):
-    out = tuple(x - y for x, y in zip(a, b))
-    return out if all(x >= 0 for x in out) else None
 
 
 class BlockQuotient:

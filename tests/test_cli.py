@@ -96,6 +96,23 @@ def test_cache_keyed_on_source_digest(tmp_path, capsys, monkeypatch):
     assert len(list(cache.glob("*.json"))) == 2
 
 
+def test_truncated_cache_entry_is_recomputed(tmp_path, capsys):
+    # an interrupted write can leave a partial entry: it is a miss, not a crash
+    cache = tmp_path / "cache"
+    argv = ("run", "systd", "--format", "json", "--cache-dir", str(cache))
+    code, out = run_cli(capsys, *argv)
+    (path,) = cache.glob("*.json")
+    whole = path.read_text()
+    path.write_text(whole[:len(whole) // 2])
+    code2, out2 = run_cli(capsys, *argv)
+    assert code == code2 == 0
+    strip = [{k: v for k, v in report.items() if k != "seconds"}
+             for report in (json.loads(out)[0], json.loads(out2)[0])]
+    assert strip[0] == strip[1]
+    assert json.loads(path.read_text()) == json.loads(out2)[0]
+    assert [p.name for p in cache.iterdir()] == [path.name]
+
+
 def test_out_directory(tmp_path, capsys):
     out_dir = tmp_path / "dumps"
     code, _ = run_cli(capsys, "run", "rhat", "--n", "2", "--out",

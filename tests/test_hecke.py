@@ -1,18 +1,21 @@
 """Hecke algebra arithmetic, idempotents, the double-coset projection."""
 
+import itertools
 import random
 
 import pytest
 
 from qdiag import hecke
-from qdiag.errors import SizeMismatch
+from qdiag.errors import BoundExceeded, SizeMismatch
 from qdiag.hecke import (HeckeElt, diag_kernel_of_p, formal_product,
                          idempotents_r2, idempotents_r3, project_p,
                          projection_matrix, r3_normalizers, t, theta,
                          weight_kernel)
-from qdiag.linalg import kernel
-from qdiag.permutations import (_weights, all_perms, apply_gen, descends,
-                                inverse, perm_of_word, reduced_word, s)
+from qdiag.linalg import QMatrix
+from qdiag.permutations import (_arrangements, _weights, all_perms, apply_gen,
+                                descends, inverse, length, perm_of_word,
+                                reduced_word, s, standardize)
+from qdiag.pplactic import verify_conjecture
 from qdiag.qma import diag_relation_kernel
 from qdiag.scalars import (ONE, Q, ZERO, add_term, omega, q_int, q_power,
                            qs)
@@ -225,10 +228,71 @@ def test_weight_kernel_matches_frt_route(d, r):
         assert hecke_ker.labels == ker.labels
 
 
-def test_projection_matrix_is_the_distinct_letter_case():
-    # at lambda = 1^r the Young subgroup is trivial and M_lambda is P
-    for r in (3, 4):
-        assert diag_kernel_of_p(r) == kernel(projection_matrix(r).transpose())
+def compositions(r):
+    """Every composition of r, each cut set of 1..r-1 once."""
+    for cuts in itertools.product((False, True), repeat=r - 1):
+        lam, part = [], 1
+        for cut in cuts:
+            if cut:
+                lam.append(part)
+                part = 1
+            else:
+                part += 1
+        yield tuple(lam + [part])
+
+
+def folded_projection_rows(lam):
+    """M_lambda from all r! rows of P, folded over the double cosets."""
+    r = sum(lam)
+    perms = all_perms(r)
+    row_of = {standardize(a): k for k, a in enumerate(_arrangements(lam))}
+    blocks = [b for b, k in enumerate(lam) for _ in range(k)]
+    starts = [1 + sum(lam[:b]) for b in range(len(lam))]
+    rows = [{} for _ in row_of]
+    reps = set()
+    for (i, j), c in projection_matrix(r).entries.items():
+        k = row_of.get(perms[i])
+        if k is None:
+            continue
+        p = perms[j]
+        d = hecke._minimal_coset_rep(p, blocks, starts)
+        reps.add(d)
+        add_term(rows[k], d, c * q_power(length(p) - length(d)))
+    col = {d: j for j, d in enumerate(sorted(reps))}
+    return QMatrix(len(rows), len(col), {
+        (k, col[d]): c for k, row in enumerate(rows) for d, c in row.items()})
+
+
+def test_composition_matrix_matches_folded_projection_rows():
+    # at 1^r, d(p) = p and every sigma of S_r occurs as a column
+    for r in range(1, 7):
+        m = projection_matrix(r)
+        assert (m.nrows, m.ncols) == (len(all_perms(r)),) * 2
+    for r in range(1, 6):
+        for lam in compositions(r):
+            assert hecke._composition_matrix(lam) == \
+                folded_projection_rows(lam), lam
+
+
+def test_rank_bound_before_arrangements(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("arrangements enumerated before the rank bound")
+
+    monkeypatch.setattr(hecke, "_arrangements", refuse)
+    with pytest.raises(BoundExceeded, match="^rank 7 exceeds bound 6$"):
+        hecke._composition_matrix((3, 4))
+    with pytest.raises(BoundExceeded, match="^rank 7 exceeds bound 6$"):
+        projection_matrix(7)
+
+
+@pytest.mark.parametrize("r, walked", [(5, 27), (6, 58)])
+def test_conjecture_walks_only_its_rows(r, walked):
+    # the 2-letter compositions of r share their products T_(b^-1) T_b
+    # wherever their arrangements standardize to the same b
+    hecke._structure_constants.cache_clear()
+    hecke._composition_kernel.cache_clear()
+    assert verify_conjecture(2, r)["verdict"] == "PASS"
+    assert hecke._structure_constants.cache_info().currsize == walked
 
 
 def test_zero_parts_strip_on_both_routes():

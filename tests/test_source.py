@@ -65,3 +65,19 @@ def test_tracer_names_resolve():
             if not found:
                 missing.append(f"{module_name}.{name}")
     assert tracer.WRAPPED and not missing, missing
+
+
+def test_conjecture_path_stays_off_the_frt_route():
+    # hecke.py computes the conjecture's kernels; the FRT modules are only
+    # the cross-check, so hecke.py imports neither of them
+    path = Path(qdiag.__file__).parent / "hecke.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[-1] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").split(".")[-1])
+            if not node.module:
+                imported.update(alias.name for alias in node.names)
+    assert "permutations" in imported
+    assert not imported & {"qma", "rmatrix"}, imported
