@@ -415,7 +415,11 @@ def check_conjecture(params) -> dict:
 
 
 def check_properties(params) -> dict:
-    """Randomized suites: field laws, homomorphism property, rank-nullity."""
+    """Randomized suites: field laws, homomorphism property, commutation.
+
+    Rank-nullity is not checked here: ``linalg.kernel`` checks it for every
+    kernel it computes.
+    """
     rng = random.Random(_SEED + 1)
     for _ in range(100):
         a, b, c = (_random_scalar(rng) for _ in range(3))

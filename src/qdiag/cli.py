@@ -23,11 +23,11 @@ from pathlib import Path
 from .checks import ALL_ORDER, CheckReport, check_names, run_many
 from .errors import UnknownCheck
 
-PARAM_KEYS = ("n", "d", "r", "sign", "variant")
+PARAM_KEYS = ("n", "r", "sign", "variant")
 
 
 def _size(text: str) -> int:
-    """A letter count or a degree: an integer of at least 1."""
+    """A letter count, a degree or a worker count: an integer of at least 1."""
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(
             f"expected an integer of at least 1, got {text!r}")
@@ -90,8 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--variant", choices=("concat", "action-closed"),
                       default=None)
     runp.add_argument("--format", choices=("text", "json"), default="text")
-    runp.add_argument("--jobs", type=int, default=1,
-                      help="parallel worker processes for independent checks")
+    runp.add_argument("--jobs", type=_size, default=1,
+                      help="worker processes for independent checks, >= 1")
     runp.add_argument("--out", type=Path, default=None,
                       help="directory for JSON report and dump files")
     runp.add_argument("--cache-dir", type=Path,

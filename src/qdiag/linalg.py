@@ -37,21 +37,16 @@ def _vec_sub_scaled(vec: dict, row: dict, c: QScalar):
 class QMatrix:
     """Sparse matrix over Q(q); entries map (row, col) -> nonzero scalar.
 
-    A matrix is not changed after construction, so ``apply`` can keep the
-    entries grouped by column once they are first needed.
+    A matrix keeps nothing but its shape and entries: no index or cache is
+    filled in after construction.
     """
 
-    __slots__ = ("nrows", "ncols", "entries", "_by_col")
+    __slots__ = ("nrows", "ncols", "entries")
 
     def __init__(self, nrows: int, ncols: int, entries=None):
         self.nrows = nrows
         self.ncols = ncols
-        self._by_col = None
-        self.entries = {}
-        if entries:
-            for key, val in entries.items():
-                if val:
-                    self.entries[key] = val
+        self.entries = {k: v for k, v in (entries or {}).items() if v}
 
     @staticmethod
     def identity(n: int) -> "QMatrix":
@@ -89,20 +84,22 @@ class QMatrix:
                        {key: c * val for key, val in self.entries.items()})
 
     def __mul__(self, other):
+        """Product, one ``dot`` per entry, holding one output row at a time."""
         if not isinstance(other, QMatrix):
             return NotImplemented
         if self.ncols != other.nrows:
             raise DimensionMismatch(
                 f"{self.nrows}x{self.ncols} times {other.nrows}x{other.ncols}")
-        by_row: dict = {}
-        for (k, j), val in other.entries.items():
-            by_row.setdefault(k, []).append((j, val))
-        gathered: dict = {}
-        for (i, k), a in self.entries.items():
-            for j, b in by_row.get(k, ()):
-                gathered.setdefault((i, j), []).append((a, b))
-        return QMatrix(self.nrows, other.ncols,
-                       {key: dot(pairs) for key, pairs in gathered.items()})
+        right = _rows(other)
+        entries = {}
+        for i, row in _rows(self).items():
+            gathered: dict = {}
+            for k, a in row.items():
+                for j, b in right.get(k, {}).items():
+                    gathered.setdefault(j, []).append((a, b))
+            for j, pairs in gathered.items():
+                entries[(i, j)] = dot(pairs)
+        return QMatrix(self.nrows, other.ncols, entries)
 
     def transpose(self) -> "QMatrix":
         return QMatrix(self.ncols, self.nrows,
@@ -112,17 +109,9 @@ class QMatrix:
         return {j: val for (r, j), val in self.entries.items() if r == i}
 
     def apply(self, vec: dict) -> dict:
-        """Matrix times a sparse column vector, visiting only its columns."""
-        by_col = self._by_col
-        if by_col is None:
-            by_col = self._by_col = {}
-            for (i, j), val in self.entries.items():
-                by_col.setdefault(j, []).append((i, val))
-        out: dict = {}
-        for j, c in vec.items():
-            for i, val in by_col.get(j, ()):
-                add_term(out, i, val * c)
-        return out
+        """Matrix times a sparse column vector: the product with one column."""
+        column = QMatrix(self.ncols, 1, {(j, 0): c for j, c in vec.items()})
+        return {i: val for (i, _), val in (self * column).entries.items()}
 
     def to_json(self):
         return {
@@ -179,10 +168,7 @@ class SubspaceBasis:
     def reduce(self, vec: dict) -> dict:
         """Canonical residual of vec modulo this subspace."""
         out = dict(vec)
-        for p, row in zip(self.pivots, self.rows):
-            c = out.get(p)
-            if c is not None:
-                _vec_sub_scaled(out, row, c)
+        _reduce_by(out, dict(zip(self.pivots, self.rows)))
         return out
 
     def contains(self, vec: dict) -> bool:
@@ -208,23 +194,27 @@ class SubspaceBasis:
         return f"SubspaceBasis(dim {self.dim} of {self.ambient})"
 
 
+def _rows(m: QMatrix) -> dict:
+    """The nonzero rows of m, as sparse vectors keyed by row index."""
+    rows: dict = {}
+    for (i, j), val in m.entries.items():
+        rows.setdefault(i, {})[j] = val
+    return rows
+
+
 def _reduce_by(row: dict, pivot_rows: dict):
-    """In place reduction of row against rows keyed by pivot column."""
-    while True:
-        hit = None
-        for c in row:
-            if c in pivot_rows and (hit is None or c < hit):
-                hit = c
-        if hit is None:
-            return
-        _vec_sub_scaled(row, pivot_rows[hit], row[hit])
+    """In place reduction of row against rows keyed by pivot column.
+
+    No pivot row holds another's pivot column, so a subtraction never brings
+    a pivot back: one per pivot column the row holds clears them all.
+    """
+    for p in sorted(row.keys() & pivot_rows.keys()):
+        _vec_sub_scaled(row, pivot_rows[p], row[p])
 
 
 def kernel(m: QMatrix) -> SubspaceBasis:
     """Right kernel {v : m v = 0} as a canonical subspace of Q(q)^ncols."""
-    rows: dict = {}
-    for (i, j), val in m.entries.items():
-        rows.setdefault(i, {})[j] = val
+    rows = _rows(m)
     row_space = SubspaceBasis.from_vectors(
         (rows.get(i, {}) for i in range(m.nrows)), m.ncols)
     pivot_set = set(row_space.pivots)
@@ -238,12 +228,17 @@ def kernel(m: QMatrix) -> SubspaceBasis:
                 vec[p] = -c
         vectors.append(vec)
     basis = SubspaceBasis.from_vectors(vectors, m.ncols)
-    # rank-nullity, and each basis vector really is annihilated (apply groups
-    # the entries by column once, on its first call)
+    # the basis checks itself: rank-nullity, then one product m * basis
     if row_space.dim + basis.dim != m.ncols:
         raise ArithmeticError(
             f"rank {row_space.dim} + nullity {basis.dim} != {m.ncols} columns")
-    for vec in basis.rows:
-        if m.apply(vec):
-            raise ArithmeticError("a kernel vector is not annihilated")
+    columns = QMatrix(m.ncols, basis.dim, {
+        (c, k): val for k, vec in enumerate(basis.rows)
+        for c, val in vec.items()})
+    product = (m * columns).entries
+    if product:
+        i, k = min(product, key=lambda key: (key[1], key[0]))
+        raise ArithmeticError(
+            f"kernel vector {k} (pivot {basis.pivots[k]}) is not annihilated:"
+            f" row {i} gives {product[i, k]}")
     return basis

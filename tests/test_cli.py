@@ -208,8 +208,10 @@ def test_max_block_option_is_gone(capsys):
     ("conjecture", "--d", "3", "--r", "-1"),
     ("preplactic", "--r", "-2"),
     ("preplactic", "--r", "x"),
+    ("systd", "--jobs", "0"),
+    ("systd", "--jobs", "-1"),
 ], ids=["d0", "diag-kernel-n0", "rhat-n0", "r0", "r-1", "preplactic-r-2",
-        "r-not-int"])
+        "r-not-int", "jobs0", "jobs-1"])
 def test_sizes_below_one_are_usage_errors(capsys, argv):
     # refused by the parser: no check runs and no report is printed
     with pytest.raises(SystemExit) as exc:

@@ -92,7 +92,8 @@ def test_apply_matches_row_products():
             if total:
                 expected[i] = total
         assert m.apply(vec) == expected
-        assert m.apply(vec) == expected  # the column index is reused
+    # apply is a product with one column: the matrix keeps no index of its own
+    assert QMatrix.__slots__ == ("nrows", "ncols", "entries")
 
 
 def test_product_matches_triple_loop():
@@ -135,6 +136,50 @@ def test_kernel_independent_of_row_order():
     shuffled = QMatrix(m.nrows, m.ncols, {(order[i], j): v
                                           for (i, j), v in m.entries.items()})
     assert kernel(shuffled) == kernel(m)
+
+
+def _kernel_with_tampered_basis(monkeypatch, m, tamper):
+    """kernel(m), with the basis it builds (its second RREF) tampered with."""
+    build = SubspaceBasis.from_vectors
+    built = []
+
+    def from_vectors(vectors, ambient, labels=None):
+        basis = build(vectors, ambient, labels)
+        built.append(basis)
+        return tamper(basis) if len(built) == 2 else basis
+
+    monkeypatch.setattr(SubspaceBasis, "from_vectors",
+                        staticmethod(from_vectors))
+    return kernel(m)
+
+
+# row 0 is zero, row 1 is (1, 1, w): the kernel has pivots 0 and 1
+GUARDED = QMatrix(2, 3, {(1, 0): ONE, (1, 1): ONE, (1, 2): omega()})
+
+
+def test_kernel_guard_names_the_vector_not_annihilated(monkeypatch):
+    basis = kernel(GUARDED)
+    assert basis.pivots == [0, 1]
+    assert basis.rows[1] == {1: ONE, 2: -omega().inv()}
+
+    def perturb(basis):
+        rows = [dict(row) for row in basis.rows]
+        rows[1][2] = -rows[1][2]
+        return SubspaceBasis(basis.ambient, rows, basis.pivots)
+
+    # (1, 1, w) . (0, 1, 1/w) = 2
+    with pytest.raises(ArithmeticError, match=r"^kernel vector 1 \(pivot 1\) "
+                       r"is not annihilated: row 1 gives 2$"):
+        _kernel_with_tampered_basis(monkeypatch, GUARDED, perturb)
+
+
+def test_kernel_guard_checks_rank_nullity(monkeypatch):
+    def drop_first(basis):
+        return SubspaceBasis(basis.ambient, basis.rows[1:], basis.pivots[1:])
+
+    with pytest.raises(ArithmeticError,
+                       match=r"^rank 1 \+ nullity 1 != 3 columns$"):
+        _kernel_with_tampered_basis(monkeypatch, GUARDED, drop_first)
 
 
 def test_kernel_identity_and_singular():
