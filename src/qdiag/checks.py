@@ -27,8 +27,7 @@ from .pplactic import (hecke_side_kernel, lemma_brute_check,
 from .qma import diag_relation_kernel, expand_diagonal
 from .rmatrix import (generator_matrix, idempotent_block, index_word,
                       multiset_classes, pi, rhat, rhat_reading)
-from .scalars import (ONE, QScalar, add_term, omega, parse_scalar, q_power,
-                      qs)
+from .scalars import ONE, QScalar, add_term, omega, parse_scalar, q_power
 
 __all__ = ["CheckReport", "run_check", "run_many", "CHECKS", "check_names"]
 
@@ -70,12 +69,10 @@ def _data(name: str):
 
 
 def _random_scalar(rng: random.Random) -> QScalar:
+    """A Laurent polynomial of degrees -2..2 plus a constant drawn last."""
     num = {e: rng.randint(-3, 3) for e in range(-2, 3)}
-    out = qs(rng.randint(-2, 2))
-    for e, c in num.items():
-        if c:
-            out = out + qs(c) * q_power(e)
-    return out
+    num[0] += rng.randint(-2, 2)
+    return QScalar(num)
 
 
 def _random_hecke(rng: random.Random, r: int) -> HeckeElt:
@@ -457,7 +454,8 @@ CHECKS = {
     "properties": check_properties,
 }
 
-# dependency order for `all`
+# dependency order for `all`; the two slowest checks lead, so that a pool
+# starts them first and the longest, hecke-axioms, bounds the wall time
 ALL_ORDER = [
     ("properties", {}),
     ("hecke-axioms", {}),
@@ -508,20 +506,33 @@ def run_check(name: str, params: dict) -> CheckReport:
 
 
 def run_many(tasks, jobs: int = 1) -> list:
-    """Run (name, params) tasks, optionally on a process pool.
+    """Run (name, params) tasks on up to `jobs` worker processes.
 
-    Reports come back in task order regardless of completion order.
+    At most one worker per task is started, so a single task never starts a
+    pool; with `jobs` 1, or where no process pool can be made, the tasks run
+    one after another in this process.  Reports come back in task order
+    regardless of completion order, and every worker has exited on return.
     """
     tasks = list(tasks)
     # the pool may fork all its workers at the first submit
     jobs = min(jobs, len(tasks))
-    if jobs <= 1:
+    pool = _process_pool(jobs) if jobs > 1 else None
+    if pool is None:
         return [run_check(name, params) for name, params in tasks]
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with pool:
         futures = [pool.submit(_run_json, name, params)
                    for name, params in tasks]
         return [CheckReport.from_json(f.result()) for f in futures]
+
+
+def _process_pool(jobs: int):
+    """A pool of `jobs` workers, or None where the platform cannot make one
+    (no working POSIX semaphores, for example)."""
+    from concurrent.futures import ProcessPoolExecutor
+    try:
+        return ProcessPoolExecutor(max_workers=jobs)
+    except (OSError, NotImplementedError):
+        return None
 
 
 def _run_json(name: str, params: dict) -> dict:

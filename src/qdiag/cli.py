@@ -34,6 +34,14 @@ def _size(text: str) -> int:
     return int(text)
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 @lru_cache(maxsize=None)
 def _source_digest() -> str:
     """sha256 over the package's .py files and data/*.json, with their names."""
@@ -90,8 +98,10 @@ def build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--variant", choices=("concat", "action-closed"),
                       default=None)
     runp.add_argument("--format", choices=("text", "json"), default="text")
-    runp.add_argument("--jobs", type=_size, default=1,
-                      help="worker processes for independent checks, >= 1")
+    runp.add_argument("--jobs", type=_size, default=_usable_cpus(),
+                      help="worker processes for independent checks, >= 1; "
+                           "default: every CPU this process may use "
+                           "(%(default)s here); 1 runs them serially")
     runp.add_argument("--out", type=Path, default=None,
                       help="directory for JSON report and dump files")
     runp.add_argument("--cache-dir", type=Path,

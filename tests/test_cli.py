@@ -318,3 +318,76 @@ def test_jobs_capped_at_task_count(monkeypatch):
     reports = run_many([("systd", {}), ("braid-identity", {})], jobs=10 ** 6)
     assert asked == [2]
     assert [r.status for r in reports] == ["PASS", "PASS"]
+
+
+def _without_seconds(text):
+    return [{k: v for k, v in r.items() if k != "seconds"}
+            for r in json.loads(text)]
+
+
+@pytest.fixture(scope="module")
+def battery():
+    """`run all` as JSON with the default --jobs and with --jobs 1, and the
+    multiprocessing children left alive after the default run returns."""
+    import contextlib
+    import io
+    import multiprocessing
+    runs = {}
+    for label, extra in (("default", []), ("serial", ["--jobs", "1"])):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["run", "all", "--no-cache", "--format", "json",
+                         *extra])
+        runs[label] = (code, out.getvalue())
+        if label == "default":
+            runs["children"] = multiprocessing.active_children()
+    return runs
+
+
+def test_jobs_default_is_the_usable_cpu_count():
+    args = cli.build_parser().parse_args(["run", "all"])
+    assert args.jobs == len(os.sched_getaffinity(0))
+
+
+def test_run_all_in_parallel_matches_serial(battery):
+    code, out = battery["default"]
+    serial_code, serial_out = battery["serial"]
+    assert code == serial_code == 1  # lemma-brute still reports FAIL
+    assert _without_seconds(out) == _without_seconds(serial_out)
+    assert len(json.loads(out)) == len(checks.ALL_ORDER)
+
+
+def test_run_all_leaves_no_worker_running(battery):
+    assert battery["children"] == []
+
+
+def test_single_check_starts_no_pool(monkeypatch, capsys):
+    import concurrent.futures
+
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a single check started a process pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+    code, out = run_cli(capsys, "run", "systd", "--no-cache", "--jobs", "4")
+    assert code == 0 and out.startswith("PASS systd")
+    code, out = run_cli(capsys, "run", "systd", "--no-cache")
+    assert code == 0 and out.startswith("PASS systd")
+
+
+@pytest.mark.parametrize("error", [OSError, NotImplementedError])
+def test_pool_that_cannot_start_runs_serially(monkeypatch, error):
+    import concurrent.futures
+    from qdiag.checks import run_many
+    tasks = [("systd", {}), ("braid-identity", {})]
+    serial = [r.to_json() for r in run_many(tasks, jobs=1)]
+
+    class BrokenPool:
+        def __init__(self, max_workers):
+            raise error("no semaphores here")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", BrokenPool)
+    reports = [r.to_json() for r in run_many(tasks, jobs=2)]
+    for report in serial + reports:
+        del report["seconds"]
+    assert reports == serial

@@ -308,3 +308,24 @@ def test_dot_matches_sequential_sum():
     assert dot([(a, b)]) == a * b
     assert dot([]) == ZERO and dot([(ZERO, a), (b, ZERO)]) == ZERO
     assert dot([(a, b), (-a, b)]) == ZERO
+
+
+def test_random_check_scalar_matches_sum_of_products():
+    # the construction `checks._random_scalar` used before it built one
+    # QScalar: the oracle for its values and for the draws it makes
+    from qdiag.checks import _random_scalar
+
+    def summed(rng):
+        num = {e: rng.randint(-3, 3) for e in range(-2, 3)}
+        out = qs(rng.randint(-2, 2))
+        for e, c in num.items():
+            if c:
+                out = out + qs(c) * q_power(e)
+        return out
+
+    old, new = random.Random(7), random.Random(7)
+    for _ in range(20_000):
+        want, got = summed(old), _random_scalar(new)
+        assert (got.num, got.den) == (want.num, want.den)
+        assert got.den is want.den  # the shared denominator 1
+    assert new.getstate() == old.getstate()
