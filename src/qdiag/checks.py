@@ -454,8 +454,9 @@ CHECKS = {
     "properties": check_properties,
 }
 
-# dependency order for `all`; the two slowest checks lead, so that a pool
-# starts them first and the longest, hecke-axioms, bounds the wall time
+# dependency order for `all`; the two slowest checks, hecke-axioms and
+# properties, lead, so that a pool starts them first and the short checks
+# fill in behind them
 ALL_ORDER = [
     ("properties", {}),
     ("hecke-axioms", {}),

@@ -8,8 +8,9 @@ so right multiplication by a generator is
 
 and the basis product T_p T_rho walks the reduced word of rho.  Its terms
 are the structure constants of H_r, Laurent polynomials in q, held in one
-cache per (p, rho) that every product here reads; a general product gathers
-each coefficient of the result with one ``scalars.dot``.
+cache per (p, rho) that every product here reads; a general product passes
+the triples (c_p, d_rho, s) of all its coefficients to one
+``scalars.gather``.
 
 T^alpha denotes T_(alpha^-1); the double-coset projection of a diagonal
 element sum c_alpha T^alpha (x) T_alpha is p = sum c_alpha T_(alpha^-1) T_alpha.
@@ -58,8 +59,8 @@ from .permutations import (
     _arrangements, _check_rank, all_perms, apply_gen, descends, identity,
     inverse, length, perm_of_word, perm_str, reduced_word, sign, standardize,
 )
-from .scalars import (ONE, ZERO, QScalar, add_term, bar, dot, omega, q_int,
-                      q_power, qs)
+from .scalars import (ONE, ZERO, QScalar, add_term, bar, gather, omega,
+                      q_int, q_power, qs)
 
 __all__ = [
     "HeckeElt", "t", "project_p",
@@ -118,11 +119,9 @@ class HeckeElt:
         gathered: dict = {}
         for p, c in self.terms.items():
             for rho, d in other.terms.items():
-                cd = c * d
                 for sigma, s in _structure_constants(p, rho).items():
-                    gathered.setdefault(sigma, []).append((cd, s))
-        return HeckeElt(self.r, {sigma: dot(pairs)
-                                 for sigma, pairs in gathered.items()})
+                    gathered.setdefault(sigma, []).append((c, d, s))
+        return HeckeElt(self.r, gather(gathered))
 
     def coeff(self, p) -> QScalar:
         return self.terms.get(p, ZERO)

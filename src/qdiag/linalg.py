@@ -22,7 +22,7 @@ needed (the relation rows are short and the full suite runs in seconds).
 from __future__ import annotations
 
 from .errors import DimensionMismatch
-from .scalars import ONE, ZERO, QScalar, add_term, dot
+from .scalars import ONE, ZERO, QScalar, add_term, gather
 
 __all__ = ["QMatrix", "SubspaceBasis", "kernel"]
 
@@ -84,7 +84,11 @@ class QMatrix:
                        {key: c * val for key, val in self.entries.items()})
 
     def __mul__(self, other):
-        """Product, one ``dot`` per entry, holding one output row at a time."""
+        """Product, one ``scalars.gather`` call per output row.
+
+        A call per row keeps only that row's products in memory; one call
+        for the whole product would hold them all at once.
+        """
         if not isinstance(other, QMatrix):
             return NotImplemented
         if self.ncols != other.nrows:
@@ -97,8 +101,8 @@ class QMatrix:
             for k, a in row.items():
                 for j, b in right.get(k, {}).items():
                     gathered.setdefault(j, []).append((a, b))
-            for j, pairs in gathered.items():
-                entries[(i, j)] = dot(pairs)
+            for j, val in gather(gathered).items():
+                entries[(i, j)] = val
         return QMatrix(self.nrows, other.ncols, entries)
 
     def transpose(self) -> "QMatrix":

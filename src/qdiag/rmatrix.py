@@ -25,7 +25,7 @@ from .errors import BoundExceeded
 from .hecke import HeckeElt, idempotents_r3
 from .linalg import QMatrix
 from .permutations import reduced_word
-from .scalars import ONE, Q, add_term, dot, omega, q_power
+from .scalars import ONE, Q, add_term, gather, omega, q_power
 
 __all__ = [
     "rhat", "rhat_reading", "pi", "word_index", "index_word",
@@ -169,8 +169,7 @@ def pi(x: HeckeElt, n: int) -> QMatrix:
     for p, c in x.terms.items():
         for key, val in _basis_matrix(p, n).entries.items():
             gathered.setdefault(key, []).append((c, val))
-    return QMatrix(dim, dim, {key: dot(pairs)
-                              for key, pairs in gathered.items()})
+    return QMatrix(dim, dim, gather(gathered))
 
 
 def idempotent_block(m: QMatrix, words, n: int) -> list:

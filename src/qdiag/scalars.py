@@ -26,16 +26,26 @@ the boundaries: rational constants (``qs``), parsing, evaluation and the
 text form, which divides by the denominator's leading coefficient.
 
 Sparse combinations have two primitives.  ``add_term`` scatters: it adds one
-scalar into a dict entry.  ``dot`` gathers: it returns the sum of a * b over
-a list of pairs, the shape of every matrix, Hecke and representation
-product, and canonicalizes once per group of products instead of once per
-product.  Grouping by equal denominators is exact: the products with
-denominators (da, db) sum to (sum of num_a num_b)/(da db), and the one
-canonicalization of that fraction gives the unique form that term-by-term
-addition would reach.
+scalar into a dict entry.  ``gather`` gathers: it takes {key: [factor tuple,
+...]}, the shape of every matrix, Hecke and representation product, and
+returns {key: sum of the products of its tuples} without the zero sums.
+It packs (Kronecker substitution): each distinct numerator of the call is
+read once at q = 2^k, divided by q^low for the lowest exponent low of the
+call, so each product in a sum is one integer product, and each sum is
+unpacked once: its base-2^k digits, taken in -2^(k-1)..2^(k-1)-1, are its
+coefficients.  This is exact.  A coefficient of a sum of products is at
+most the sum, over its products, of the product of the factors' L1 norms
+(the sums of their absolute coefficients), and k is chosen so that 2^(k-1)
+exceeds that bound for every sum of the call.  The sums are taken per
+group of products with equal denominators: products over (d1, ..., dm) sum
+to (sum of num1 ... numm)/(d1 ... dm), and one canonicalization of that
+fraction per group gives the unique form that term-by-term addition would
+reach.
 
->>> str(dot([(q_int(2), omega()), (ONE / q_int(2), q_int(2))]))
-'q^2 + 1 - q^-2'
+>>> terms = {"x": [(q_int(2), omega()), (ONE / q_int(2), q_int(2))],
+...          "y": [(Q, Q), (-Q, Q)]}
+>>> {key: str(value) for key, value in gather(terms).items()}
+{'x': 'q^2 + 1 - q^-2'}
 
 >>> str(q_int(3))
 'q^2 + 1 + q^-2'
@@ -50,15 +60,17 @@ True
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from operator import index
+from functools import reduce
+from itertools import chain, repeat
+from math import gcd, prod
+from operator import attrgetter, index, mul
 
 from .errors import PoleAtPoint
 
 __all__ = [
     "QScalar", "ZERO", "ONE", "Q",
     "qs", "q_power", "q_int", "omega", "bar", "parse_scalar", "add_term",
-    "dot",
+    "gather",
 ]
 
 
@@ -80,48 +92,141 @@ def add_term(d: dict, key, c) -> None:
         del d[key]
 
 
-def dot(pairs) -> "QScalar":
-    """Sum of a * b over a list of scalar pairs, canonicalized per group.
+def gather(terms: dict) -> dict:
+    """{key: sum of the products of its factor tuples}, zero sums dropped.
 
-    The products are grouped by their pair of denominators (da, db); within
-    a group the numerator products accumulate in one integer dict, which is
-    canonicalized once over da * db.  A single pair, or a group of one, is
-    the ordinary product: a one-pair dot costs one multiply.
+    ``terms`` maps each key to a list of tuples of scalars.  A key with one
+    tuple gets the ordinary product.  The products of the other keys are
+    summed per group of equal denominators in one packed integer each, as
+    the module docstring describes, and each group is canonicalized once.
     """
-    if len(pairs) == 1:
-        a, b = pairs[0]
-        return a * b
-    groups: dict = {}
-    for a, b in pairs:
-        if a.num and b.num:
-            da, db = a.den, b.den
-            key = (None if da is _ONE_COEFFS else frozenset(da.items()),
-                   None if db is _ONE_COEFFS else frozenset(db.items()))
-            groups.setdefault(key, []).append((a, b))
-    total = None
-    for group in groups.values():
-        if len(group) == 1:
-            a, b = group[0]
-            part = a * b
-        else:
-            acc: dict = {}
-            get = acc.get
-            for a, b in group:
-                an, bn = a.num, b.num
-                if len(an) > len(bn):
-                    an, bn = bn, an
-                for e1, c1 in an.items():
-                    for e2, c2 in bn.items():
-                        e = e1 + e2
-                        acc[e] = get(e, 0) + c1 * c2
-            acc = {e: c for e, c in acc.items() if c}
-            a, b = group[0]
-            if a.den is _ONE_COEFFS and b.den is _ONE_COEFFS:
-                part = _scalar(acc, _ONE_COEFFS) if acc else ZERO
-            else:
-                part = _canon(acc, _pmul(a.den, b.den))
-        total = part if total is None else total + part
-    return ZERO if total is None else total
+    sums = [tuples for tuples in terms.values() if len(tuples) > 1]
+    packing = _Packing(sums) if sums else None
+    out = {}
+    for key, tuples in terms.items():
+        value = (reduce(mul, tuples[0]) if len(tuples) == 1
+                 else packing.sum_of(tuples))
+        if value:
+            out[key] = value
+    return out
+
+
+_num_of = attrgetter("num")
+_den_of = attrgetter("den")
+
+
+def _factors(sums: list):
+    """Every factor of every product of the sums, in order."""
+    return chain.from_iterable(chain.from_iterable(sums))
+
+
+class _Packing:
+    """The distinct numerators of the sums of one ``gather`` call, packed.
+
+    Each is read once at q = 2^k and divided by q^low, for the lowest
+    exponent low of the call.  A coefficient of a sum is at most the sum,
+    over its products, of the product of the factors' L1 norms.  With at
+    most ``most`` products per sum, ``width`` factors per product and L1
+    norm ``top`` per factor, that is at most most * top ** width, and k is
+    the least integer with 2^(k-1) above it: so every coefficient of
+    a sum is one balanced base-2^k digit of its packed value.
+    """
+
+    def __init__(self, sums: list):
+        scalars = dict(zip(map(id, _factors(sums)), _factors(sums)))
+        nums = list(map(_num_of, scalars.values()))
+        sizes = set(map(len, chain.from_iterable(sums)))
+        most = max(map(len, sums))
+        top = max(map(sum, map(map, repeat(abs), map(dict.values, nums))))
+        width = max(sizes)
+        self.k = k = (most * top ** width).bit_length() + 1
+        self.low = low = min(map(min, filter(None, nums)), default=0)
+        kl = k * low
+        packed = {}
+        for i, num in zip(scalars, nums):
+            v = 0
+            for e, c in num.items():
+                v += c << (k * e - kl)
+            packed[i] = v
+        self.get = packed.__getitem__
+        dens = list(map(_den_of, scalars.values()))
+        den_ids = dict(zip(map(id, dens), dens))
+        # with every denominator 1 and one size, each sum is one group
+        self.plain = len(sizes) == 1 and den_ids.keys() == {id(_ONE_COEFFS)}
+        if self.plain:
+            return
+        # the class of a denominator: 0 for 1, else one small int per
+        # distinct denominator, so that equal ones in distinct dicts agree
+        classes: dict = {}
+        class_of = {i: 0 if d is _ONE_COEFFS else classes.setdefault(
+                        tuple(sorted(d.items())), len(classes) + 1)
+                    for i, d in den_ids.items()}
+        self.dens = {c: dict(d) for d, c in classes.items()}
+        self.cls = dict(zip(scalars, map(class_of.__getitem__,
+                                         map(id, dens)))).__getitem__
+        self.groups: dict = {}
+        self.group_dens: dict = {}
+
+    def sum_of(self, tuples: list) -> QScalar:
+        """The sum of the products of the factor tuples of one key."""
+        get, k, low = self.get, self.k, self.low
+        if self.plain:
+            value = sum([prod(map(get, map(id, t))) for t in tuples])
+            if not value:
+                return ZERO
+            return _scalar(_unpack(value, k, len(tuples[0]) * low),
+                           _ONE_COEFFS)
+        # a group is the number of factors and their sorted nonzero classes
+        parts: dict = {}
+        for t in tuples:
+            ids = tuple(map(id, t))
+            shape = tuple(map(self.cls, ids))
+            group = self.groups.get(shape)
+            if group is None:
+                group = self.groups[shape] = (
+                    len(t), tuple(sorted(c for c in shape if c)))
+            parts[group] = parts.get(group, 0) + prod(map(get, ids))
+        total = None
+        for (n, shape), value in parts.items():
+            if value:
+                acc = _unpack(value, k, n * low)
+                part = (_canon(acc, self._den(shape)) if shape
+                        else _scalar(acc, _ONE_COEFFS))
+                total = part if total is None else total + part
+        return total
+
+    def _den(self, shape: tuple) -> dict:
+        """The product of the denominators of a group's classes, cached."""
+        den = self.group_dens.get(shape)
+        if den is None:
+            den = self.dens[shape[0]]
+            for c in shape[1:]:
+                den = _pmul(den, self.dens[c])
+            self.group_dens[shape] = den
+        return den
+
+
+def _unpack(value: int, k: int, low: int) -> dict:
+    """The Laurent polynomial whose balanced base-2^k digits make value.
+
+    Digit i, taken in -2^(k-1)..2^(k-1)-1, is the coefficient of q^(low+i).
+    """
+    out = {}
+    base = 1 << k
+    mask = base - 1
+    half = base >> 1
+    zeros = ((value & -value).bit_length() - 1) // k
+    value >>= k * zeros
+    e = low + zeros
+    while value:
+        c = value & mask
+        if c >= half:
+            c -= base
+        if c:
+            out[e] = c
+        value = (value - c) >> k
+        e += 1
+    return out
 
 
 def _integer(c) -> int:

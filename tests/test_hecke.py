@@ -108,6 +108,32 @@ def test_product_matches_generator_walk():
                 assert x * y == walk_product(x, y)
 
 
+def test_product_matches_structure_constant_sum():
+    # the oracle: one add_term of c * d * s per structure constant s of
+    # T_p T_rho, for every pair of terms c T_p of x and d T_rho of y
+    rng = random.Random(53)
+    e2, e11 = idempotents_r2()
+    by_rank = {2: [e2, e11, e2 - e11], 3: list(idempotents_r3()), 4: []}
+    by_rank[3] += [rand_elt(rng, 3), rand_rational_elt(rng, 3, 5)]
+    for _ in range(4):
+        by_rank[4] += [rand_elt(rng, 4), rand_rational_elt(rng, 4, 6)]
+    for r, xs in by_rank.items():
+        for x in xs:
+            for y in xs:
+                want: dict = {}
+                for p, c in x.terms.items():
+                    for rho, d in y.terms.items():
+                        for sigma, s in hecke._structure_constants(
+                                p, rho).items():
+                            add_term(want, sigma, c * d * s)
+                assert (x * y).terms == want
+    # the idempotents carry the denominators [2], [3] and c3, and products
+    # of orthogonal ones cancel in every coefficient
+    e3, ep, em, e111 = idempotents_r3()
+    assert not e3 * ep and not ep * em and not em * e111
+    assert e3 * e3 == e3 and ep * ep == ep
+
+
 def test_reduced_word_independence():
     # assembling T_sigma from any split of any reduced word agrees
     for p in all_perms(4):

@@ -107,15 +107,29 @@ def test_product_matches_triple_loop():
                 entries[(i, c)] = v / rng.choice(dens)
         return QMatrix(nrows, ncols, entries)
 
+    def kernel_columns(m):
+        basis = kernel(m)
+        return QMatrix(m.ncols, basis.dim, {
+            (c, k): v for k, vec in enumerate(basis.rows)
+            for c, v in vec.items()})
+
+    pairs = []
     for _ in range(20):
         n, k, m = rng.randint(1, 5), rng.randint(1, 6), rng.randint(1, 5)
-        a, b = rand_matrix(n, k), rand_matrix(k, m)
+        pairs.append((rand_matrix(n, k), rand_matrix(k, m)))
+    # the shape of kernel's self-check, m times a basis of its kernel: every
+    # entry of the product is a sum of products that cancels
+    for a in (projection_matrix(4).transpose(), rand_matrix(3, 5)):
+        pairs.append((a, kernel_columns(a)))
+    for a, b in pairs:
         data: dict = {}
         for (i, l), x in a.entries.items():
             for (l2, j), y in b.entries.items():
                 if l == l2:
                     add_term(data, (i, j), x * y)
-        assert a * b == QMatrix(n, m, data)
+        assert a * b == QMatrix(a.nrows, b.ncols, data)
+    assert all(not (a * b).entries and a.entries and b.entries
+               for a, b in pairs[-2:])
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -97,6 +97,10 @@ def test_pi_is_the_sum_of_scaled_basis_matrices():
             for p, c in x.terms.items():
                 expected = expected + _basis_matrix(p, n).scale(c)
             assert pi(x, n) == expected
+    # the antisymmetrizer of rank 3 kills V^(x)3 for dim V = 2: every entry
+    # of its image is a sum that cancels
+    e111 = idempotents_r3()[3]
+    assert pi(e111, 2).is_zero() and not pi(e111, 3).is_zero()
 
 
 def test_multiset_zero_pattern():

@@ -8,8 +8,8 @@ from math import gcd
 import pytest
 
 from qdiag.errors import PoleAtPoint
-from qdiag.scalars import (ONE, Q, QScalar, ZERO, add_term, bar, dot, omega,
-                           parse_scalar, q_int, q_power, qs)
+from qdiag.scalars import (ONE, Q, QScalar, ZERO, add_term, bar, gather,
+                           omega, parse_scalar, q_int, q_power, qs)
 
 
 def rand_scalar(rng, nonzero=False):
@@ -263,12 +263,31 @@ def assert_canonical(x):
     assert (den is ONE.den) == (den == {0: 1})
 
 
-def test_dot_matches_sequential_sum():
+def _sum_term_by_term(terms):
+    # the oracle: one ordinary product and one add_term per term
+    sums: dict = {}
+    for key, tuples in terms.items():
+        for t in tuples:
+            product = ONE
+            for x in t:
+                product = product * x
+            add_term(sums, key, product)
+    return sums
+
+
+def test_gather_matches_term_by_term_sum():
     rng = random.Random(41)
 
     def laurent():
         return qs(rng.randint(-3, 3)) * q_power(rng.randint(-2, 2)) + \
             qs(rng.randint(-2, 2)) * q_power(rng.randint(-2, 2))
+
+    def huge():
+        # coefficients past 2^70 and an exponent span past 60 force a
+        # packing width far beyond 64 bits
+        return QScalar({rng.randint(-40, -30): rng.choice((1, -1)) << 70,
+                        rng.randint(30, 40): rng.randint(-(1 << 72), 1 << 72),
+                        0: rng.randint(-3, 3)})
 
     def same_den(x):
         # equal to x, over an equal denominator that is another dict object
@@ -277,37 +296,65 @@ def test_dot_matches_sequential_sum():
         return y
 
     shared = [q_int(2), q_int(3), Q + qs(2), qs(3), qs(Fraction(1, 2))]
-    for _ in range(60):
+    seen_huge = False
+    for trial in range(80):
         dens = rng.sample(shared, k=rng.randint(1, 3))
-        pairs = []
-        for _ in range(rng.randint(2, 8)):
-            kind = rng.randrange(5)
-            if kind == 0:    # denominator 1 on both sides
-                a, b = laurent(), laurent()
-            elif kind == 1:  # a denominator shared with other pairs
-                a, b = laurent() / rng.choice(dens), laurent()
-            elif kind == 2:  # equal denominators in distinct dicts
-                a = same_den(laurent() / rng.choice(dens))
-                b = same_den(laurent() / rng.choice(dens))
-            elif kind == 3:  # unequal denominators from the random scalars
-                a, b = rand_scalar(rng), rand_scalar(rng)
-            else:            # a zero factor
-                a, b = ZERO, laurent() / rng.choice(dens)
-            pairs.append((a, b) if rng.random() < 0.5 else (b, a))
-        # a few sums that cancel to 0
-        if rng.random() < 0.3:
-            pairs += [(-a, b) for a, b in pairs]
-        sums: dict = {}
-        for a, b in pairs:
-            add_term(sums, 0, a * b)
-        got = dot(pairs)
-        assert got == sums.get(0, ZERO)
-        assert_canonical(got)
-    # a single pair is the product; an empty or all-zero list is 0
+        terms = {}
+        for key in range(rng.randint(1, 5)):
+            tuples = []
+            for _ in range(rng.randint(1, 6)):
+                # every fourth call has one size of tuple, the others mix
+                size = rng.choice((2, 3)) if trial % 4 else 2 + trial % 8 // 4
+                kind = rng.randrange(6)
+                if kind == 0:    # denominator 1 throughout
+                    t = [laurent() for _ in range(size)]
+                elif kind == 1:  # a denominator shared with other terms
+                    t = [laurent() / rng.choice(dens)] + \
+                        [laurent() for _ in range(size - 1)]
+                elif kind == 2:  # equal denominators in distinct dicts
+                    t = [same_den(laurent() / rng.choice(dens))
+                         for _ in range(size)]
+                elif kind == 3:  # unequal denominators
+                    t = [rand_scalar(rng) for _ in range(size)]
+                elif kind == 4:  # a zero factor
+                    t = [laurent() / rng.choice(dens) for _ in range(size)]
+                    t[rng.randrange(size)] = ZERO
+                else:
+                    t = [huge()] + [laurent() for _ in range(size - 1)]
+                    seen_huge = True
+                rng.shuffle(t)
+                tuples.append(tuple(t))
+            # a sum that cancels: the key must be dropped
+            if rng.random() < 0.3:
+                tuples += [(-t[0],) + t[1:] for t in tuples]
+            terms[key] = tuples
+        want = _sum_term_by_term(terms)
+        got = gather(terms)
+        assert got == want
+        for x in got.values():
+            assert x
+            assert_canonical(x)
+    assert seen_huge
+    # every denominator 1 and one size: each key is a single group
+    for size in (2, 3):
+        terms = {key: [tuple(laurent() for _ in range(size))
+                       for _ in range(rng.randint(1, 6))]
+                 for key in range(6)}
+        terms[6] = terms[0] + [(-t[0],) + t[1:] for t in terms[0]]
+        assert gather(terms) == _sum_term_by_term(terms)
+        assert 6 not in gather(terms)
+    # the widest packing really is past 64 bits
+    x = QScalar({-30: 1 << 70, 30: 1})
+    assert gather({0: [(x, x), (x, -x), (x, q_power(1))]}) == {0: x * Q}
+    # three factors whose product reaches the cube of their L1 norm
+    y = QScalar({0: 1 << 40, 1: 1 << 40, 2: 1 << 40})
+    assert gather({0: [(y, y, y), (y, y, -Q)]}) == {0: y * y * y - y * y * Q}
+    # one term is the ordinary product; empty, zero and cancelling sums drop
     a, b = ONE / q_int(2), Q / (Q + qs(2))
-    assert dot([(a, b)]) == a * b
-    assert dot([]) == ZERO and dot([(ZERO, a), (b, ZERO)]) == ZERO
-    assert dot([(a, b), (-a, b)]) == ZERO
+    assert gather({"k": [(a, b)]}) == {"k": a * b}
+    assert gather({}) == {}
+    assert gather({0: [(ZERO, a), (b, ZERO)], 1: [(a, ZERO)]}) == {}
+    assert gather({0: [(a, b), (-a, b)], 1: [(a, b, a)]}) == {1: a * b * a}
 
 
 def test_random_check_scalar_matches_sum_of_products():

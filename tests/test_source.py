@@ -3,6 +3,10 @@
 import ast
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import qdiag
@@ -81,3 +85,34 @@ def test_conjecture_path_stays_off_the_frt_route():
                 imported.update(alias.name for alias in node.names)
     assert "permutations" in imported
     assert not imported & {"qma", "rmatrix"}, imported
+
+
+def test_gather_is_the_one_sum_of_products():
+    # every sum of products goes through scalars.gather; no second kernel
+    from qdiag import scalars
+    assert "gather" in scalars.__all__ and not hasattr(scalars, "dot")
+    importers = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.ImportFrom) and node.module == "scalars"
+                    and any(a.name == "gather" for a in node.names)):
+                importers.add(path.name)
+    assert {"hecke.py", "linalg.py", "rmatrix.py"} <= importers, importers
+
+
+def test_reports_do_not_depend_on_assert():
+    # `python -O` strips assert statements; the packed products of
+    # hecke-axioms must give the same report without them
+    src = str(Path(qdiag.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    reports = []
+    for flags in ([], ["-O"]):
+        out = subprocess.run(
+            [sys.executable, *flags, "-m", "qdiag.cli", "run", "hecke-axioms",
+             "--no-cache", "--format", "json"],
+            env=env, check=True, capture_output=True, text=True).stdout
+        reports.append([{k: v for k, v in r.items() if k != "seconds"}
+                        for r in json.loads(out)])
+    assert reports[0] == reports[1]
+    assert reports[0][0]["status"] == "PASS"
