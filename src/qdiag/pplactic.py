@@ -280,16 +280,14 @@ def _apply_rules(terms: dict, rules: dict, quotient) -> dict:
     raise MembershipFailure("substitution rules did not terminate")
 
 
-def _restrict_to_diagonal(sign: int, i_word: tuple) -> dict:
+def _restrict_to_diagonal(first, second, i_word: tuple) -> dict:
     """Reduce L^(sign) at the diagonal multi-index to diagonal letter words.
 
     Builds sum_KL [e_sign]^I_K [e_-sign]^L_I x^K_L from the represented
-    idempotents, rewrites it into diagonal words with the substitution
-    tables, and returns {letter word: coefficient}.
+    idempotents first = pi(e_sign, 3) and second = pi(e_-sign, 3), rewrites
+    it into diagonal words with the substitution tables, and returns
+    {letter word: coefficient}.
     """
-    _, ep, em, _ = idempotents_r3()
-    first = pi(ep if sign > 0 else em, 3)
-    second = pi(em if sign > 0 else ep, 3)
     arrangements = sorted(set(itertools.permutations(i_word)))
     i_idx = word_index(i_word, 3)
     terms = {}
@@ -345,7 +343,9 @@ def lemma_brute_check(sign: int) -> dict:
     orthogonality facts.
     """
     _, ep, em, _ = idempotents_r3()
-    ortho = (pi(ep, 3) * pi(em, 3)).is_zero() and (pi(em, 3) * pi(ep, 3)).is_zero()
+    plus, minus = pi(ep, 3), pi(em, 3)
+    ortho = (plus * minus).is_zero() and (minus * plus).is_zero()
+    first, second = (plus, minus) if sign > 0 else (minus, plus)
     w = omega()
     expected = {
         "12": {"reference": q_int(2) / (qs(4) * w * q_int(3))},
@@ -363,7 +363,7 @@ def lemma_brute_check(sign: int) -> dict:
     report = {"sign": "plus" if sign > 0 else "minus",
               "orthogonality": ortho, "weights": {}}
     for key, i_word, gen in cases:
-        diag = _restrict_to_diagonal(sign, i_word)
+        diag = _restrict_to_diagonal(first, second, i_word)
         word0, c0 = next(iter(sorted(gen.terms.items())))
         c = diag.get(word0, ZERO) / c0
         exact = diag == {wd: c * cc for wd, cc in gen.terms.items()}

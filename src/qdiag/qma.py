@@ -31,7 +31,7 @@ from functools import lru_cache
 from .errors import BlockMismatch, BoundExceeded
 from .linalg import QMatrix, SubspaceBasis, kernel
 from .permutations import _arrangements, _tuple_sub, _weights, weight
-from .rmatrix import index_word, rhat
+from .rmatrix import degree2_relation, rhat
 from .scalars import ONE, ZERO, QScalar, add_term
 
 __all__ = [
@@ -106,20 +106,11 @@ def _degree2_relations(n: int) -> tuple:
     Each vector is a dict over length-2 words keyed by ((e,f),(g,h)).
     """
     m = rhat(n)
-    rows: dict = {}
-    cols: dict = {}
-    for (i, j), val in m.entries.items():
-        rows.setdefault(index_word(i, n, 2), {})[index_word(j, n, 2)] = val
-        cols.setdefault(index_word(j, n, 2), {})[index_word(i, n, 2)] = val
     out = []
     seen = set()
     for upper in itertools.product(range(1, n + 1), repeat=2):
         for lower in itertools.product(range(1, n + 1), repeat=2):
-            vec: dict = {}
-            for ef, val in rows.get(upper, {}).items():
-                add_term(vec, (ef, lower), val)
-            for ef, val in cols.get(lower, {}).items():
-                add_term(vec, (upper, ef), -val)
+            vec = degree2_relation(m, n, upper, lower)
             if not vec:
                 continue
             frozen = tuple(sorted((w, str(c)) for w, c in vec.items()))

@@ -29,8 +29,8 @@ from .scalars import ONE, Q, add_term, gather, omega, q_power
 
 __all__ = [
     "rhat", "rhat_reading", "pi", "word_index", "index_word",
-    "generator_matrix", "idempotent_block", "appendix_blocks",
-    "multiset_classes", "DIM_BOUND",
+    "degree2_relation", "generator_matrix", "idempotent_block",
+    "appendix_blocks", "multiset_classes", "DIM_BOUND",
 ]
 
 DIM_BOUND = 4096
@@ -79,23 +79,30 @@ def _satisfies_braid(m: QMatrix, n: int) -> bool:
     return r12 * r23 * r12 == r23 * r12 * r23
 
 
-def _exchange_matches(m: QMatrix, n: int) -> bool:
-    """Does the induced degree-2 relation read x^2_1 x^1_1 = q x^1_1 x^2_1?
+def degree2_relation(m: QMatrix, n: int, upper: tuple, lower: tuple) -> dict:
+    """Entry (upper, lower) of m (x (x) x) - (x (x) x) m as a relation vector.
 
-    The relation vector attached to matrix entry ((2,1), (1,1)) of
-    rhat (x (x) x) - (x (x) x) rhat is computed directly; generators x^a_b are
-    coordinatized as length-2 words (upper pair | lower pair).
+    It is sum_ef m^upper_ef x^ef_lower - sum_ef x^upper_ef m^ef_lower, with
+    the generators x^a_b coordinatized as length-2 words: a dict keyed by
+    (upper pair, lower pair).
     """
+    row = word_index(upper, n)
+    col = word_index(lower, n)
+    vec: dict = {}
+    for (i, k), val in m.entries.items():
+        if i == row:
+            add_term(vec, (index_word(k, n, 2), lower), val)
+    for (i, k), val in m.entries.items():
+        if k == col:
+            add_term(vec, (upper, index_word(i, n, 2)), -val)
+    return vec
+
+
+def _exchange_matches(m: QMatrix, n: int) -> bool:
+    """Does the induced degree-2 relation read x^2_1 x^1_1 = q x^1_1 x^2_1?"""
     if n < 2:
         return True
-    coeffs: dict = {}
-    row = word_index((2, 1), n)
-    col = word_index((1, 1), n)
-    for (i, k), val in m.entries.items():
-        if i == row:  # sum_ef rhat^(21)_(ef) x^e_1 x^f_1
-            add_term(coeffs, (index_word(k, n, 2), (1, 1)), val)
-        if k == col:  # sum_ef x^2_e x^1_f rhat^(ef)_(11)
-            add_term(coeffs, ((2, 1), index_word(i, n, 2)), -val)
+    coeffs = degree2_relation(m, n, (2, 1), (1, 1))
     lo = coeffs.get(((1, 2), (1, 1)))   # x^1_1 x^2_1
     hi = coeffs.get(((2, 1), (1, 1)))   # x^2_1 x^1_1
     if lo is None or hi is None or len(coeffs) != 2:

@@ -33,14 +33,17 @@ It packs (Kronecker substitution): each distinct numerator of the call is
 read once at q = 2^k, divided by q^low for the lowest exponent low of the
 call, so each product in a sum is one integer product, and each sum is
 unpacked once: its base-2^k digits, taken in -2^(k-1)..2^(k-1)-1, are its
-coefficients.  This is exact.  A coefficient of a sum of products is at
-most the sum, over its products, of the product of the factors' L1 norms
-(the sums of their absolute coefficients), and k is chosen so that 2^(k-1)
-exceeds that bound for every sum of the call.  The sums are taken per
-group of products with equal denominators: products over (d1, ..., dm) sum
-to (sum of num1 ... numm)/(d1 ... dm), and one canonicalization of that
-fraction per group gives the unique form that term-by-term addition would
-reach.
+coefficients.  Each distinct denominator, an ordinary polynomial, is read
+once at q = 2^k as it is.  This is exact.  A coefficient of a sum of
+products is at most the sum, over its products, of the product of the
+factors' L1 norms (the sums of their absolute coefficients), and k is
+chosen so that 2^(k-1) exceeds that bound for every sum of the call and
+every product of its denominators; so equal packed denominators are equal
+polynomials.  The sums are taken per group of products whose factors have
+equal packed denominators: products over (d1, ..., dm) sum to (sum of
+num1 ... numm)/(d1 ... dm), the denominator unpacked from the product of
+the packed ones, and one canonicalization of that fraction per group gives
+the unique form that term-by-term addition would reach.
 
 >>> terms = {"x": [(q_int(2), omega()), (ONE / q_int(2), q_int(2))],
 ...          "y": [(Q, Q), (-Q, Q)]}
@@ -121,51 +124,41 @@ def _factors(sums: list):
 
 
 class _Packing:
-    """The distinct numerators of the sums of one ``gather`` call, packed.
+    """The distinct numerators and denominators of one ``gather`` call, packed.
 
-    Each is read once at q = 2^k and divided by q^low, for the lowest
-    exponent low of the call.  A coefficient of a sum is at most the sum,
-    over its products, of the product of the factors' L1 norms.  With at
-    most ``most`` products per sum, ``width`` factors per product and L1
-    norm ``top`` per factor, that is at most most * top ** width, and k is
-    the least integer with 2^(k-1) above it: so every coefficient of
-    a sum is one balanced base-2^k digit of its packed value.
+    Each numerator is read once at q = 2^k and divided by q^low, for the
+    lowest exponent low of the call; each denominator, an ordinary
+    polynomial, is read once at q = 2^k as it is.  A coefficient of a sum is
+    at most the sum, over its products, of the product of the factors' L1
+    norms, and a coefficient of a product of denominators at most the
+    product of their L1 norms.  With at most ``most`` products per sum,
+    ``width`` factors per product and L1 norm ``top`` per numerator or
+    denominator, both are at most most * top ** width, and k is the least
+    integer with 2^(k-1) above it: so every such coefficient is one balanced
+    base-2^k digit of its packed value, and equal packed denominators are
+    equal polynomials.
     """
 
     def __init__(self, sums: list):
         scalars = dict(zip(map(id, _factors(sums)), _factors(sums)))
         nums = list(map(_num_of, scalars.values()))
+        dens = list(map(_den_of, scalars.values()))
+        distinct = dict(zip(map(id, dens), dens))
         sizes = set(map(len, chain.from_iterable(sums)))
+        # with every denominator 1 and one size, each sum is one group
+        self.plain = len(sizes) == 1 and distinct.keys() == {id(_ONE_COEFFS)}
         most = max(map(len, sums))
-        top = max(map(sum, map(map, repeat(abs), map(dict.values, nums))))
+        top = max(map(sum, map(map, repeat(abs), map(
+            dict.values, chain(nums, distinct.values())))))
         width = max(sizes)
         self.k = k = (most * top ** width).bit_length() + 1
         self.low = low = min(map(min, filter(None, nums)), default=0)
-        kl = k * low
-        packed = {}
-        for i, num in zip(scalars, nums):
-            v = 0
-            for e, c in num.items():
-                v += c << (k * e - kl)
-            packed[i] = v
-        self.get = packed.__getitem__
-        dens = list(map(_den_of, scalars.values()))
-        den_ids = dict(zip(map(id, dens), dens))
-        # with every denominator 1 and one size, each sum is one group
-        self.plain = len(sizes) == 1 and den_ids.keys() == {id(_ONE_COEFFS)}
-        if self.plain:
-            return
-        # the class of a denominator: 0 for 1, else one small int per
-        # distinct denominator, so that equal ones in distinct dicts agree
-        classes: dict = {}
-        class_of = {i: 0 if d is _ONE_COEFFS else classes.setdefault(
-                        tuple(sorted(d.items())), len(classes) + 1)
-                    for i, d in den_ids.items()}
-        self.dens = {c: dict(d) for d, c in classes.items()}
-        self.cls = dict(zip(scalars, map(class_of.__getitem__,
-                                         map(id, dens)))).__getitem__
-        self.groups: dict = {}
-        self.group_dens: dict = {}
+        packed = [_pack(p, k, low) for p in nums]
+        self.get = dict(zip(scalars, packed)).__getitem__
+        if not self.plain:
+            dens_packed = {i: _pack(d, k, 0) for i, d in distinct.items()}
+            self.den = dict(zip(scalars, [dens_packed[id(d)]
+                                          for d in dens])).__getitem__
 
     def sum_of(self, tuples: list) -> QScalar:
         """The sum of the products of the factor tuples of one key."""
@@ -176,34 +169,29 @@ class _Packing:
                 return ZERO
             return _scalar(_unpack(value, k, len(tuples[0]) * low),
                            _ONE_COEFFS)
-        # a group is the number of factors and their sorted nonzero classes
+        # a group is the tuple of its factors' packed denominators
         parts: dict = {}
         for t in tuples:
             ids = tuple(map(id, t))
-            shape = tuple(map(self.cls, ids))
-            group = self.groups.get(shape)
-            if group is None:
-                group = self.groups[shape] = (
-                    len(t), tuple(sorted(c for c in shape if c)))
+            group = tuple(map(self.den, ids))
             parts[group] = parts.get(group, 0) + prod(map(get, ids))
-        total = None
-        for (n, shape), value in parts.items():
+        total = ZERO
+        for group, value in parts.items():
             if value:
-                acc = _unpack(value, k, n * low)
-                part = (_canon(acc, self._den(shape)) if shape
-                        else _scalar(acc, _ONE_COEFFS))
-                total = part if total is None else total + part
+                num = _unpack(value, k, len(group) * low)
+                den = prod(group)
+                part = (_scalar(num, _ONE_COEFFS) if den == 1
+                        else _canon(num, _unpack(den, k, 0)))
+                total = total + part if total else part
         return total
 
-    def _den(self, shape: tuple) -> dict:
-        """The product of the denominators of a group's classes, cached."""
-        den = self.group_dens.get(shape)
-        if den is None:
-            den = self.dens[shape[0]]
-            for c in shape[1:]:
-                den = _pmul(den, self.dens[c])
-            self.group_dens[shape] = den
-        return den
+
+def _pack(p: dict, k: int, low: int) -> int:
+    """The value of q^-low p at q = 2^k: the inverse of ``_unpack``."""
+    v = 0
+    for e, c in p.items():
+        v += c << (k * (e - low))
+    return v
 
 
 def _unpack(value: int, k: int, low: int) -> dict:

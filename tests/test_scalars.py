@@ -296,7 +296,11 @@ def test_gather_matches_term_by_term_sum():
         return y
 
     shared = [q_int(2), q_int(3), Q + qs(2), qs(3), qs(Fraction(1, 2))]
-    seen_huge = False
+    # denominators with coefficients past 2^70: the packing width must
+    # cover the denominators too
+    huge_dens = [QScalar({0: rng.randint(-(1 << 72), 1 << 72),
+                          1: rng.randint(1, 3) << 70}) for _ in range(3)]
+    kinds = set()
     for trial in range(80):
         dens = rng.sample(shared, k=rng.randint(1, 3))
         terms = {}
@@ -305,7 +309,8 @@ def test_gather_matches_term_by_term_sum():
             for _ in range(rng.randint(1, 6)):
                 # every fourth call has one size of tuple, the others mix
                 size = rng.choice((2, 3)) if trial % 4 else 2 + trial % 8 // 4
-                kind = rng.randrange(6)
+                kind = rng.randrange(7)
+                kinds.add(kind)
                 if kind == 0:    # denominator 1 throughout
                     t = [laurent() for _ in range(size)]
                 elif kind == 1:  # a denominator shared with other terms
@@ -319,9 +324,11 @@ def test_gather_matches_term_by_term_sum():
                 elif kind == 4:  # a zero factor
                     t = [laurent() / rng.choice(dens) for _ in range(size)]
                     t[rng.randrange(size)] = ZERO
-                else:
+                elif kind == 5:
                     t = [huge()] + [laurent() for _ in range(size - 1)]
-                    seen_huge = True
+                else:            # a small numerator over a huge denominator
+                    t = [laurent() / rng.choice(huge_dens)] + \
+                        [laurent() for _ in range(size - 1)]
                 rng.shuffle(t)
                 tuples.append(tuple(t))
             # a sum that cancels: the key must be dropped
@@ -334,7 +341,7 @@ def test_gather_matches_term_by_term_sum():
         for x in got.values():
             assert x
             assert_canonical(x)
-    assert seen_huge
+    assert kinds == set(range(7))
     # every denominator 1 and one size: each key is a single group
     for size in (2, 3):
         terms = {key: [tuple(laurent() for _ in range(size))

@@ -101,18 +101,21 @@ def test_gather_is_the_one_sum_of_products():
 
 
 def test_reports_do_not_depend_on_assert():
-    # `python -O` strips assert statements; the packed products of
-    # hecke-axioms must give the same report without them
+    # `python -O` strips assert statements; the packed products must give
+    # the same reports without them, on both paths of the packing: the
+    # denominator-1 sums of hecke-axioms and the rational-function groups
+    # of idempotents
     src = str(Path(qdiag.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-    reports = []
-    for flags in ([], ["-O"]):
-        out = subprocess.run(
-            [sys.executable, *flags, "-m", "qdiag.cli", "run", "hecke-axioms",
-             "--no-cache", "--format", "json"],
-            env=env, check=True, capture_output=True, text=True).stdout
-        reports.append([{k: v for k, v in r.items() if k != "seconds"}
-                        for r in json.loads(out)])
-    assert reports[0] == reports[1]
-    assert reports[0][0]["status"] == "PASS"
+    for check in ("hecke-axioms", "idempotents"):
+        reports = []
+        for flags in ([], ["-O"]):
+            out = subprocess.run(
+                [sys.executable, *flags, "-m", "qdiag.cli", "run", check,
+                 "--no-cache", "--format", "json"],
+                env=env, check=True, capture_output=True, text=True).stdout
+            reports.append([{k: v for k, v in r.items() if k != "seconds"}
+                            for r in json.loads(out)])
+        assert reports[0] == reports[1]
+        assert reports[0][0]["status"] == "PASS"
