@@ -23,7 +23,7 @@ from pathlib import Path
 from .checks import ALL_ORDER, CheckReport, check_names, run_many
 from .errors import UnknownCheck
 
-PARAM_KEYS = ("n", "r", "sign", "variant")
+PARAM_KEYS = ("n", "r", "sign")
 
 
 def _size(text: str) -> int:
@@ -95,8 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--r", dest="r", type=_size, default=None,
                       help="tensor degree, >= 1")
     runp.add_argument("--sign", choices=("plus", "minus"), default=None)
-    runp.add_argument("--variant", choices=("concat", "action-closed"),
-                      default=None)
     runp.add_argument("--format", choices=("text", "json"), default="text")
     runp.add_argument("--jobs", type=_size, default=_usable_cpus(),
                       help="worker processes for independent checks, >= 1; "
@@ -144,7 +142,6 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    reports = []
     pending = []
     slots = {}
     use_cache = not args.no_cache

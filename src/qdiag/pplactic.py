@@ -10,8 +10,9 @@ generators are, with [a,b] = ab - ba and [u,v]_{q^2} = uv - q^2 vu,
 
 giving C(d,3) + 2 C(d,2) generators in total.  On the Hecke side the
 standardized distinct-letter generator spans the degree-3 pre-plactic ideal;
-its degree-r components are compared against the exact kernel of the
-double-coset projection, and the letter-word ideal components are compared,
+its degree-r concatenation ideal is compared against the exact kernel of the
+double-coset projection (its closure under the Hecke action is only
+recorded), and the letter-word ideal components are compared,
 weight by weight, against the kernels of the diagonal expansion of the
 quantum matrix algebra, which ``hecke.weight_kernel`` computes on the Hecke
 side.  Both comparisons are canonical-subspace equalities over Q(q).
@@ -127,37 +128,23 @@ def hecke_side_kernel(r: int) -> SubspaceBasis:
     return diag_kernel_of_p(r)
 
 
-def _diag_action(coeffs: dict, i: int) -> dict:
-    """Left module action of T_si on a diagonal vector, then compression.
+def preplactic_ideal_component(r: int) -> SubspaceBasis:
+    """The degree-r concatenation ideal ``ideal_component((1,) * r)``,
+    closed under the left module action of the Hecke generators on the
+    diagonal space of H_r (x) H_r; zero below degree 3.
 
     The action T_rho . Ttilde^sigma = T_(rho^-1) T_(sigma^-1) (x) T_sigma T_rho
-    lands in the full two-sided tensor square; the result is compressed back
-    to the diagonal coordinates (T_(beta^-1), T_beta).  The right factor is
-    T_alpha T_si = T_(alpha.si), plus omega T_alpha when alpha descends at i.
-    The anti-involution T_w -> T_(w^-1) maps it to the left factor
-    T_si T_(alpha^-1), so the left coefficient at T_(beta^-1) equals the right
-    one at T_beta, and the compressed action is alpha -> alpha.si, plus
-    omega^2 alpha on a descent.
-    """
-    return _mul_gen(coeffs, i, omega() ** 2)
-
-
-def preplactic_ideal_component(r: int,
-                               variant: str = "concat") -> SubspaceBasis:
-    """Degree-r pre-plactic ideal inside the diagonal space of H_r (x) H_r.
-
-    variant 'concat' is the two-sided concatenation ideal of the standardized
-    distinct-letter generator; 'action-closed' additionally closes it under
-    the left module action of the Hecke generators.  Below degree 3, the
-    degree of the generators, the ideal is zero.
+    is compressed back to the diagonal coordinates (T_(beta^-1), T_beta).
+    The right factor is T_alpha T_si = T_(alpha.si), plus omega T_alpha when
+    alpha descends at i.  The anti-involution T_w -> T_(w^-1) maps it to the
+    left factor T_si T_(alpha^-1), so the left coefficient at T_(beta^-1)
+    equals the right one at T_beta, and the compressed action of T_si is
+    alpha -> alpha.si, plus omega^2 alpha on a descent.
     """
     perms = all_perms(r)
     base = ideal_component((1,) * r)
-    if variant == "concat":
-        return base
-    if variant != "action-closed":
-        raise ValueError(f"unknown variant {variant!r}")
     index = {p: i for i, p in enumerate(perms)}
+    w2 = omega() ** 2
     # Semi-naive closure: each round maps only the rows whose pivot is new.
     # Those rows and the old span span the new span, so the images of the
     # old rows are already in it.
@@ -167,7 +154,7 @@ def preplactic_ideal_component(r: int,
         for row in fresh:
             coeffs = {perms[i]: c for i, c in row.items()}
             for i in range(1, r):
-                image = _diag_action(coeffs, i)
+                image = _mul_gen(coeffs, i, w2)
                 new_rows.append({index[p]: c for p, c in image.items()})
         bigger = SubspaceBasis.from_vectors(new_rows, len(perms),
                                             labels=perms)

@@ -6,11 +6,11 @@
     v_a (x) v_b  ->  v_b (x) v_a + (q - q^-1) v_a (x) v_b  a > b,
     v_a (x) v_a  ->  q v_a (x) v_a.
 
-The placement of the (q - q^-1) term (descending pairs, as above, versus its
-transpose on ascending pairs) is an index-convention choice; both candidates
-satisfy the quadratic and braid relations, so construction selects the one
-whose induced quadratic exchange relations have the form
-x^j_k x^i_k = q x^i_k x^j_k for j > i, and records the choice.
+The (q - q^-1) term sits on descending pairs.  Its transpose on ascending
+pairs also satisfies the quadratic and braid relations, so the placement is
+an index convention: the descending one is the one whose induced quadratic
+exchange relations read x^j_k x^i_k = q x^i_k x^j_k for j > i, and
+construction checks all three relations.
 
 ``pi`` extends sigma |-> rhat at positions (i, i+1) to an algebra map of
 H_r(q) into End(V^(x)r) via reduced words.
@@ -52,7 +52,7 @@ def index_word(idx: int, n: int, r: int) -> tuple:
     return tuple(reversed(word))
 
 
-def _rhat_candidate(n: int, omega_on_descending: bool) -> QMatrix:
+def _rhat_candidate(n: int) -> QMatrix:
     w = omega()
     entries = {}
     for a in range(1, n + 1):
@@ -62,7 +62,7 @@ def _rhat_candidate(n: int, omega_on_descending: bool) -> QMatrix:
                 entries[(col, col)] = Q
                 continue
             entries[(word_index((b, a), n), col)] = ONE
-            if (a > b) == omega_on_descending:
+            if a > b:
                 entries[(col, col)] = w
     return QMatrix(n * n, n * n, entries)
 
@@ -111,30 +111,24 @@ def _exchange_matches(m: QMatrix, n: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _rhat_with_reading(n: int):
-    for reading, flag in (("descending", True), ("ascending", False)):
-        m = _rhat_candidate(n, flag)
-        if not _satisfies_quadratic(m):
-            raise ArithmeticError(f"{reading} braid matrix fails the quadratic"
-                                  f" relation, n={n}")
-        if n >= 2 and not _satisfies_braid(m, n):
-            raise ArithmeticError(f"{reading} braid matrix fails the braid"
-                                  f" relation, n={n}")
-        if _exchange_matches(m, n):
-            return m, reading
-    raise ArithmeticError("no index reading reproduces the exchange relations")
-
-
 def rhat(n: int) -> QMatrix:
     """The braid matrix on V (x) V for dim V = n."""
     if n < 1:
         raise ValueError("dim V must be positive")
-    return _rhat_with_reading(n)[0]
+    m = _rhat_candidate(n)
+    for relation, holds in (("quadratic", _satisfies_quadratic(m)),
+                            ("braid", n < 2 or _satisfies_braid(m, n)),
+                            ("exchange", _exchange_matches(m, n))):
+        if not holds:
+            raise ArithmeticError(f"braid matrix fails the {relation}"
+                                  f" relation, n={n}")
+    return m
 
 
 def rhat_reading(n: int) -> str:
-    """Which mixed pairs carry the omega term ('descending' or 'ascending')."""
-    return _rhat_with_reading(n)[1]
+    """Which mixed pairs carry the omega term: always 'descending'."""
+    rhat(n)
+    return "descending"
 
 
 def _embed(m: QMatrix, n: int, r: int, pos: int) -> QMatrix:

@@ -63,7 +63,7 @@ True
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import chain, repeat
 from math import gcd, prod
 from operator import attrgetter, index, mul
@@ -159,6 +159,7 @@ class _Packing:
             dens_packed = {i: _pack(d, k, 0) for i, d in distinct.items()}
             self.den = dict(zip(scalars, [dens_packed[id(d)]
                                           for d in dens])).__getitem__
+            self.group_dens: dict = {}  # group -> its unpacked denominator
 
     def sum_of(self, tuples: list) -> QScalar:
         """The sum of the products of the factor tuples of one key."""
@@ -175,13 +176,18 @@ class _Packing:
             ids = tuple(map(id, t))
             group = tuple(map(self.den, ids))
             parts[group] = parts.get(group, 0) + prod(map(get, ids))
+        group_dens = self.group_dens
         total = ZERO
         for group, value in parts.items():
             if value:
                 num = _unpack(value, k, len(group) * low)
-                den = prod(group)
-                part = (_scalar(num, _ONE_COEFFS) if den == 1
-                        else _canon(num, _unpack(den, k, 0)))
+                den = group_dens.get(group)
+                if den is None:
+                    den = prod(group)
+                    den = group_dens[group] = (
+                        _ONE_COEFFS if den == 1 else _unpack(den, k, 0))
+                part = (_scalar(num, den) if den is _ONE_COEFFS
+                        else _canon(num, den))
                 total = total + part if total else part
         return total
 
@@ -328,7 +334,9 @@ def _pseudo_rem(a: list, b: list) -> list:
     return []
 
 
-def _gcd_dense(a: list, b: list):
+# canonicalization meets the same pairs again and again
+@lru_cache(maxsize=1 << 16)
+def _poly_gcd(a: tuple, b: tuple):
     """Primitive gcd with positive leading coefficient; None when it is 1."""
     a, b = _primitive(a), _primitive(b)
     if len(a) < len(b):
@@ -358,22 +366,6 @@ def _exact_div(a: list, g: list) -> list:
     if any(r[len(r) - ng + 1:]):
         raise ArithmeticError("polynomial gcd leaves a remainder")
     return quo
-
-
-_gcd_cache: dict = {}
-
-
-def _poly_gcd(a: list, b: list):
-    key = (tuple(a), tuple(b))
-    try:
-        return _gcd_cache[key]
-    except KeyError:
-        pass
-    g = _gcd_dense(a, b)
-    if len(_gcd_cache) > 1 << 16:
-        _gcd_cache.clear()
-    _gcd_cache[key] = g
-    return g
 
 
 def _scalar(num: dict, den: dict) -> "QScalar":
@@ -406,7 +398,7 @@ def _cancel(num: dict, den: dict):
     t = min(num)
     a = _dense(num, t)
     b = _dense(den)
-    g = _poly_gcd(a, b)
+    g = _poly_gcd(tuple(a), tuple(b))
     if g is None:
         return num, den
     return _sparse(_exact_div(a, g), t), _sparse(_exact_div(b, g))

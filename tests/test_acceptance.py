@@ -21,9 +21,9 @@ from qdiag.hecke import (HeckeElt, formal_product, idempotents_r2,
 from qdiag.linalg import QMatrix, SubspaceBasis
 from qdiag.permutations import (all_perms, inverse, perm_of_word, reduced_word,
                                 s)
-from qdiag.pplactic import (hecke_side_kernel, lemma_brute_check,
-                            ppk_generators, preplactic_ideal_component,
-                            verify_conjecture)
+from qdiag.pplactic import (hecke_side_kernel, ideal_component,
+                            lemma_brute_check, ppk_generators,
+                            preplactic_ideal_component, verify_conjecture)
 from qdiag.qma import (FreeElt, diag_relation_kernel, expand_diagonal,
                        membership)
 from qdiag.rmatrix import (generator_matrix, idempotent_block, index_word,
@@ -195,8 +195,8 @@ def test_criterion_09_preplactic_kernel():
     ok = hecke_side_kernel(3).dim == 1
     ker4 = hecke_side_kernel(4)
     results = {}
-    for variant in ("concat", "action-closed"):
-        basis = preplactic_ideal_component(4, variant)
+    for variant, basis in (("concat", ideal_component((1,) * 4)),
+                           ("action-closed", preplactic_ideal_component(4))):
         results[variant] = {
             "dim": basis.dim,
             "contained": all(ker4.contains(r) for r in basis.rows),

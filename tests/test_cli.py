@@ -193,11 +193,18 @@ def test_weight_count_bound_is_skip_report(capsys, monkeypatch, argv):
         "BoundExceeded: 288720400 weights of degree 3 over 1200 letters")
 
 
-def test_max_block_option_is_gone(capsys):
-    with pytest.raises(SystemExit):
-        main(["run", "conjecture", "--d", "3", "--r", "4",
-              "--max-block", "10"])
-    assert "unrecognized arguments: --max-block" in capsys.readouterr().err
+@pytest.mark.parametrize("argv", [
+    ("conjecture", "--d", "3", "--r", "4", "--max-block", "10"),
+    ("preplactic", "--variant", "concat"),
+], ids=["max-block", "variant"])
+def test_max_block_option_is_gone(capsys, argv):
+    # refused by the parser: no check runs and no report is printed
+    with pytest.raises(SystemExit) as exc:
+        main(["run", *argv, "--no-cache", "--format", "json"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in captured.err
 
 
 @pytest.mark.parametrize("argv", [
@@ -355,6 +362,16 @@ def test_run_all_in_parallel_matches_serial(battery):
     assert code == serial_code == 1  # lemma-brute still reports FAIL
     assert _without_seconds(out) == _without_seconds(serial_out)
     assert len(json.loads(out)) == len(checks.ALL_ORDER)
+
+
+def test_sign_option_selects_the_battery_entry(capsys, battery):
+    code, out = run_cli(capsys, "run", "appendix", "--sign", "minus",
+                        "--no-cache", "--format", "json")
+    assert code == 0
+    (entry,) = [r for r in _without_seconds(battery["serial"][1])
+                if r["check"] == "appendix"
+                and r["params"] == {"sign": "minus"}]
+    assert _without_seconds(out) == [entry]
 
 
 def test_run_all_leaves_no_worker_running(battery):

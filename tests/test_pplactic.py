@@ -8,11 +8,11 @@ import pytest
 from qdiag import pplactic
 from qdiag.checks import run_check
 from qdiag.errors import BoundExceeded
-from qdiag.hecke import project_p, t
+from qdiag.hecke import _mul_gen, project_p, t
 from qdiag.permutations import (_arrangements, _weights, all_perms, inverse,
                                 s, weight)
 from qdiag.linalg import SubspaceBasis
-from qdiag.pplactic import (_diag_action, hecke_side_kernel, ideal_component,
+from qdiag.pplactic import (hecke_side_kernel, ideal_component,
                             lemma_brute_check, ppk_generators,
                             preplactic_ideal_component, verify_conjecture)
 from qdiag.scalars import ONE, ZERO, add_term, omega, q_int, q_power, qs
@@ -121,7 +121,7 @@ def test_degree4_component_dimension_pinned():
 
 
 def test_preplactic_degree3():
-    basis = preplactic_ideal_component(3)
+    basis = ideal_component((1, 1, 1))
     assert basis.dim == 1
     perms = all_perms(3)
     row = basis.rows[0]
@@ -145,10 +145,10 @@ def test_generator_halves_hit_braid_words():
 
 def test_preplactic_degree4_variants():
     ker = hecke_side_kernel(4)
-    concat = preplactic_ideal_component(4, "concat")
+    concat = ideal_component((1,) * 4)
     assert all(ker.contains(row) for row in concat.rows)
     assert concat == ker
-    closed = preplactic_ideal_component(4, "action-closed")
+    closed = preplactic_ideal_component(4)
     assert closed.dim >= concat.dim
     # the compressed action closure overshoots the kernel
     assert not all(ker.contains(row) for row in closed.rows)
@@ -156,7 +156,7 @@ def test_preplactic_degree4_variants():
 
 def test_preplactic_degree5_concat_matches_kernel():
     ker = hecke_side_kernel(5)
-    concat = preplactic_ideal_component(5, "concat")
+    concat = ideal_component((1,) * 5)
     assert concat.dim == ker.dim == 59
     assert concat == ker
 
@@ -174,26 +174,26 @@ def test_semi_naive_closure_matches_naive(r):
     # naive closure: map every row of the span each round
     perms = all_perms(r)
     index = {p: i for i, p in enumerate(perms)}
-    span = preplactic_ideal_component(r, "concat")
+    span = ideal_component((1,) * r)
     while True:
         rows = list(span.rows)
         for row in span.rows:
             coeffs = {perms[i]: c for i, c in row.items()}
             for i in range(1, r):
-                image = _diag_action(coeffs, i)
+                image = _mul_gen(coeffs, i, omega() ** 2)
                 rows.append({index[p]: c for p, c in image.items()})
         bigger = SubspaceBasis.from_vectors(rows, len(perms))
         if bigger.dim == span.dim:
             break
         span = bigger
-    assert preplactic_ideal_component(r, "action-closed") == bigger
+    assert preplactic_ideal_component(r) == bigger
 
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5])
 def test_closed_form_action_matches_hecke_products(r):
     for alpha in all_perms(r):
         for i in range(1, r):
-            assert _diag_action({alpha: ONE}, i) == \
+            assert _mul_gen({alpha: ONE}, i, omega() ** 2) == \
                 hecke_product_action({alpha: ONE}, i, r)
 
 
@@ -216,10 +216,11 @@ def test_one_ideal_per_composition():
     verify_conjecture(3, 5)
     assert len(_weights(3, 5)) == 21
     assert pplactic._composition_ideal.cache_info().currsize == 11
-    # both pre-plactic variants start from the one distinct-letter component
+    # the concatenation ideal and its action closure start from the one
+    # distinct-letter component
     pplactic._composition_ideal.cache_clear()
-    preplactic_ideal_component(4, "concat")
-    preplactic_ideal_component(4, "action-closed")
+    ideal_component((1,) * 4)
+    preplactic_ideal_component(4)
     assert pplactic._composition_ideal.cache_info().misses == 1
 
 
@@ -303,12 +304,9 @@ def test_preplactic_bounds():
     with pytest.raises(BoundExceeded):
         preplactic_ideal_component(7)
     for r in (1, 2):
-        for variant in ("concat", "action-closed"):
-            zero = preplactic_ideal_component(r, variant)
+        for zero in (ideal_component((1,) * r), preplactic_ideal_component(r)):
             assert zero.dim == 0 and zero.ambient == len(all_perms(r))
             assert zero == hecke_side_kernel(r)
-    with pytest.raises(ValueError):
-        preplactic_ideal_component(4, "bogus")
 
 
 @pytest.mark.parametrize("sign", [1, -1])

@@ -6,14 +6,16 @@ from importlib import resources
 
 import pytest
 
+from qdiag import rmatrix
 from qdiag.errors import BoundExceeded
 from qdiag.hecke import HeckeElt, idempotents_r3, t
 from qdiag.linalg import QMatrix
 from qdiag.permutations import all_perms, s
-from qdiag.rmatrix import (_basis_matrix, generator_matrix, idempotent_block,
-                           index_word, multiset_classes, pi, rhat,
-                           rhat_reading)
-from qdiag.scalars import ONE, Q, parse_scalar, q_int, q_power, qs
+from qdiag.rmatrix import (_basis_matrix, _exchange_matches, _satisfies_braid,
+                           _satisfies_quadratic, generator_matrix,
+                           idempotent_block, index_word, multiset_classes, pi,
+                           rhat, rhat_reading, word_index)
+from qdiag.scalars import ONE, Q, omega, parse_scalar, q_int, q_power, qs
 
 
 def test_rhat_dimension_one():
@@ -37,9 +39,35 @@ def test_braid_relation_on_cube():
 
 
 def test_reading_recorded():
-    for n in (2, 3, 4):
-        assert rhat_reading(n) in ("descending", "ascending")
-    assert rhat_reading(2) == rhat_reading(3) == rhat_reading(4)
+    for n in (1, 2, 3, 4):
+        assert rhat_reading(n) == "descending"
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_ascending_placement_fails_only_the_exchange_relation(n):
+    # the transposed convention, omega on ascending pairs, is a braid matrix
+    # too; only the induced exchange relation tells the two apart
+    entries = {}
+    for a in range(1, n + 1):
+        for b in range(1, n + 1):
+            col = word_index((a, b), n)
+            if a == b:
+                entries[(col, col)] = Q
+                continue
+            entries[(word_index((b, a), n), col)] = ONE
+            if a < b:
+                entries[(col, col)] = omega()
+    ascending = QMatrix(n * n, n * n, entries)
+    assert ascending != rhat(n)
+    assert _satisfies_quadratic(ascending) and _satisfies_braid(ascending, n)
+    assert not _exchange_matches(ascending, n)
+    assert _exchange_matches(rhat(n), n)
+
+
+def test_failed_relation_names_n(monkeypatch):
+    monkeypatch.setattr(rmatrix, "_exchange_matches", lambda m, n: False)
+    with pytest.raises(ArithmeticError, match="exchange relation, n=2"):
+        rhat.__wrapped__(2)
 
 
 def test_frozen_dim2_entries():

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import importlib.util
+import argparse
 import json
 import os
 import subprocess
@@ -119,3 +120,20 @@ def test_reports_do_not_depend_on_assert():
                             for r in json.loads(out)])
         assert reports[0] == reports[1]
         assert reports[0][0]["status"] == "PASS"
+
+
+def test_every_run_option_is_exercised():
+    # an option that no test passes is a choice that nothing checks
+    from qdiag import cli
+    (sub,) = [a for a in cli.build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    literals = {node.value
+                for path in Path(__file__).parent.glob("*.py")
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.Constant)
+                and isinstance(node.value, str)}
+    options = [a.option_strings for a in sub.choices["run"]._actions
+               if a.option_strings and not isinstance(a, argparse._HelpAction)]
+    missing = [aliases for aliases in options
+               if not literals & set(aliases)]
+    assert options and not missing, missing
