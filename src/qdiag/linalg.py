@@ -17,14 +17,19 @@ every other row, so any order of the same rows gives the same data.
 Every arithmetic step re-canonicalizes, which keeps entries reduced; at the
 block sizes this package works with, no extra denominator-clearing pass is
 needed (the relation rows are short and the full suite runs in seconds).
+
+``rank_mod_p`` is the one computation over a prime field: the rank of
+integer rows, which the rank certificate of ``pplactic`` reads.
 """
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
+
 from .errors import DimensionMismatch
 from .scalars import ONE, ZERO, QScalar, add_term, gather
 
-__all__ = ["QMatrix", "SubspaceBasis", "kernel"]
+__all__ = ["QMatrix", "SubspaceBasis", "kernel", "rank_mod_p"]
 
 
 def _vec_sub_scaled(vec: dict, row: dict, c: QScalar):
@@ -246,3 +251,41 @@ def kernel(m: QMatrix) -> SubspaceBasis:
             f"kernel vector {k} (pivot {basis.pivots[k]}) is not annihilated:"
             f" row {i} gives {product[i, k]}")
     return basis
+
+
+def rank_mod_p(rows, p: int) -> int:
+    """Rank over F_p of sparse integer rows {column: value}.
+
+    An echelon form with no back-substitution is enough for a rank.  Each
+    pivot row holds no column left of its pivot, so a row is reduced from
+    its leftmost column on (a heap of its columns; a subtraction only adds
+    columns right of the one it clears) until that column is a new pivot.
+    Rows are taken sparsest first, as in ``SubspaceBasis.from_vectors``.
+    """
+    pivot_rows: dict = {}
+    for vec in sorted(rows, key=len):
+        row = {j: v % p for j, v in vec.items() if v % p}
+        heap = list(row)
+        heapify(heap)
+        while heap:
+            j = heappop(heap)
+            c = row.get(j)
+            if c is None:
+                continue
+            pivot = pivot_rows.get(j)
+            if pivot is None:
+                inv = pow(c, -1, p)
+                pivot_rows[j] = {k: v * inv % p for k, v in row.items()}
+                break
+            for k, v in pivot.items():
+                old = row.get(k)
+                if old is None:
+                    row[k] = -c * v % p
+                    heappush(heap, k)
+                else:
+                    new = (old - c * v) % p
+                    if new:
+                        row[k] = new
+                    else:
+                        del row[k]
+    return len(pivot_rows)

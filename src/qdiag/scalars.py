@@ -73,7 +73,7 @@ from .errors import PoleAtPoint
 __all__ = [
     "QScalar", "ZERO", "ONE", "Q",
     "qs", "q_power", "q_int", "omega", "bar", "parse_scalar", "add_term",
-    "gather",
+    "gather", "value_mod",
 ]
 
 
@@ -582,6 +582,17 @@ def bar(c: QScalar) -> QScalar:
     """The field automorphism q -> q^-1."""
     return _canon({-e: v for e, v in c.num.items()},
                   {-e: v for e, v in c.den.items()})
+
+
+def value_mod(c: QScalar, a: int, p: int) -> int:
+    """c at q = a in F_p, for a Laurent polynomial c and a unit a mod p.
+
+    q -> a is a ring map from Z[q, q^-1] to F_p; a scalar with a denominator
+    other than 1 raises ValueError, since q = a may be one of its poles.
+    """
+    if c.den is not _ONE_COEFFS:
+        raise ValueError(f"{c} is not a Laurent polynomial")
+    return sum(v * pow(a, e, p) for e, v in c.num.items()) % p
 
 
 # -- text form -------------------------------------------------------------

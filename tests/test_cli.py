@@ -149,6 +149,7 @@ def test_bound_exceeded_is_skip_report(capsys, monkeypatch):
 
     monkeypatch.setattr(qma.BlockQuotient, "__init__", refuse)
     monkeypatch.setattr(pplactic, "ideal_component", refuse)
+    monkeypatch.setattr(pplactic, "_composition_generators", refuse)
     code, out = run_cli(capsys, "run", "conjecture", "--d", "3", "--r", "7",
                         "--no-cache", "--format", "json")
     assert code == 2
@@ -163,6 +164,21 @@ def test_bound_exceeded_is_skip_report(capsys, monkeypatch):
     assert out.startswith("SKIP conjecture")
     assert "reason: BoundExceeded: rank 7 exceeds bound 6" in out
     assert out.rstrip().endswith("0 failure(s), 1 skipped")
+
+
+def test_conjecture_report_equals_benchmark_reference(capsys):
+    # the pinned frt-d3r5 report, read and never written here
+    path = (Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+            / "frt-d3r5.json")
+    reference = json.loads(path.read_text())
+    argv = ["run", "conjecture", "--d", "3", "--r", "5", "--no-cache",
+            "--format", "json"]
+    assert reference["argv"] == argv and reference["exit_status"] == 0
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    reports = [{k: v for k, v in report.items() if k != "seconds"}
+               for report in json.loads(out)]
+    assert reports == reference["reports"]
 
 
 def test_large_alphabet_degree_one_passes(capsys):

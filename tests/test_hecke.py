@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from qdiag import hecke
+from qdiag import hecke, pplactic
 from qdiag.errors import BoundExceeded, SizeMismatch
 from qdiag.hecke import (HeckeElt, diag_kernel_of_p, formal_product,
                          idempotents_r2, idempotents_r3, project_p,
@@ -317,6 +317,7 @@ def test_conjecture_walks_only_its_rows(r, walked):
     # wherever their arrangements standardize to the same b
     hecke._structure_constants.cache_clear()
     hecke._composition_kernel.cache_clear()
+    pplactic._composition_certificate.cache_clear()
     assert verify_conjecture(2, r)["verdict"] == "PASS"
     assert hecke._structure_constants.cache_info().currsize == walked
 

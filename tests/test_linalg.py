@@ -6,9 +6,11 @@ import pytest
 
 from qdiag.errors import DimensionMismatch
 from qdiag.hecke import projection_matrix
-from qdiag.linalg import QMatrix, SubspaceBasis, kernel
+from qdiag.linalg import QMatrix, SubspaceBasis, kernel, rank_mod_p
+from qdiag.pplactic import CERT_POINT, CERT_PRIME
 from qdiag.qma import block_quotient
-from qdiag.scalars import ONE, Q, ZERO, add_term, omega, q_int, q_power, qs
+from qdiag.scalars import (ONE, Q, ZERO, add_term, omega, q_int, q_power, qs,
+                           value_mod)
 
 
 def vec(*pairs):
@@ -224,3 +226,25 @@ def test_json_dumps():
     basis = SubspaceBasis.from_vectors([vec((0, ONE), (1, ONE))], 2,
                                        labels=["a", "b"])
     assert basis.to_json()["rows"] == [{"a": "1", "b": "1"}]
+
+
+def test_rank_mod_p_of_projection_matrix():
+    # P(3) has the one-dimensional kernel of the alternating combination
+    m = projection_matrix(3)
+    rows = [{} for _ in range(m.nrows)]
+    for (i, j), c in m.entries.items():
+        rows[i][j] = value_mod(c, CERT_POINT, CERT_PRIME)
+    assert rank_mod_p(rows, CERT_PRIME) == 5
+
+
+def test_rank_mod_p_drops_with_the_prime():
+    rows = [{0: 1, 1: 2}, {0: 3, 1: 4}]
+    assert rank_mod_p(rows, 101) == 2
+    assert rank_mod_p(rows, 2) == 1        # determinant -2
+    assert rank_mod_p([{0: 4}, {}], 2) == 0
+    rows = [{0: 1, 2: 1}, {0: 1, 1: 1}, {1: 1, 2: 100}]
+    assert rank_mod_p(rows, 101) == 2 and rank_mod_p(rows, 103) == 3
+    # the column 1 that clearing column 0 creates is cleared in turn:
+    # (1, 0, -1) - (1, 1, 0) + (0, 1, 1) = 0
+    rows = [{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: -1}]
+    assert rank_mod_p(rows, 101) == 2

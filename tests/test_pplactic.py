@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from qdiag import pplactic
+from qdiag import hecke, pplactic
 from qdiag.checks import run_check
 from qdiag.errors import BoundExceeded
 from qdiag.hecke import _mul_gen, project_p, t
@@ -15,7 +15,8 @@ from qdiag.linalg import SubspaceBasis
 from qdiag.pplactic import (hecke_side_kernel, ideal_component,
                             lemma_brute_check, ppk_generators,
                             preplactic_ideal_component, verify_conjecture)
-from qdiag.scalars import ONE, ZERO, add_term, omega, q_int, q_power, qs
+from qdiag.scalars import (ONE, ZERO, add_term, omega, parse_scalar, q_int,
+                           q_power, qs)
 
 
 def hecke_product_action(coeffs, i, r):
@@ -212,10 +213,17 @@ def test_weight_labelled_ideal_matches_scan(d, r):
 
 
 def test_one_ideal_per_composition():
-    pplactic._composition_ideal.cache_clear()
+    # one generator list and one certificate per composition; every one is
+    # certified, so no ideal RREF runs
+    for cached in (pplactic._composition_generators,
+                   pplactic._composition_certificate,
+                   pplactic._composition_ideal):
+        cached.cache_clear()
     verify_conjecture(3, 5)
     assert len(_weights(3, 5)) == 21
-    assert pplactic._composition_ideal.cache_info().currsize == 11
+    assert pplactic._composition_generators.cache_info().currsize == 11
+    assert pplactic._composition_certificate.cache_info().currsize == 11
+    assert pplactic._composition_ideal.cache_info().currsize == 0
     # the concatenation ideal and its action closure start from the one
     # distinct-letter component
     pplactic._composition_ideal.cache_clear()
@@ -237,13 +245,19 @@ def test_weight_shares_rows_of_its_composition():
 
 
 def _patch_kernel_at(monkeypatch, target, change):
+    # the certificate holds at the target; it is made inconclusive there, so
+    # the exact route, and with it the patched kernel, decides the weight
     real = pplactic.weight_kernel
+    certify = pplactic._composition_certificate
+    lam = tuple(k for k in target if k)
 
     def patched(wv):
         ker = real(wv)
         return change(ker) if wv == target else ker
 
     monkeypatch.setattr(pplactic, "weight_kernel", patched)
+    monkeypatch.setattr(pplactic, "_composition_certificate",
+                        lambda mu: None if mu == lam else certify(mu))
 
 
 def _only_failed_block(rep, target):
@@ -283,14 +297,89 @@ def test_conjecture_fail_witness_from_kernel(monkeypatch):
 
 
 def test_conjecture_skip_before_ideal(monkeypatch):
-    # the kernels meet the rank bound before the ideal component is built
+    # the kernels meet the rank bound before any ideal row is built
     def refuse(*args, **kwargs):
         raise AssertionError("ideal component built before the rank check")
 
     monkeypatch.setattr(pplactic, "ideal_component", refuse)
+    monkeypatch.setattr(pplactic, "_composition_generators", refuse)
     report = run_check("conjecture", {"d": 3, "r": 7})
     assert report.status == "SKIP"
     assert report.detail["reason"] == "BoundExceeded: rank 7 exceeds bound 6"
+
+
+def compositions(r):
+    """Every composition of r: the weights of degree r over r letters, with
+    their zero parts stripped."""
+    return sorted({tuple(k for k in wv if k) for wv in _weights(r, r)})
+
+
+@pytest.fixture
+def fresh_certificates():
+    """Certificates and kernels recomputed under a patch, and dropped after."""
+    def clear():
+        pplactic._composition_certificate.cache_clear()
+        hecke._composition_kernel.cache_clear()
+
+    clear()
+    yield
+    clear()
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+def test_certificate_matches_exact_route(r):
+    lams = compositions(r)
+    assert len(lams) == 2 ** (r - 1)
+    for lam in lams:
+        dim = pplactic._composition_certificate(lam)
+        assert dim is not None, lam
+        ker = hecke._composition_kernel(lam)
+        idl = pplactic._composition_ideal(lam)
+        assert dim == ker.dim == idl.dim, lam
+        assert idl == ker
+
+
+def test_perturbed_matrix_fails_on_the_exact_route(monkeypatch,
+                                                   fresh_certificates):
+    # q^3 added to one entry of one M_lambda: G M != 0 there, so the
+    # certificate refuses it, and the exact route reports the FAIL
+    target = (2, 1, 1)
+    real = hecke._composition_matrix
+
+    def perturbed(lam):
+        m = real(lam)
+        if lam == target:
+            m.entries[0, 0] = m.get(0, 0) + q_power(3)
+        return m
+
+    monkeypatch.setattr(hecke, "_composition_matrix", perturbed)
+    monkeypatch.setattr(pplactic, "_composition_matrix", perturbed)
+    assert pplactic._composition_certificate(target) is None
+    assert pplactic._composition_certificate((1, 2, 1)) is not None
+    block = _only_failed_block(verify_conjecture(3, 4), target)
+    # the witness is an ideal row that the perturbed kernel misses
+    index = {"".join(map(str, a)): i
+             for i, a in enumerate(_arrangements(target))}
+    witness = {index[k]: parse_scalar(v) for k, v in block["witness"].items()}
+    assert ideal_component(target).contains(witness)
+    assert not hecke.weight_kernel(target).contains(witness)
+
+
+def test_rank_shortfall_falls_back(monkeypatch, fresh_certificates):
+    # at q = 1, omega is 0 and M_lambda has rank 1, so the ranks fall short
+    # wherever lambda has more than one arrangement; the exact route then
+    # gives the certified report, and a rank count gives no FAIL
+    certified = verify_conjecture(3, 4)
+    assert certified["verdict"] == "PASS"
+    pplactic._composition_certificate.cache_clear()
+    monkeypatch.setattr(pplactic, "CERT_POINT", 1)
+    for lam in compositions(4):
+        dim = pplactic._composition_certificate(lam)
+        if len(_arrangements(lam)) > 1:
+            assert dim is None, lam
+        else:
+            assert dim == 0
+    assert verify_conjecture(3, 4) == certified
 
 
 @pytest.mark.parametrize("d, r, dim", [(3, 6, 590), (5, 5, 2069)])
@@ -322,7 +411,6 @@ def test_lemma_brute(sign):
     w = omega()
     expected111 = -(w ** 3 - qs(sign) * w * w - qs(2 * sign)) \
         / (qs(2) * w * q_int(3) ** 2)
-    from qdiag.scalars import parse_scalar
     assert parse_scalar(w111["scalar"]) == expected111
     # the two repeated-letter scalars agree with each other and are the
     # transcribed [2]/(4 omega [3]) under q -> q^-1: the reference is written

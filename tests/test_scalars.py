@@ -9,7 +9,7 @@ import pytest
 
 from qdiag.errors import PoleAtPoint
 from qdiag.scalars import (ONE, Q, QScalar, ZERO, add_term, bar, gather,
-                           omega, parse_scalar, q_int, q_power, qs)
+                           omega, parse_scalar, q_int, q_power, qs, value_mod)
 
 
 def rand_scalar(rng, nonzero=False):
@@ -383,3 +383,22 @@ def test_random_check_scalar_matches_sum_of_products():
         assert (got.num, got.den) == (want.num, want.den)
         assert got.den is want.den  # the shared denominator 1
     assert new.getstate() == old.getstate()
+
+
+def test_value_mod_is_the_laurent_evaluation():
+    p, a = 101, 7
+    inv = pow(a, -1, p)
+    assert value_mod(omega(), a, p) == (a - inv) % p
+    assert value_mod(q_int(3) * q_power(-5), a, p) == \
+        (inv ** 3 + inv ** 5 + inv ** 7) % p
+    assert value_mod(ZERO, a, p) == 0
+    assert value_mod(qs(-3), a, p) == p - 3
+    # q = 1 sends omega to 0
+    assert value_mod(omega(), 1, p) == 0
+
+
+@pytest.mark.parametrize("c", [ONE / q_int(2), qs(Fraction(1, 2)),
+                               omega() / (Q + qs(3))])
+def test_value_mod_refuses_a_denominator(c):
+    with pytest.raises(ValueError, match="not a Laurent polynomial"):
+        value_mod(c, 7, 101)
