@@ -22,8 +22,9 @@ from .hecke import (HeckeElt, formal_product, idempotents_r2, idempotents_r3,
 from .linalg import SubspaceBasis
 from .permutations import (all_perms, inverse, perm_of_word, perm_str,
                            reduced_word, s)
-from .pplactic import (hecke_side_kernel, ideal_component, lemma_brute_check,
-                       preplactic_ideal_component, verify_conjecture)
+from .pplactic import (_composition_verdict, ideal_component,
+                       lemma_brute_check, preplactic_ideal_component,
+                       verify_conjecture)
 from .qma import diag_relation_kernel, expand_diagonal
 from .rmatrix import (generator_matrix, idempotent_block, index_word,
                       multiset_classes, pi, rhat, rhat_reading)
@@ -274,7 +275,7 @@ def check_systd(params) -> dict:
 
 
 def check_diag_kernel(params) -> dict:
-    n = params.get("n", params.get("d", 3))
+    n = params.get("n", 3)
     r = params.get("r", 3)
     kernels = diag_relation_kernel(n, r)
     # the FRT route cross-checks the Hecke route that `conjecture` uses
@@ -353,14 +354,18 @@ def check_braid_identity(params) -> dict:
 
 
 def check_preplactic(params) -> dict:
+    """The ideal at 1^r against the kernel of p, read from ``conjecture``'s
+    verdict at 1^r: only an unequal verdict eliminates the kernel itself."""
     r = params.get("r", 4)
-    ker = hecke_side_kernel(r)
+    _, _, witness = _composition_verdict((1,) * r)
+    concat = ideal_component((1,) * r)
+    ker = concat if witness is None else weight_kernel((1,) * r)
     detail = {"r": r, "dim_kernel": ker.dim,
               "diag_dimension": len(all_perms(r))}
     variants = {}
     which_equal = []
     # concat decides the verdict; the action closure is only recorded
-    for variant, basis in (("concat", ideal_component((1,) * r)),
+    for variant, basis in (("concat", concat),
                            ("action-closed", preplactic_ideal_component(r))):
         contained = all(ker.contains(row) for row in basis.rows)
         equal = basis == ker
@@ -370,9 +375,8 @@ def check_preplactic(params) -> dict:
             which_equal.append(variant)
     detail["variants"] = variants
     detail["equality_variants"] = which_equal
-    if r == 3:
-        if ker.dim != 1 or project_p(3, _ALTERNATING_3):
-            return {"status": "FAIL", "witness": "degree-3 kernel", **detail}
+    if r == 3 and (ker.dim != 1 or project_p(3, _ALTERNATING_3)):
+        return {"status": "FAIL", "witness": "degree-3 kernel", **detail}
     ok = variants["concat"]["contained_in_kernel"] and bool(which_equal)
     if not ok:
         detail["witness"] = {
@@ -401,7 +405,7 @@ def check_lemma_brute(params) -> dict:
 
 
 def check_conjecture(params) -> dict:
-    d = params.get("d", params.get("n", 3))
+    d = params.get("d", 3)
     r = params.get("r", 3)
     rep = verify_conjecture(d, r)
     rep["status"] = rep.pop("verdict")

@@ -125,7 +125,7 @@ def _tasks_for(args) -> list:
         raise UnknownCheck(f"unknown check {args.check!r}; try one of "
                            + ", ".join(check_names()))
     params = _collect_params(args)
-    if args.check == "conjecture" and "d" not in params and "n" in params:
+    if args.check == "conjecture" and "n" in params:
         params["d"] = params.pop("n")
     return [(args.check, params)]
 

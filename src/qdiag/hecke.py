@@ -15,7 +15,7 @@ the triples (c_p, d_rho, s) of all its coefficients to one
 T^alpha denotes T_(alpha^-1); the double-coset projection of a diagonal
 element sum c_alpha T^alpha (x) T_alpha is p = sum c_alpha T_(alpha^-1) T_alpha.
 
-The diagonal kernels that the conjecture check compares are computed here,
+The matrices whose kernels the conjecture verdict compares are built here,
 one composition lambda of r at a time.  S_lambda is the Young subgroup of
 lambda; its blocks are the letter blocks of ``standardize`` and serve both as
 value blocks (right action) and as position blocks (left action).  For p in

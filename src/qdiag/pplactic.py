@@ -8,31 +8,25 @@ generators are, with [a,b] = ab - ba and [u,v]_{q^2} = uv - q^2 vu,
     [[x_a, x_b], x_a]_{q^2}    a < b       (low letter repeated),
     [x_b, [x_a, x_b]]_{q^2}    a < b       (high letter repeated),
 
-giving C(d,3) + 2 C(d,2) generators in total.  On the Hecke side the
-standardized distinct-letter generator spans the degree-3 pre-plactic ideal;
-its degree-r concatenation ideal is compared against the exact kernel of the
-double-coset projection (its closure under the Hecke action is only
-recorded), and the letter-word ideal components are compared,
-weight by weight, against the kernels of the diagonal expansion of the
-quantum matrix algebra, which ``hecke.weight_kernel`` computes on the Hecke
-side.
+giving C(d,3) + 2 C(d,2) generators in total.  The ideal components are
+compared, weight by weight, with the kernels of the diagonal expansion of the
+quantum matrix algebra, computed on the Hecke side; at the distinct-letter
+weight 1^r that is the kernel of the double-coset projection, and the
+closure of the concatenation ideal under the Hecke action is only recorded.
 
 The composition of a weight (its nonzero parts, in order) is the unit on
 both sides: the kernel sees only the order of the letters (the Schur
-functor), and so do the generators (see ``ideal_component``).  Each side is
-built once per composition and cached.
+functor), and so do the generators (see ``ideal_component``).
 
-A ``conjecture`` PASS rests on a rank certificate per composition lambda
-(``_composition_certificate``), with no elimination over Q(q): a literal
-zero test G_lambda M_lambda = 0 of the padded generator rows against the
-Hecke-side matrix, then integer ranks of both at the fixed point
-q = CERT_POINT mod CERT_PRIME that add up to the number of arrangements.
-Where the certificate does not hold, the exact route decides: the ideal and
-the kernel compared as canonical RREF subspaces over Q(q).  Only the exact
-route reports FAIL, with a witness; a rank count never does.  The exact
-route is also the cross-check: ``diag-kernel`` and the tests compare its
-Hecke kernels with the FRT ones, and ``preplactic`` compares its
-concatenation ideal with the kernel as canonical subspaces.
+One cached verdict per composition lambda (``_composition_verdict``)
+decides ``conjecture``, and ``preplactic`` at 1^r.  It builds M_lambda once
+and tries a rank certificate first, with no elimination over Q(q): a literal
+zero test G_lambda M_lambda = 0 of the padded generator rows, then integer
+ranks of both at q = CERT_POINT mod CERT_PRIME that add up to the number of
+arrangements.  Elsewhere the ideal and the kernel of that M_lambda are
+compared as canonical RREF subspaces; only this exact route reports FAIL,
+with a witness.  ``diag-kernel`` and the tests cross-check the Hecke kernels
+against the FRT ones.
 """
 
 from __future__ import annotations
@@ -44,8 +38,8 @@ from importlib import resources
 
 from .errors import MembershipFailure
 from .hecke import (_composition_matrix, _mul_gen, diag_kernel_of_p,
-                    idempotents_r3, weight_kernel)
-from .linalg import QMatrix, SubspaceBasis, rank_mod_p
+                    idempotents_r3)
+from .linalg import QMatrix, SubspaceBasis, kernel, rank_mod_p
 from .permutations import (_arrangements, _tuple_sub, _weights, all_perms,
                            weight)
 from .qma import FreeElt, block_quotient
@@ -135,13 +129,12 @@ def _composition_ideal(lam: tuple) -> SubspaceBasis:
 def ideal_component(weight_vec: tuple) -> SubspaceBasis:
     """The cubic ideal at one weight: an RREF basis over its arrangements.
 
-    It is built once per composition (the weight without its zero parts).
-    The generators are defined by letter order alone, so the order-preserving
-    relabelling of the composition's letters maps generators to generators
-    and lex-ordered arrangements to lex-ordered arrangements; RREF does not
-    depend on row order, so the rows and pivots agree.  The returned basis is
-    new, labelled by ``_arrangements(weight_vec)``, and shares the cached
-    rows.  Where no generator fits (degree below 3, one letter) it is zero.
+    It is built once per composition (the weight without its zero parts):
+    the generators depend on letter order alone and RREF not on row order,
+    so the order-preserving relabelling of the letters keeps rows and
+    pivots.  The returned basis is new, labelled by
+    ``_arrangements(weight_vec)``, and shares the cached rows; it is zero
+    where no generator fits (degree below 3, one letter).
     """
     idl = _composition_ideal(tuple(k for k in weight_vec if k))
     return SubspaceBasis(idl.ambient, idl.rows, idl.pivots,
@@ -396,21 +389,17 @@ def lemma_brute_check(sign: int) -> dict:
     return report
 
 
-@lru_cache(maxsize=None)
-def _composition_certificate(lam: tuple):
+def _composition_certificate(lam: tuple, m: QMatrix):
     """dim I_lambda, certified equal to dim ker M_lambda, or None.
 
-    M_lambda is built first, so its rank bound is met before any ideal row.
-    The literal zero test G_lambda M_lambda = 0 puts the ideal I_lambda in
-    the left kernel of M_lambda, so dim I_lambda + rank M_lambda <= N_lambda,
-    the number of arrangements.  G_lambda and M_lambda have Laurent
-    polynomial entries, and q -> CERT_POINT mod CERT_PRIME is a ring map on
-    them that can only lower a rank.  So rank_p G + rank_p M = N_lambda makes
-    every inequality an equality: I_lambda is the kernel, of dimension
-    rank_p G.  A nonzero product entry, a rank shortfall or an entry that is
-    not a Laurent polynomial gives None, and the exact route decides.
+    The literal zero test G_lambda M_lambda = 0 puts I_lambda in the left
+    kernel of M_lambda, so dim I_lambda + rank M_lambda <= N_lambda, the
+    number of arrangements.  q -> CERT_POINT mod CERT_PRIME is a ring map on
+    Laurent polynomials that can only lower a rank, so rank_p G + rank_p M =
+    N_lambda makes every inequality an equality: I_lambda is the kernel, of
+    dimension rank_p G.  A nonzero product entry, a rank shortfall or an
+    entry that is not a Laurent polynomial gives None.
     """
-    m = _composition_matrix(lam)
     gens = _composition_generators(lam)
     g = QMatrix(len(gens), m.nrows, {(i, j): c for i, row in enumerate(gens)
                                      for j, c in row.items()})
@@ -430,42 +419,49 @@ def _composition_certificate(lam: tuple):
     return rank_g
 
 
+@lru_cache(maxsize=None)
+def _composition_verdict(lam: tuple) -> tuple:
+    """(dim ker M_lambda, dim I_lambda, witness or None) of a composition.
+
+    M_lambda is built once, first (its rank bound comes before any ideal
+    row); where the certificate fails, ``kernel`` of it decides, and a
+    witness is a row of one space outside the other, keyed by column.
+    """
+    m = _composition_matrix(lam)
+    dim = _composition_certificate(lam, m)
+    if dim is not None:
+        return dim, dim, None
+    ker = kernel(m.transpose())
+    idl = _composition_ideal(lam)
+    if idl == ker:
+        return ker.dim, idl.dim, None
+    # unequal canonical subspaces: one is not inside the other
+    return ker.dim, idl.dim, next(itertools.chain(
+        (row for row in idl.rows if not ker.contains(row)),
+        (row for row in ker.rows if not idl.contains(row))))
+
+
 def verify_conjecture(d: int, r: int) -> dict:
     """Per-weight comparison of the cubic ideal with the expansion kernels.
 
     PASS means every weight component of the degree-r ideal equals the
     kernel of the diagonal expansion matrix, computed on the Hecke side.
-    Each composition is first certified (``_composition_certificate``): a
-    literal zero test G M = 0 over Q(q) and two integer ranks at the fixed
-    q = CERT_POINT mod CERT_PRIME prove the equality with no elimination
-    over Q(q).  Where the certificate does not hold, the exact route
-    (``weight_kernel`` and ``ideal_component``, also the kernels that
-    ``diag-kernel`` and the tests cross-check against the FRT route)
-    compares the two as canonical subspaces; only it reports FAIL, with a
-    witness vector, and a rank count never does.
+    Each weight reads the verdict of its composition
+    (``_composition_verdict``), which ``preplactic`` shares at 1^r; a FAIL
+    block carries the witness, labelled by the weight's arrangements.
     """
     blocks = []
     verdict = "PASS"
     for wv in _weights(d, r):
-        # the kernel meets the rank bound before any ideal is built
-        dim = _composition_certificate(tuple(k for k in wv if k))
-        if dim is not None:
-            blocks.append({"weight": list(wv), "dim_kernel": dim,
-                           "dim_ideal": dim, "equal": True})
-            continue
-        ker = weight_kernel(wv)
-        idl = ideal_component(wv)
-        entry = {"weight": list(wv), "dim_kernel": ker.dim,
-                 "dim_ideal": idl.dim, "equal": idl == ker}
-        if not entry["equal"]:
+        dim_kernel, dim_ideal, witness = _composition_verdict(
+            tuple(k for k in wv if k))
+        entry = {"weight": list(wv), "dim_kernel": dim_kernel,
+                 "dim_ideal": dim_ideal, "equal": witness is None}
+        if witness is not None:
             verdict = "FAIL"
-            # unequal canonical subspaces: one is not inside the other
-            witness = next(itertools.chain(
-                (row for row in idl.rows if not ker.contains(row)),
-                (row for row in ker.rows if not idl.contains(row))))
-            entry["witness"] = {
-                "".join(map(str, ker.labels[i])): str(c)
-                for i, c in sorted(witness.items())}
+            labels = _arrangements(wv)
+            entry["witness"] = {"".join(map(str, labels[i])): str(c)
+                                for i, c in sorted(witness.items())}
         blocks.append(entry)
     return {"d": d, "r": r, "verdict": verdict, "blocks": blocks,
             "total_kernel_dim": sum(b["dim_kernel"] for b in blocks),

@@ -15,8 +15,8 @@ the monomials x_A = x^(sorted)_A whenever those are independent.  Each block
 checks its quotient dimension against the PBW count: the number of
 contingency tables with the block's margins.
 
-The kernels that the conjecture verdict compares are computed on the Hecke
-side (``hecke.weight_kernel``), with no block.  ``diag_relation_kernel`` is
+The kernels that the conjecture verdict compares come from the Hecke side
+(``hecke._composition_matrix``), with no block.  ``diag_relation_kernel`` is
 the FRT route to the same kernels, kept as the independent cross-check that
 the ``diag-kernel`` check runs at every weight; the blocks also carry the
 membership and proportionality claims of the brute-force restriction.

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import qdiag
-from qdiag import checks, cli, pplactic, qma
+from qdiag import checks, cli, hecke, linalg, pplactic, qma
 from qdiag.checks import CheckReport, run_check
 from qdiag.cli import main
 from qdiag.errors import MembershipFailure, UnknownCheck
@@ -166,19 +166,49 @@ def test_bound_exceeded_is_skip_report(capsys, monkeypatch):
     assert out.rstrip().endswith("0 failure(s), 1 skipped")
 
 
-def test_conjecture_report_equals_benchmark_reference(capsys):
-    # the pinned frt-d3r5 report, read and never written here
+def _benchmark_reference(workload):
+    """A pinned benchmark report, read and never written here."""
     path = (Path(__file__).resolve().parents[1] / "perfbench" / "reference"
-            / "frt-d3r5.json")
-    reference = json.loads(path.read_text())
-    argv = ["run", "conjecture", "--d", "3", "--r", "5", "--no-cache",
-            "--format", "json"]
+            / f"{workload}.json")
+    return json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("workload, argv", [
+    ("frt-d3r5", ["conjecture", "--d", "3", "--r", "5"]),
+    ("preplactic-r5", ["preplactic", "--r", "5"]),
+], ids=["frt-d3r5", "preplactic-r5"])
+def test_conjecture_report_equals_benchmark_reference(capsys, workload, argv):
+    reference = _benchmark_reference(workload)
+    argv = ["run", *argv, "--no-cache", "--format", "json"]
     assert reference["argv"] == argv and reference["exit_status"] == 0
     code, out = run_cli(capsys, *argv)
     assert code == 0
-    reports = [{k: v for k, v in report.items() if k != "seconds"}
-               for report in json.loads(out)]
-    assert reports == reference["reports"]
+    assert _without_seconds(out) == reference["reports"]
+
+
+@pytest.mark.parametrize("r", [3, 4, 5])
+def test_preplactic_eliminates_no_kernel(capsys, monkeypatch, r):
+    # the verdict at 1^r holds, so the ideal is the kernel's canonical RREF
+    # and no kernel is eliminated over Q(q); the reports stay the pinned ones
+    def refuse(*args, **kwargs):
+        raise AssertionError("kernel eliminated although the verdict holds")
+
+    pplactic._composition_verdict.cache_clear()
+    hecke._composition_kernel.cache_clear()
+    for module in (linalg, hecke, pplactic):
+        monkeypatch.setattr(module, "kernel", refuse)
+    code, out = run_cli(capsys, "run", "preplactic", "--r", str(r),
+                        "--no-cache", "--format", "json")
+    assert code == 0
+    if r == 5:
+        expected = _benchmark_reference("preplactic-r5")["reports"]
+    else:
+        expected = [report for report in
+                    _benchmark_reference("battery")["reports"]
+                    if report["check"] == "preplactic"
+                    and report["params"] == {"r": r}]
+    assert len(expected) == 1
+    assert _without_seconds(out) == expected
 
 
 def test_large_alphabet_degree_one_passes(capsys):
@@ -197,7 +227,8 @@ def test_weight_count_bound_is_skip_report(capsys, monkeypatch, argv):
     def refuse(*args, **kwargs):
         raise AssertionError("built before the weight bound was checked")
 
-    monkeypatch.setattr(pplactic, "weight_kernel", refuse)
+    monkeypatch.setattr(pplactic, "_composition_verdict", refuse)
+    monkeypatch.setattr(checks, "weight_kernel", refuse)
     monkeypatch.setattr(pplactic, "ideal_component", refuse)
     monkeypatch.setattr(qma, "expand_diagonal", refuse)
     code, out = run_cli(capsys, "run", *argv, "1200", "--r", "3",
@@ -388,6 +419,16 @@ def test_sign_option_selects_the_battery_entry(capsys, battery):
                 if r["check"] == "appendix"
                 and r["params"] == {"sign": "minus"}]
     assert _without_seconds(out) == [entry]
+
+
+def test_run_all_equals_benchmark_reference(battery):
+    # lemma-brute's pinned FAIL included
+    reference = _benchmark_reference("battery")
+    code, out = battery["serial"]
+    assert reference["argv"] == ["run", "all", "--no-cache", "--format",
+                                 "json"]
+    assert code == reference["exit_status"] == 1
+    assert _without_seconds(out) == reference["reports"]
 
 
 def test_run_all_leaves_no_worker_running(battery):

@@ -317,7 +317,7 @@ def test_conjecture_walks_only_its_rows(r, walked):
     # wherever their arrangements standardize to the same b
     hecke._structure_constants.cache_clear()
     hecke._composition_kernel.cache_clear()
-    pplactic._composition_certificate.cache_clear()
+    pplactic._composition_verdict.cache_clear()
     assert verify_conjecture(2, r)["verdict"] == "PASS"
     assert hecke._structure_constants.cache_info().currsize == walked
 

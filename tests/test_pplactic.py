@@ -213,16 +213,16 @@ def test_weight_labelled_ideal_matches_scan(d, r):
 
 
 def test_one_ideal_per_composition():
-    # one generator list and one certificate per composition; every one is
+    # one generator list and one verdict per composition; every one is
     # certified, so no ideal RREF runs
     for cached in (pplactic._composition_generators,
-                   pplactic._composition_certificate,
+                   pplactic._composition_verdict,
                    pplactic._composition_ideal):
         cached.cache_clear()
     verify_conjecture(3, 5)
     assert len(_weights(3, 5)) == 21
     assert pplactic._composition_generators.cache_info().currsize == 11
-    assert pplactic._composition_certificate.cache_info().currsize == 11
+    assert pplactic._composition_verdict.cache_info().currsize == 11
     assert pplactic._composition_ideal.cache_info().currsize == 0
     # the concatenation ideal and its action closure start from the one
     # distinct-letter component
@@ -247,29 +247,32 @@ def test_weight_shares_rows_of_its_composition():
 def _patch_kernel_at(monkeypatch, target, change):
     # the certificate holds at the target; it is made inconclusive there, so
     # the exact route, and with it the patched kernel, decides the weight
-    real = pplactic.weight_kernel
+    real = pplactic.kernel
     certify = pplactic._composition_certificate
     lam = tuple(k for k in target if k)
-
-    def patched(wv):
-        ker = real(wv)
-        return change(ker) if wv == target else ker
-
-    monkeypatch.setattr(pplactic, "weight_kernel", patched)
+    monkeypatch.setattr(pplactic, "kernel", lambda m: change(real(m)))
     monkeypatch.setattr(pplactic, "_composition_certificate",
-                        lambda mu: None if mu == lam else certify(mu))
+                        lambda mu, m: None if mu == lam else certify(mu, m))
 
 
 def _only_failed_block(rep, target):
+    # the verdict is per composition: exactly the weights that share the
+    # target's composition fail, each witness keyed by its own weight's labels
+    lam = tuple(k for k in target if k)
     assert rep["verdict"] == "FAIL"
-    bad = [b for b in rep["blocks"] if not b["equal"]]
-    assert [b["weight"] for b in bad] == [list(target)]
-    labels = {"".join(map(str, a)) for a in _arrangements(target)}
-    assert bad[0]["witness"] and set(bad[0]["witness"]) <= labels
-    return bad[0]
+    bad = [b["weight"] for b in rep["blocks"] if not b["equal"]]
+    assert list(target) in bad
+    assert bad == [b["weight"] for b in rep["blocks"]
+                   if tuple(k for k in b["weight"] if k) == lam]
+    for block in rep["blocks"]:
+        if not block["equal"]:
+            labels = {"".join(map(str, a))
+                      for a in _arrangements(tuple(block["weight"]))}
+            assert block["witness"] and set(block["witness"]) <= labels
+    return next(b for b in rep["blocks"] if b["weight"] == list(target))
 
 
-def test_conjecture_fail_witness_from_ideal(monkeypatch):
+def test_conjecture_fail_witness_from_ideal(monkeypatch, fresh_verdicts):
     # a kernel that lost a row misses an ideal row, keyed by the weight's
     # own labels (letters 1 and 3), not by its composition's
     target = (2, 0, 2)
@@ -282,7 +285,7 @@ def test_conjecture_fail_witness_from_ideal(monkeypatch):
     assert witness[(1, 1, 3, 3)] == "1"
 
 
-def test_conjecture_fail_witness_from_kernel(monkeypatch):
+def test_conjecture_fail_witness_from_kernel(monkeypatch, fresh_verdicts):
     # a kernel that is the whole space has a row outside the ideal
     target = (2, 1, 1)
     _patch_kernel_at(monkeypatch, target,
@@ -308,6 +311,17 @@ def test_conjecture_skip_before_ideal(monkeypatch):
     assert report.detail["reason"] == "BoundExceeded: rank 7 exceeds bound 6"
 
 
+def test_preplactic_skip_before_ideal(monkeypatch):
+    # the verdict at 1^7 builds M first, and so meets the rank bound first
+    def refuse(*args, **kwargs):
+        raise AssertionError("ideal rows built before the rank check")
+
+    monkeypatch.setattr(pplactic, "_composition_generators", refuse)
+    report = run_check("preplactic", {"r": 7})
+    assert report.status == "SKIP"
+    assert report.detail["reason"] == "BoundExceeded: rank 7 exceeds bound 6"
+
+
 def compositions(r):
     """Every composition of r: the weights of degree r over r letters, with
     their zero parts stripped."""
@@ -315,10 +329,10 @@ def compositions(r):
 
 
 @pytest.fixture
-def fresh_certificates():
-    """Certificates and kernels recomputed under a patch, and dropped after."""
+def fresh_verdicts():
+    """Verdicts and kernels recomputed under a patch, and dropped after."""
     def clear():
-        pplactic._composition_certificate.cache_clear()
+        pplactic._composition_verdict.cache_clear()
         hecke._composition_kernel.cache_clear()
 
     clear()
@@ -331,31 +345,41 @@ def test_certificate_matches_exact_route(r):
     lams = compositions(r)
     assert len(lams) == 2 ** (r - 1)
     for lam in lams:
-        dim = pplactic._composition_certificate(lam)
+        dim = pplactic._composition_certificate(
+            lam, hecke._composition_matrix(lam))
         assert dim is not None, lam
         ker = hecke._composition_kernel(lam)
         idl = pplactic._composition_ideal(lam)
         assert dim == ker.dim == idl.dim, lam
         assert idl == ker
+        assert pplactic._composition_verdict(lam) == (dim, dim, None)
 
 
-def test_perturbed_matrix_fails_on_the_exact_route(monkeypatch,
-                                                   fresh_certificates):
-    # q^3 added to one entry of one M_lambda: G M != 0 there, so the
-    # certificate refuses it, and the exact route reports the FAIL
-    target = (2, 1, 1)
+def _perturb_at(monkeypatch, target, row=0):
+    """M_target, on both routes, with q^3 added to its entry (row, 0)."""
     real = hecke._composition_matrix
 
     def perturbed(lam):
         m = real(lam)
         if lam == target:
-            m.entries[0, 0] = m.get(0, 0) + q_power(3)
+            m.entries[row, 0] = m.get(row, 0) + q_power(3)
         return m
 
     monkeypatch.setattr(hecke, "_composition_matrix", perturbed)
     monkeypatch.setattr(pplactic, "_composition_matrix", perturbed)
-    assert pplactic._composition_certificate(target) is None
-    assert pplactic._composition_certificate((1, 2, 1)) is not None
+    return perturbed
+
+
+def test_perturbed_matrix_fails_on_the_exact_route(monkeypatch,
+                                                   fresh_verdicts):
+    # q^3 added to one entry of one M_lambda: G M != 0 there, so the
+    # certificate refuses it, and the exact route reports the FAIL
+    target = (2, 1, 1)
+    perturbed = _perturb_at(monkeypatch, target)
+    assert pplactic._composition_certificate(
+        target, perturbed(target)) is None
+    assert pplactic._composition_certificate(
+        (1, 2, 1), perturbed((1, 2, 1))) is not None
     block = _only_failed_block(verify_conjecture(3, 4), target)
     # the witness is an ideal row that the perturbed kernel misses
     index = {"".join(map(str, a)): i
@@ -365,21 +389,52 @@ def test_perturbed_matrix_fails_on_the_exact_route(monkeypatch,
     assert not hecke.weight_kernel(target).contains(witness)
 
 
-def test_rank_shortfall_falls_back(monkeypatch, fresh_certificates):
+def test_rank_shortfall_falls_back(monkeypatch, fresh_verdicts):
     # at q = 1, omega is 0 and M_lambda has rank 1, so the ranks fall short
     # wherever lambda has more than one arrangement; the exact route then
     # gives the certified report, and a rank count gives no FAIL
     certified = verify_conjecture(3, 4)
     assert certified["verdict"] == "PASS"
-    pplactic._composition_certificate.cache_clear()
+    pplactic._composition_verdict.cache_clear()
     monkeypatch.setattr(pplactic, "CERT_POINT", 1)
     for lam in compositions(4):
-        dim = pplactic._composition_certificate(lam)
+        dim = pplactic._composition_certificate(
+            lam, hecke._composition_matrix(lam))
         if len(_arrangements(lam)) > 1:
             assert dim is None, lam
         else:
             assert dim == 0
+    # each M_lambda is built once, although 6 of the 7 fall back
+    real, built = hecke._composition_matrix, []
+    for module in (hecke, pplactic):
+        monkeypatch.setattr(module, "_composition_matrix",
+                            lambda lam: built.append(lam) or real(lam))
     assert verify_conjecture(3, 4) == certified
+    assert sorted(built) == sorted({tuple(k for k in wv if k)
+                                    for wv in _weights(3, 4)})
+    assert len(built) == 7
+
+
+def test_perturbed_matrix_fails_preplactic_on_the_exact_kernel(
+        monkeypatch, fresh_verdicts):
+    # an unequal verdict at 1^4: both variants are read against the kernel
+    # of the perturbed M_(1,1,1,1), not against the ideal; row 0 would not
+    # do, as no kernel vector has a coefficient at the identity
+    target = (1, 1, 1, 1)
+    _perturb_at(monkeypatch, target, row=1)
+    report = run_check("preplactic", {"r": 4})
+    ker = hecke.weight_kernel(target)
+    assert ker != ideal_component(target)
+    assert report.status == "FAIL"
+    assert report.detail["dim_kernel"] == ker.dim
+    for variant, basis in (("concat", ideal_component(target)),
+                           ("action-closed", preplactic_ideal_component(4))):
+        assert report.detail["variants"][variant] == {
+            "dim": basis.dim,
+            "contained_in_kernel": all(ker.contains(row)
+                                       for row in basis.rows),
+            "equals_kernel": basis == ker}
+    assert report.detail["equality_variants"] == []
 
 
 @pytest.mark.parametrize("d, r, dim", [(3, 6, 590), (5, 5, 2069)])
