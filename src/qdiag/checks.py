@@ -20,8 +20,8 @@ from .hecke import (HeckeElt, formal_product, idempotents_r2, idempotents_r3,
                     project_p, projection_matrix, r3_normalizers, t, theta,
                     weight_kernel)
 from .linalg import SubspaceBasis
-from .permutations import (all_perms, inverse, perm_of_word, perm_str,
-                           reduced_word, s)
+from .permutations import (_arrangements, all_perms, inverse, perm_of_word,
+                           perm_str, reduced_word, s)
 from .pplactic import (_composition_verdict, ideal_component,
                        lemma_brute_check, preplactic_ideal_component,
                        verify_conjecture)
@@ -274,54 +274,60 @@ def check_systd(params) -> dict:
                            for i in range(6)]}}}
 
 
+def _basis_json(basis: SubspaceBasis, labels: list) -> dict:
+    """A basis with each coordinate c named by labels[c]."""
+    return {"ambient": basis.ambient, "dim": basis.dim,
+            "rows": [{str(labels[c]): str(v) for c, v in sorted(row.items())}
+                     for row in basis.rows]}
+
+
 def check_diag_kernel(params) -> dict:
     n = params.get("n", 3)
     r = params.get("r", 3)
-    kernels = diag_relation_kernel(n, r)
-    # the FRT route cross-checks the Hecke route that `conjecture` uses
-    for wv, ker in sorted(kernels.items(), reverse=True):
-        hecke = weight_kernel(wv)
-        if hecke != ker or hecke.labels != ker.labels:
-            return {"status": "FAIL", "witness": {
-                "weight": "".join(map(str, wv)),
-                "frt": ker.to_json(), "hecke": hecke.to_json()}}
-    golden = _data("expansion_matrices.json")
     detail = {"blocks": {}, "_artifacts": {"kernels": {}}}
-    total = 0
+    kernels = diag_relation_kernel(n, r)
     for wv, ker in sorted(kernels.items(), reverse=True):
-        detail["blocks"]["".join(map(str, wv))] = ker.dim
-        detail["_artifacts"]["kernels"]["".join(map(str, wv))] = ker.to_json()
-        total += ker.dim
-    detail["total"] = total
+        # the FRT route cross-checks the Hecke route that `conjecture` uses;
+        # both are over the arrangements of wv
+        name, labels = "".join(map(str, wv)), _arrangements(wv)
+        hecke = weight_kernel(tuple(k for k in wv if k))
+        if hecke != ker:
+            return {"status": "FAIL", "witness": {
+                "weight": name, "frt": _basis_json(ker, labels),
+                "hecke": _basis_json(hecke, labels)}}
+        detail["blocks"][name] = ker.dim
+        detail["_artifacts"]["kernels"][name] = _basis_json(ker, labels)
+    total = detail["total"] = sum(detail["blocks"].values())
     if r == 3:
         expect = (n * (n - 1) * (n - 2)) // 6 + n * (n - 1)
         detail["dimension_formula"] = expect
         if total != expect:
             return {"status": "FAIL", "witness": {
                 "total": total, "formula": expect}, **detail}
-    if r == 3:
+        golden = _data("expansion_matrices.json")
         for key, head, witness in (
                 ("systd_kernel", (1, 1, 1), "distinct-letter kernel vector"),
                 ("weight21_kernel", (2, 1), "weight21_kernel"),
                 ("weight12_kernel", (1, 2), "weight12_kernel")):
             if len(head) > n:
                 continue
-            ker = kernels[head + (0,) * (n - len(head))]
-            labels = {"".join(map(str, a)): i
-                      for i, a in enumerate(ker.labels)}
-            vec = {labels[name]: parse_scalar(text)
+            wv = head + (0,) * (n - len(head))
+            index = {"".join(map(str, a)): i
+                     for i, a in enumerate(_arrangements(wv))}
+            vec = {index[name]: parse_scalar(text)
                    for name, text in golden[key].items() if parse_scalar(text)}
-            if ker != SubspaceBasis.from_vectors([vec], len(ker.labels)):
+            if kernels[wv] != SubspaceBasis.from_vectors([vec], len(index)):
                 return {"status": "FAIL", "witness": witness, **detail}
-    if n >= 2 and r == 3:
-        golden21 = [[parse_scalar(x) for x in row] for row in golden["weight21"]]
-        _, _, m21 = expand_diagonal(n, 3, (2, 1) + (0,) * (n - 2))
-        for i in range(3):
-            for j in range(2):
-                if m21.get(i, j) != golden21[i][j]:
-                    return {"status": "FAIL", "witness": {
-                        "matrix": "weight21", "row": i, "col": j,
-                        "computed": str(m21.get(i, j))}, **detail}
+        if n >= 2:
+            golden21 = [[parse_scalar(x) for x in row]
+                        for row in golden["weight21"]]
+            _, _, m21 = expand_diagonal(n, 3, (2, 1) + (0,) * (n - 2))
+            for i in range(3):
+                for j in range(2):
+                    if m21.get(i, j) != golden21[i][j]:
+                        return {"status": "FAIL", "witness": {
+                            "matrix": "weight21", "row": i, "col": j,
+                            "computed": str(m21.get(i, j))}, **detail}
     return {"status": "PASS", **detail}
 
 
@@ -355,11 +361,12 @@ def check_braid_identity(params) -> dict:
 
 def check_preplactic(params) -> dict:
     """The ideal at 1^r against the kernel of p, read from ``conjecture``'s
-    verdict at 1^r: only an unequal verdict eliminates the kernel itself."""
+    verdict at 1^r: the kernel it eliminated, or the ideal it certified."""
     r = params.get("r", 4)
-    _, _, witness = _composition_verdict((1,) * r)
+    ker = _composition_verdict((1,) * r)[3]
     concat = ideal_component((1,) * r)
-    ker = concat if witness is None else weight_kernel((1,) * r)
+    if ker is None:
+        ker = concat
     detail = {"r": r, "dim_kernel": ker.dim,
               "diag_dimension": len(all_perms(r))}
     variants = {}

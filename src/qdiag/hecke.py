@@ -28,7 +28,7 @@ T_(beta_A^-1) T_(beta_A) = sum over p of c_A(p) T_p put
 walking only these N_lambda products.  At lambda = 1^r, d(p) = p and
 M_lambda is the r! x r! matrix P = ``projection_matrix(r)`` of p.
 
-The left kernel of M_lambda, labelled by the arrangements of lambda, is the
+The left kernel of M_lambda, over the arrangements of lambda, is the
 kernel of the FRT diagonal expansion at lambda.  Proof sketch: under the
 Schur functor the diagonal monomial x^A_A goes to y_A = x T_(beta^-1) T_beta x
 in xH_rx, where x = sum over u in S_lambda of q^l(u) T_u.  Write p = u d v with
@@ -251,12 +251,13 @@ def _q_symmetrizer(r: int, anti: bool) -> tuple:
     return x, c
 
 
-@lru_cache(maxsize=None)
 def r3_normalizers():
-    """Solved normalization constants (c3, c111) with e = x / c."""
-    _, c3 = _q_symmetrizer(3, anti=False)
-    _, c111 = _q_symmetrizer(3, anti=True)
-    return c3, c111
+    """Solved normalization constants (c3, c111) with e = x / c.
+
+    x is 1 at the identity, so c is the inverse of e's coefficient there.
+    """
+    e3, _, _, e111 = idempotents_r3()
+    return tuple(e.coeff(identity(3)).inv() for e in (e3, e111))
 
 
 @lru_cache(maxsize=None)
@@ -321,27 +322,19 @@ def _composition_matrix(lam: tuple) -> QMatrix:
 
 
 @lru_cache(maxsize=None)
-def _composition_kernel(lam: tuple) -> SubspaceBasis:
-    """Unlabelled left kernel of M_lambda for a composition with no zero part."""
+def weight_kernel(lam: tuple) -> SubspaceBasis:
+    """Left kernel of M_lambda, from Hecke data alone, once per composition.
+
+    A kernel vector c (coordinates = the arrangements of lambda, lex)
+    encodes the relation sum c_A x^A_A = 0 of the quantum diagonal algebra;
+    read over the arrangements of any weight of composition lambda, in the
+    same order, it is a relation at that weight.
+    """
     return kernel(_composition_matrix(lam).transpose())
 
 
-def weight_kernel(weight_vec: tuple) -> SubspaceBasis:
-    """Kernel of the diagonal expansion at one weight, from Hecke data alone.
-
-    A kernel vector c (coordinates = the arrangements of the weight, lex)
-    encodes the relation sum c_A x^A_A = 0 of the quantum diagonal algebra.
-    The kernel is computed once per composition (the weight without its zero
-    parts); each call returns a new basis, labelled for this weight, that
-    shares the rows of the cached one.
-    """
-    ker = _composition_kernel(tuple(k for k in weight_vec if k))
-    return SubspaceBasis(ker.ambient, ker.rows, ker.pivots,
-                         _arrangements(weight_vec))
-
-
 def diag_kernel_of_p(r: int) -> SubspaceBasis:
-    """Exact kernel of p on the r!-dimensional diagonal space, labelled by S_r.
+    """Exact kernel of p on the r!-dimensional diagonal space, over S_r lex.
 
     A kernel vector c means sum c_alpha T~^alpha_alpha projects to zero.
     """

@@ -138,19 +138,19 @@ class SubspaceBasis:
     """Canonical RREF basis of a subspace of Q(q)^ambient.
 
     ``rows`` are sparse vectors sorted by pivot column; each pivot entry is 1
-    and pivot columns are cleared from every other row.
+    and pivot columns are cleared from every other row.  Coordinates are
+    bare column indices: a report that prints a basis names them itself.
     """
 
-    __slots__ = ("ambient", "rows", "pivots", "labels")
+    __slots__ = ("ambient", "rows", "pivots")
 
-    def __init__(self, ambient: int, rows, pivots, labels=None):
+    def __init__(self, ambient: int, rows, pivots):
         self.ambient = ambient
         self.rows = rows
         self.pivots = pivots
-        self.labels = labels
 
     @staticmethod
-    def from_vectors(vectors, ambient: int, labels=None) -> "SubspaceBasis":
+    def from_vectors(vectors, ambient: int) -> "SubspaceBasis":
         pivot_rows: dict = {}
         for vec in sorted(vectors, key=len):
             row = dict(vec)
@@ -168,7 +168,7 @@ class SubspaceBasis:
             pivot_rows[p] = row
         pivots = sorted(pivot_rows)
         rows = [pivot_rows[p] for p in pivots]
-        return SubspaceBasis(ambient, rows, pivots, labels)
+        return SubspaceBasis(ambient, rows, pivots)
 
     @property
     def dim(self) -> int:
@@ -188,16 +188,6 @@ class SubspaceBasis:
                 and self.ambient == other.ambient
                 and self.pivots == other.pivots
                 and self.rows == other.rows)
-
-    def to_json(self):
-        labels = self.labels
-        name = (lambda c: labels[c]) if labels else (lambda c: c)
-        return {
-            "ambient": self.ambient,
-            "dim": self.dim,
-            "rows": [{str(name(c)): str(v) for c, v in sorted(r.items())}
-                     for r in self.rows],
-        }
 
     def __repr__(self):
         return f"SubspaceBasis(dim {self.dim} of {self.ambient})"

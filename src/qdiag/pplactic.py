@@ -16,7 +16,10 @@ closure of the concatenation ideal under the Hecke action is only recorded.
 
 The composition of a weight (its nonzero parts, in order) is the unit on
 both sides: the kernel sees only the order of the letters (the Schur
-functor), and so do the generators (see ``ideal_component``).
+functor), and so do the generators (see ``ideal_component``).  Each side is
+one cached object per composition, over the arrangements of the
+composition; a report that prints coordinates names them by the
+arrangements of its weight.
 
 One cached verdict per composition lambda (``_composition_verdict``)
 decides ``conjecture``, and ``preplactic`` at 1^r.  It builds M_lambda once
@@ -24,8 +27,9 @@ and tries a rank certificate first, with no elimination over Q(q): a literal
 zero test G_lambda M_lambda = 0 of the padded generator rows, then integer
 ranks of both at q = CERT_POINT mod CERT_PRIME that add up to the number of
 arrangements.  Elsewhere the ideal and the kernel of that M_lambda are
-compared as canonical RREF subspaces; only this exact route reports FAIL,
-with a witness.  ``diag-kernel`` and the tests cross-check the Hecke kernels
+compared as canonical RREF subspaces, and that kernel is handed back with
+the verdict; only this exact route reports FAIL, with a witness.
+``diag-kernel`` and the tests cross-check the Hecke kernels
 against the FRT ones.
 """
 
@@ -120,29 +124,20 @@ def _composition_generators(lam: tuple) -> list:
 
 
 @lru_cache(maxsize=None)
-def _composition_ideal(lam: tuple) -> SubspaceBasis:
-    """Unlabelled ideal component for a composition with no zero part."""
+def ideal_component(lam: tuple) -> SubspaceBasis:
+    """The cubic ideal at a composition: an RREF basis over its arrangements.
+
+    It serves every weight of composition lambda: the generators depend on
+    letter order alone and RREF not on row order, so the order-preserving
+    relabelling of the letters keeps rows and pivots.  It is zero where no
+    generator fits (degree below 3, one letter).
+    """
     return SubspaceBasis.from_vectors(_composition_generators(lam),
                                       len(_arrangements(lam)))
 
 
-def ideal_component(weight_vec: tuple) -> SubspaceBasis:
-    """The cubic ideal at one weight: an RREF basis over its arrangements.
-
-    It is built once per composition (the weight without its zero parts):
-    the generators depend on letter order alone and RREF not on row order,
-    so the order-preserving relabelling of the letters keeps rows and
-    pivots.  The returned basis is new, labelled by
-    ``_arrangements(weight_vec)``, and shares the cached rows; it is zero
-    where no generator fits (degree below 3, one letter).
-    """
-    idl = _composition_ideal(tuple(k for k in weight_vec if k))
-    return SubspaceBasis(idl.ambient, idl.rows, idl.pivots,
-                         _arrangements(weight_vec))
-
-
 def hecke_side_kernel(r: int) -> SubspaceBasis:
-    """Kernel of the projection on the diagonal space, labelled by S_r."""
+    """Kernel of the projection on the diagonal space, over S_r lex."""
     return diag_kernel_of_p(r)
 
 
@@ -174,8 +169,7 @@ def preplactic_ideal_component(r: int) -> SubspaceBasis:
             for i in range(1, r):
                 image = _mul_gen(coeffs, i, w2)
                 new_rows.append({index[p]: c for p, c in image.items()})
-        bigger = SubspaceBasis.from_vectors(new_rows, len(perms),
-                                            labels=perms)
+        bigger = SubspaceBasis.from_vectors(new_rows, len(perms))
         if bigger.dim == span.dim:
             return bigger
         old = set(span.pivots)
@@ -421,24 +415,25 @@ def _composition_certificate(lam: tuple, m: QMatrix):
 
 @lru_cache(maxsize=None)
 def _composition_verdict(lam: tuple) -> tuple:
-    """(dim ker M_lambda, dim I_lambda, witness or None) of a composition.
+    """(dim ker M_lambda, dim I_lambda, witness or None, kernel or None).
 
     M_lambda is built once, first (its rank bound comes before any ideal
-    row); where the certificate fails, ``kernel`` of it decides, and a
-    witness is a row of one space outside the other, keyed by column.
+    row).  Where the certificate holds, no kernel is eliminated and the
+    last entry is None; elsewhere ``kernel`` of M_lambda decides and is
+    handed back, and a witness is a row of one space outside the other,
+    keyed by column.
     """
     m = _composition_matrix(lam)
     dim = _composition_certificate(lam, m)
     if dim is not None:
-        return dim, dim, None
+        return dim, dim, None, None
     ker = kernel(m.transpose())
-    idl = _composition_ideal(lam)
-    if idl == ker:
-        return ker.dim, idl.dim, None
+    idl = ideal_component(lam)
     # unequal canonical subspaces: one is not inside the other
-    return ker.dim, idl.dim, next(itertools.chain(
+    witness = None if idl == ker else next(itertools.chain(
         (row for row in idl.rows if not ker.contains(row)),
         (row for row in ker.rows if not idl.contains(row))))
+    return ker.dim, idl.dim, witness, ker
 
 
 def verify_conjecture(d: int, r: int) -> dict:
@@ -453,7 +448,7 @@ def verify_conjecture(d: int, r: int) -> dict:
     blocks = []
     verdict = "PASS"
     for wv in _weights(d, r):
-        dim_kernel, dim_ideal, witness = _composition_verdict(
+        dim_kernel, dim_ideal, witness, _ = _composition_verdict(
             tuple(k for k in wv if k))
         entry = {"weight": list(wv), "dim_kernel": dim_kernel,
                  "dim_ideal": dim_ideal, "equal": witness is None}

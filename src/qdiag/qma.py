@@ -169,8 +169,8 @@ class BlockQuotient:
         self.words = sorted(((u, l) for u in uppers for l in lowers),
                             key=order_key)
         self.index = {w: i for i, w in enumerate(self.words)}
-        self.span = SubspaceBasis.from_vectors(
-            self._relation_rows(), len(self.words), labels=self.words)
+        self.span = SubspaceBasis.from_vectors(self._relation_rows(),
+                                               len(self.words))
         pivots = set(self.span.pivots)
         self.basis_words = sorted(w for i, w in enumerate(self.words)
                                   if i not in pivots)
@@ -270,13 +270,8 @@ def diag_relation_kernel(n: int, r: int) -> dict:
         # block (wv, wv) has (r! / prod wv_i!)^2 words
         arrangements = math.factorial(r) // math.prod(map(math.factorial, wv))
         _check_block_size((wv, wv), arrangements ** 2)
-    out = {}
-    for wv in weights:
-        diag, _, m = expand_diagonal(n, r, wv)
-        ker = kernel(m.transpose())
-        ker.labels = diag
-        out[wv] = ker
-    return out
+    return {wv: kernel(expand_diagonal(n, r, wv)[2].transpose())
+            for wv in weights}
 
 
 def membership(elt: FreeElt, r: int) -> bool:

@@ -112,9 +112,16 @@ def _exchange_matches(m: QMatrix, n: int) -> bool:
 
 @lru_cache(maxsize=None)
 def rhat(n: int) -> QMatrix:
-    """The braid matrix on V (x) V for dim V = n."""
+    """The braid matrix on V (x) V for dim V = n.
+
+    Construction checks the braid relation on V^(x)3, so DIM_BOUND bounds
+    n^3 before any matrix is built.
+    """
     if n < 1:
         raise ValueError("dim V must be positive")
+    if n ** 3 > DIM_BOUND:
+        raise BoundExceeded(
+            f"n = {n}: dim V^(x)3 = {n ** 3} exceeds {DIM_BOUND}")
     m = _rhat_candidate(n)
     for relation, holds in (("quadratic", _satisfies_quadratic(m)),
                             ("braid", n < 2 or _satisfies_braid(m, n)),

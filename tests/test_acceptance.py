@@ -19,8 +19,8 @@ from importlib import resources
 from qdiag.hecke import (HeckeElt, formal_product, idempotents_r2,
                          idempotents_r3, project_p, t, theta)
 from qdiag.linalg import QMatrix, SubspaceBasis
-from qdiag.permutations import (all_perms, inverse, perm_of_word, reduced_word,
-                                s)
+from qdiag.permutations import (_arrangements, all_perms, inverse,
+                                perm_of_word, reduced_word, s)
 from qdiag.pplactic import (hecke_side_kernel, ideal_component,
                             lemma_brute_check, ppk_generators,
                             preplactic_ideal_component, verify_conjecture)
@@ -54,7 +54,7 @@ def test_criterion_01_systd_reproduction():
 
 def test_criterion_02_systd_kernel():
     ker = diag_relation_kernel(3, 3)[(1, 1, 1)]
-    labels = {w: i for i, w in enumerate(ker.labels)}
+    labels = {w: i for i, w in enumerate(_arrangements((1, 1, 1)))}
     ok = ker.dim == 1
     row = ker.rows[0]
     scale = row[labels[(1, 3, 2)]]

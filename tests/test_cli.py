@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import qdiag
-from qdiag import checks, cli, hecke, linalg, pplactic, qma
+from qdiag import checks, cli, hecke, linalg, pplactic, qma, rmatrix
 from qdiag.checks import CheckReport, run_check
 from qdiag.cli import main
 from qdiag.errors import MembershipFailure, UnknownCheck
@@ -166,6 +166,25 @@ def test_bound_exceeded_is_skip_report(capsys, monkeypatch):
     assert out.rstrip().endswith("0 failure(s), 1 skipped")
 
 
+def test_rhat_bound_is_skip_report(capsys, monkeypatch):
+    # rhat checks the braid relation on V^(x)3: n^3 = 4913 > 4096 is
+    # refused, naming n, before the candidate or any V^(x)3 operator is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("built before the dimension bound was checked")
+
+    monkeypatch.setattr(rmatrix, "_rhat_candidate", refuse)
+    monkeypatch.setattr(rmatrix, "_embed", refuse)
+    reason = "BoundExceeded: n = 17: dim V^(x)3 = 4913 exceeds 4096"
+    for argv in (("rhat", "--n", "17"),
+                 ("diag-kernel", "--n", "17", "--r", "2")):
+        code, out = run_cli(capsys, "run", *argv, "--no-cache",
+                            "--format", "json")
+        assert code == 2
+        (report,) = json.loads(out)
+        assert report["status"] == "SKIP"
+        assert report["detail"]["reason"] == reason
+
+
 def _benchmark_reference(workload):
     """A pinned benchmark report, read and never written here."""
     path = (Path(__file__).resolve().parents[1] / "perfbench" / "reference"
@@ -194,7 +213,7 @@ def test_preplactic_eliminates_no_kernel(capsys, monkeypatch, r):
         raise AssertionError("kernel eliminated although the verdict holds")
 
     pplactic._composition_verdict.cache_clear()
-    hecke._composition_kernel.cache_clear()
+    hecke.weight_kernel.cache_clear()
     for module in (linalg, hecke, pplactic):
         monkeypatch.setattr(module, "kernel", refuse)
     code, out = run_cli(capsys, "run", "preplactic", "--r", str(r),

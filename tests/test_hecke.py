@@ -6,6 +6,7 @@ import random
 import pytest
 
 from qdiag import hecke, pplactic
+from qdiag.checks import run_check
 from qdiag.errors import BoundExceeded, SizeMismatch
 from qdiag.hecke import (HeckeElt, diag_kernel_of_p, formal_product,
                          idempotents_r2, idempotents_r3, project_p,
@@ -216,6 +217,17 @@ def test_normalizers_reported():
     assert e111.coeff((1, 2, 3)) * c111 == ONE
 
 
+def test_idempotents_square_each_symmetrizer_once(monkeypatch):
+    # the normalizers are read off the idempotents, not solved again
+    calls = []
+    real = hecke._q_symmetrizer
+    monkeypatch.setattr(hecke, "_q_symmetrizer",
+                        lambda r, anti: calls.append(anti) or real(r, anti))
+    hecke.idempotents_r3.cache_clear()
+    assert run_check("idempotents", {}).status == "PASS"
+    assert sorted(calls) == [False, True]
+
+
 def test_diag_kernel_dimensions():
     assert diag_kernel_of_p(2).dim == 0
     k3 = diag_kernel_of_p(3)
@@ -234,24 +246,13 @@ def test_diag_kernel_dimensions():
     assert k4.dim == 24 - image_dim
 
 
-def test_diag_kernel_labelled_without_other_calls():
-    # the kernel carries its own labels, whatever ran before in the process:
-    # here the cached composition (1,1,1,1) is first reached from a weight
-    # with a zero part, over the letters 1, 3, 4, 5
-    hecke._composition_kernel.cache_clear()
-    assert weight_kernel((1, 0, 1, 1, 1)).labels[0] == (1, 3, 4, 5)
-    assert diag_kernel_of_p(4).labels == all_perms(4)
-
-
 @pytest.mark.parametrize("d, r", [(3, 3), (2, 4), (3, 4), (4, 4), (5, 4),
                                   (3, 5)])
 def test_weight_kernel_matches_frt_route(d, r):
     frt = diag_relation_kernel(d, r)
     assert list(frt) == _weights(d, r)
     for wv, ker in frt.items():
-        hecke_ker = weight_kernel(wv)
-        assert hecke_ker == ker, wv
-        assert hecke_ker.labels == ker.labels
+        assert weight_kernel(tuple(k for k in wv if k)) == ker, wv
 
 
 def compositions(r):
@@ -316,7 +317,7 @@ def test_conjecture_walks_only_its_rows(r, walked):
     # the 2-letter compositions of r share their products T_(b^-1) T_b
     # wherever their arrangements standardize to the same b
     hecke._structure_constants.cache_clear()
-    hecke._composition_kernel.cache_clear()
+    hecke.weight_kernel.cache_clear()
     pplactic._composition_verdict.cache_clear()
     assert verify_conjecture(2, r)["verdict"] == "PASS"
     assert hecke._structure_constants.cache_info().currsize == walked
@@ -333,13 +334,9 @@ def test_zero_parts_strip_on_both_routes():
         letters = [v for v, k in enumerate(wv, start=1) if k]
         small = frt_by_d[len(stripped)][stripped]
         assert (frt.rows, frt.pivots) == (small.rows, small.pivots), wv
-        assert frt.labels == [tuple(letters[v - 1] for v in a)
-                              for a in small.labels]
-        hecke_ker = weight_kernel(wv)
-        hecke_small = weight_kernel(stripped)
-        assert hecke_ker.rows is hecke_small.rows
-        assert hecke_ker.labels == frt.labels
-        assert hecke_small.labels == small.labels
+        assert _arrangements(wv) == [tuple(letters[v - 1] for v in a)
+                                     for a in _arrangements(stripped)]
+        assert weight_kernel(stripped) == frt == small
     # for example (2, 0, 2) and (2, 2)
     assert frt_by_d[3][(2, 0, 2)].dim == frt_by_d[2][(2, 2)].dim == 3
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from qdiag import hecke, pplactic
+from qdiag import hecke, linalg, pplactic
 from qdiag.checks import run_check
 from qdiag.errors import BoundExceeded
 from qdiag.hecke import _mul_gen, project_p, t
@@ -34,11 +34,20 @@ def hecke_product_action(coeffs, i, r):
     return out
 
 
+def composition(wv):
+    """The weight without its zero parts."""
+    return tuple(k for k in wv if k)
+
+
 def scanned_ideal_component(d, r):
-    """The ideal component with every weight labelled by a scan of d^r."""
+    """The ideal component of every weight, over the words of a scan of d^r.
+
+    The scan meets the words of a weight in the order of its arrangements.
+    """
     labels = {}
     for w in itertools.product(range(1, d + 1), repeat=r):
         labels.setdefault(weight(w, d), []).append(w)
+    assert all(ws == _arrangements(wv) for wv, ws in labels.items())
     index = {wv: {w: i for i, w in enumerate(ws)}
              for wv, ws in labels.items()}
     by_weight = {wv: [] for wv in labels}
@@ -50,8 +59,7 @@ def scanned_ideal_component(d, r):
                 u, v = pad[:cut], pad[cut:]
                 by_weight[wv].append(
                     {index[wv][u + w + v]: c for w, c in gen.terms.items()})
-    return {wv: SubspaceBasis.from_vectors(vecs, len(labels[wv]),
-                                           labels=labels[wv])
+    return {wv: SubspaceBasis.from_vectors(vecs, len(labels[wv]))
             for wv, vecs in by_weight.items() if vecs}
 
 
@@ -96,12 +104,12 @@ def test_generators_vanish_at_q1_commutatively():
 
 
 def test_degree3_component_is_generator_span():
-    comp = {wv: ideal_component(wv) for wv in _weights(3, 3)}
+    comp = {wv: ideal_component(composition(wv)) for wv in _weights(3, 3)}
     assert sum(b.dim for b in comp.values()) == 7
     for g in ppk_generators(3):
         wv = tuple(sum(1 for w in next(iter(g.terms)) if w == i)
                    for i in (1, 2, 3))
-        labels = {w: i for i, w in enumerate(comp[wv].labels)}
+        labels = {w: i for i, w in enumerate(_arrangements(wv))}
         vec = {labels[w]: c for w, c in g.terms.items()}
         assert comp[wv].contains(vec)
 
@@ -110,13 +118,14 @@ def test_ideal_component_trivial_cases():
     # one letter, or degree below 3: no generator fits
     for d, r in ((1, 3), (1, 5), (2, 2)):
         for wv in _weights(d, r):
-            zero = ideal_component(wv)
+            zero = ideal_component(composition(wv))
             assert zero.dim == 0
-            assert zero.ambient == len(zero.labels) == len(_arrangements(wv))
+            assert zero.ambient == len(_arrangements(wv))
 
 
 def test_degree4_component_dimension_pinned():
-    dims = {wv: ideal_component(wv).dim for wv in _weights(2, 4)}
+    dims = {wv: ideal_component(composition(wv)).dim
+            for wv in _weights(2, 4)}
     # derived once with this engine and frozen
     assert dims == {(4, 0): 0, (3, 1): 2, (2, 2): 3, (1, 3): 2, (0, 4): 0}
 
@@ -166,7 +175,7 @@ def test_preplactic_degree5_concat_matches_kernel():
 def test_distinct_letter_block_alone(r):
     distinct = (1,) * r
     alone = ideal_component(distinct)
-    assert alone.labels == all_perms(r)
+    assert _arrangements(distinct) == all_perms(r)
     assert alone == scanned_ideal_component(r, r)[distinct]
 
 
@@ -203,45 +212,39 @@ def test_weight_labelled_ideal_matches_scan(d, r):
     scanned = scanned_ideal_component(d, r)
     assert set(scanned) <= set(_weights(d, r))
     for wv in _weights(d, r):
-        labelled = ideal_component(wv)
+        idl = ideal_component(composition(wv))
         if wv in scanned:
-            assert labelled == scanned[wv]
-            assert labelled.labels == scanned[wv].labels
+            assert idl == scanned[wv]
         else:
-            assert labelled.dim == 0
-            assert labelled.labels == _arrangements(wv)
+            assert idl.dim == 0
+            assert idl.ambient == len(_arrangements(wv))
 
 
 def test_one_ideal_per_composition():
     # one generator list and one verdict per composition; every one is
     # certified, so no ideal RREF runs
     for cached in (pplactic._composition_generators,
-                   pplactic._composition_verdict,
-                   pplactic._composition_ideal):
+                   pplactic._composition_verdict, ideal_component):
         cached.cache_clear()
     verify_conjecture(3, 5)
     assert len(_weights(3, 5)) == 21
     assert pplactic._composition_generators.cache_info().currsize == 11
     assert pplactic._composition_verdict.cache_info().currsize == 11
-    assert pplactic._composition_ideal.cache_info().currsize == 0
+    assert ideal_component.cache_info().currsize == 0
     # the concatenation ideal and its action closure start from the one
     # distinct-letter component
-    pplactic._composition_ideal.cache_clear()
     ideal_component((1,) * 4)
     preplactic_ideal_component(4)
-    assert pplactic._composition_ideal.cache_info().misses == 1
+    assert ideal_component.cache_info().misses == 1
 
 
 def test_weight_shares_rows_of_its_composition():
-    wide = ideal_component((1, 0, 1, 1))
-    narrow = ideal_component((1, 1, 1))
-    cached = pplactic._composition_ideal((1, 1, 1))
-    assert wide.rows is narrow.rows is cached.rows
-    assert wide == narrow == cached
-    assert wide.labels == _arrangements((1, 0, 1, 1))
-    assert wide.labels[0] == (1, 3, 4)
-    assert narrow.labels == all_perms(3)
-    assert cached.labels is None
+    # two weights of one composition read the one object of each side
+    wide, narrow = (1, 0, 1, 1), (1, 1, 1)
+    assert composition(wide) == composition(narrow)
+    for per_composition in (ideal_component, hecke.weight_kernel):
+        assert per_composition(composition(wide)) \
+            is per_composition(composition(narrow))
 
 
 def _patch_kernel_at(monkeypatch, target, change):
@@ -277,7 +280,7 @@ def test_conjecture_fail_witness_from_ideal(monkeypatch, fresh_verdicts):
     # own labels (letters 1 and 3), not by its composition's
     target = (2, 0, 2)
     _patch_kernel_at(monkeypatch, target, lambda ker: SubspaceBasis(
-        ker.ambient, ker.rows[1:], ker.pivots[1:], ker.labels))
+        ker.ambient, ker.rows[1:], ker.pivots[1:]))
     block = _only_failed_block(verify_conjecture(3, 4), target)
     assert block["dim_ideal"] == block["dim_kernel"] + 1 == 3
     witness = {tuple(map(int, k)): v for k, v in block["witness"].items()}
@@ -291,7 +294,7 @@ def test_conjecture_fail_witness_from_kernel(monkeypatch, fresh_verdicts):
     _patch_kernel_at(monkeypatch, target,
                      lambda ker: SubspaceBasis.from_vectors(
                          [{i: ONE} for i in range(ker.ambient)],
-                         ker.ambient, ker.labels))
+                         ker.ambient))
     block = _only_failed_block(verify_conjecture(3, 4), target)
     assert block["dim_kernel"] == len(_arrangements(target)) == 12
     assert block["dim_ideal"] < 12
@@ -333,7 +336,7 @@ def fresh_verdicts():
     """Verdicts and kernels recomputed under a patch, and dropped after."""
     def clear():
         pplactic._composition_verdict.cache_clear()
-        hecke._composition_kernel.cache_clear()
+        hecke.weight_kernel.cache_clear()
 
     clear()
     yield
@@ -348,11 +351,11 @@ def test_certificate_matches_exact_route(r):
         dim = pplactic._composition_certificate(
             lam, hecke._composition_matrix(lam))
         assert dim is not None, lam
-        ker = hecke._composition_kernel(lam)
-        idl = pplactic._composition_ideal(lam)
+        ker = hecke.weight_kernel(lam)
+        idl = ideal_component(lam)
         assert dim == ker.dim == idl.dim, lam
         assert idl == ker
-        assert pplactic._composition_verdict(lam) == (dim, dim, None)
+        assert pplactic._composition_verdict(lam) == (dim, dim, None, None)
 
 
 def _perturb_at(monkeypatch, target, row=0):
@@ -421,8 +424,17 @@ def test_perturbed_matrix_fails_preplactic_on_the_exact_kernel(
     # of the perturbed M_(1,1,1,1), not against the ideal; row 0 would not
     # do, as no kernel vector has a coefficient at the identity
     target = (1, 1, 1, 1)
-    _perturb_at(monkeypatch, target, row=1)
+    perturbed = _perturb_at(monkeypatch, target, row=1)
+    # the verdict's one M_(1,1,1,1) and its one kernel serve the report
+    real_kernel, built, eliminated = linalg.kernel, [], []
+    for module in (hecke, pplactic):
+        monkeypatch.setattr(module, "_composition_matrix",
+                            lambda lam: built.append(lam) or perturbed(lam))
+        monkeypatch.setattr(module, "kernel",
+                            lambda m: eliminated.append(m) or real_kernel(m))
     report = run_check("preplactic", {"r": 4})
+    assert built == [target]
+    assert len(eliminated) == 1
     ker = hecke.weight_kernel(target)
     assert ker != ideal_component(target)
     assert report.status == "FAIL"
@@ -494,5 +506,5 @@ def test_ideal_contained_in_kernel_always():
     for d, r in ((2, 3), (3, 3), (2, 4)):
         kernels = diag_relation_kernel(d, r)
         for wv in _weights(d, r):
-            for row in ideal_component(wv).rows:
+            for row in ideal_component(composition(wv)).rows:
                 assert kernels[wv].contains(row)

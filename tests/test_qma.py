@@ -10,7 +10,7 @@ from qdiag.checks import run_check
 from qdiag.errors import BlockMismatch, BoundExceeded
 from qdiag.hecke import projection_matrix
 from qdiag.linalg import SubspaceBasis
-from qdiag.permutations import all_perms
+from qdiag.permutations import _arrangements, all_perms
 from qdiag.qma import (FreeElt, block_quotient, diag_relation_kernel,
                        expand_diagonal, membership, proportionality)
 from qdiag.scalars import ONE, ZERO, omega, parse_scalar, qs
@@ -115,13 +115,31 @@ def test_kernel_dimension_formula():
 def test_distinct_letter_kernel_vector():
     ker = diag_relation_kernel(3, 3)[(1, 1, 1)]
     assert ker.dim == 1
-    labels = {w: i for i, w in enumerate(ker.labels)}
+    labels = {w: i for i, w in enumerate(_arrangements((1, 1, 1)))}
     row = ker.rows[0]
     ratio = row[labels[(1, 3, 2)]]
     for word, val in ((1, 3, 2), 1), ((2, 1, 3), -1), ((2, 3, 1), 1), \
                      ((3, 1, 2), -1):
         assert row.get(labels[word], ZERO) == ratio * qs(val)
     assert labels[(1, 2, 3)] not in row and labels[(3, 2, 1)] not in row
+
+
+def test_diag_kernel_names_coordinates_by_weight():
+    # the kernel at 1011 is the one of composition (1, 1, 1); the report
+    # names its coordinates by the words over the letters 1, 3 and 4
+    report = run_check("diag-kernel", {"n": 4, "r": 3})
+    assert report.status == "PASS"
+    kernel = report.artifacts["kernels"]["1011"]
+    words = [str(a) for a in _arrangements((1, 0, 1, 1))]
+    assert words[0] == "(1, 3, 4)"
+    assert kernel["ambient"] == 6 and kernel["dim"] == 1
+    (row,) = kernel["rows"]
+    assert set(row) == {"(1, 4, 3)", "(3, 1, 4)", "(3, 4, 1)", "(4, 1, 3)"}
+    assert list(row) == [w for w in words if w in row]
+    # 0111 has the same kernel over the letters 2, 3 and 4
+    assert report.artifacts["kernels"]["0111"] == {
+        "ambient": 6, "dim": 1,
+        "rows": [{w.replace("1", "2"): v for w, v in row.items()}]}
 
 
 def test_homotopic_expressions():
