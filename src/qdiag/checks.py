@@ -26,8 +26,8 @@ from .pplactic import (_composition_verdict, ideal_component,
                        lemma_brute_check, preplactic_ideal_component,
                        verify_conjecture)
 from .qma import diag_relation_kernel, expand_diagonal
-from .rmatrix import (generator_matrix, idempotent_block, index_word,
-                      multiset_classes, pi, rhat, rhat_reading)
+from .rmatrix import (appendix_blocks, generator_matrix, index_word, pi, rhat,
+                      rhat_reading)
 from .scalars import ONE, QScalar, add_term, omega, parse_scalar, q_power
 
 __all__ = ["CheckReport", "run_check", "run_many", "CHECKS", "check_names"]
@@ -216,19 +216,14 @@ def _appendix_expected(sign_key: str):
 
 def check_appendix(params) -> dict:
     sign_key = params.get("sign", "plus")
-    sg = 1 if sign_key == "plus" else -1
     _, ep, em, _ = idempotents_r3()
-    mat = pi(ep if sg > 0 else em, 3)
+    mat = pi(ep if sign_key == "plus" else em, 3)
     six, three = _appendix_expected(sign_key)
+    blocks = appendix_blocks(mat)
     compared = 0
-    words6 = sorted(w for w in multiset_classes(3, 3)[(1, 2, 3)])
-    blocks = [(words6, six)]
-    for multiset in ((1, 1, 2), (1, 2, 2)):
-        blocks.append((sorted(multiset_classes(3, 3)[multiset]), three))
-    computed = []
-    for words, expected in blocks:
-        got = idempotent_block(mat, words, 3)
-        computed.append(got)
+    for wv, got in blocks.items():
+        words = _arrangements(wv)
+        expected = six if wv == (1, 1, 1) else three
         for i, row in enumerate(expected):
             for j, val in enumerate(row):
                 if got[i][j] != val:
@@ -242,12 +237,11 @@ def check_appendix(params) -> dict:
         for (i, j) in mat.entries)
     if not zero_pattern:
         return {"status": "FAIL", "witness": "multiset zero pattern"}
-    # the 123 block and the 112 block, as appendix_blocks(sg) extracts them
-    six, three = computed[:2]
     return {"status": "PASS", "entries_compared": compared,
             "zero_pattern": True,
-            "_artifacts": {"block6": [[str(x) for x in row] for row in six],
-                           "block3": [[str(x) for x in row] for row in three]}}
+            "_artifacts": {name: [[str(x) for x in row] for row in blocks[wv]]
+                           for name, wv in (("block6", (1, 1, 1)),
+                                            ("block3", (2, 1, 0)))}}
 
 
 def check_systd(params) -> dict:
@@ -529,9 +523,9 @@ def run_many(tasks, jobs: int = 1) -> list:
     if pool is None:
         return [run_check(name, params) for name, params in tasks]
     with pool:
-        futures = [pool.submit(_run_json, name, params)
+        futures = [pool.submit(run_check, name, params)
                    for name, params in tasks]
-        return [CheckReport.from_json(f.result()) for f in futures]
+        return [f.result() for f in futures]
 
 
 def _process_pool(jobs: int):
@@ -542,7 +536,3 @@ def _process_pool(jobs: int):
         return ProcessPoolExecutor(max_workers=jobs)
     except (OSError, NotImplementedError):
         return None
-
-
-def _run_json(name: str, params: dict) -> dict:
-    return run_check(name, params).to_json()

@@ -298,6 +298,8 @@ def _minimal_coset_rep(p, blocks: list, starts: list):
 
 def _composition_matrix(lam: tuple) -> QMatrix:
     """M_lambda, columns d in lex order, for a composition with no zero part."""
+    if 0 in lam:
+        raise ValueError(f"composition {lam} has a zero part")
     _check_rank(sum(lam))
     blocks = [b for b, k in enumerate(lam) for _ in range(k)]
     starts = [1 + sum(lam[:b]) for b in range(len(lam))]

@@ -31,6 +31,11 @@ compared as canonical RREF subspaces, and that kernel is handed back with
 the verdict; only this exact route reports FAIL, with a witness.
 ``diag-kernel`` and the tests cross-check the Hecke kernels
 against the FRT ones.
+
+``lemma_brute_check`` reads the letter-class blocks of pi(e21 +-) through
+``rmatrix.appendix_blocks`` and reduces each class in one rewriting pass
+over its rule table (the three-letter endgame included), checking every
+rule it applies for membership in the relation span.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ from .linalg import QMatrix, SubspaceBasis, kernel, rank_mod_p
 from .permutations import (_arrangements, _tuple_sub, _weights, all_perms,
                            weight)
 from .qma import FreeElt, block_quotient
-from .rmatrix import pi, word_index
+from .rmatrix import appendix_blocks, pi
 from .scalars import (ONE, ZERO, add_term, omega, parse_scalar, q_int,
                       q_power, qs, value_mod)
 
@@ -110,6 +115,8 @@ def _composition_generators(lam: tuple) -> list:
     leaves over, at every cut of the pad; the columns are the arrangements
     of lambda, lex.
     """
+    if 0 in lam:
+        raise ValueError(f"composition {lam} has a zero part")
     index = {w: i for i, w in enumerate(_arrangements(lam))}
     vecs = []
     for g in ppk_generators(len(lam)):
@@ -183,11 +190,12 @@ def preplactic_ideal_component(r: int) -> SubspaceBasis:
 
 @lru_cache(maxsize=None)
 def _substitution_tables() -> dict:
+    """{class key: {lhs word: rhs}}, with the endgame rules in "111"."""
     raw = json.loads(resources.files("qdiag.data")
                      .joinpath("substitutions.json").read_text())
     tables = {}
     for key in ("111", "12", "21"):
-        rules = []
+        rules = tables[key] = {}
         for rule in raw[key]:
             lhs = (tuple(int(ch) for ch in rule["lhs"][0]),
                    tuple(int(ch) for ch in rule["lhs"][1]))
@@ -196,8 +204,8 @@ def _substitution_tables() -> dict:
                 word = (tuple(int(ch) for ch in upper),
                         tuple(int(ch) for ch in lower))
                 add_term(rhs, word, parse_scalar(coeff))
-            rules.append((lhs, rhs))
-        tables[key] = rules
+            rules[lhs] = rhs
+    tables["111"].update(_endgame_rules_111())
     return tables
 
 
@@ -222,12 +230,13 @@ def _pattern_rule(word) -> dict | None:
     return None
 
 
-def _endgame_rules_111() -> list:
+def _endgame_rules_111() -> dict:
     """The two final substitutions of the three-distinct-letter reduction.
 
     The first eliminates x^123_312 against x^123_231 using the expansion of
     the maximal diagonal monomial; the second is the stated gauge choice for
-    x^123_321.
+    x^123_321.  Neither word has a table or pattern rule, and x^123_231 has
+    none at all: a restriction that leaves it is not reduced.
     """
     w = omega()
     inv_w2 = (w * w).inv()
@@ -244,8 +253,8 @@ def _endgame_rules_111() -> list:
         ((1, 2, 3), (3, 2, 1)): -(w + w.inv()),
     }
     rule2_rhs = {d((3, 1, 2)): w.inv(), d((1, 3, 2)): -w.inv()}
-    return [(((1, 2, 3), (3, 1, 2)), rule1_rhs),
-            (((1, 2, 3), (3, 2, 1)), rule2_rhs)]
+    return {((1, 2, 3), (3, 1, 2)): rule1_rhs,
+            ((1, 2, 3), (3, 2, 1)): rule2_rhs}
 
 
 def _validate_rule(lhs, rhs, quotient) -> None:
@@ -257,7 +266,11 @@ def _validate_rule(lhs, rhs, quotient) -> None:
 
 
 def _apply_rules(terms: dict, rules: dict, quotient) -> dict:
-    """Fixpoint application of word rules; each rule validated once."""
+    """Fixpoint application of word rules; each rule validated once.
+
+    Every off-diagonal word has at most one rule (a table rule or a
+    pattern rule), so the result does not depend on the order of steps.
+    """
     validated = set()
     terms = dict(terms)
     for _ in range(200):
@@ -279,53 +292,30 @@ def _apply_rules(terms: dict, rules: dict, quotient) -> dict:
     raise MembershipFailure("substitution rules did not terminate")
 
 
-def _restrict_to_diagonal(first, second, i_word: tuple) -> dict:
+def _restrict_to_diagonal(first, second, words, i_word, rules) -> dict:
     """Reduce L^(sign) at the diagonal multi-index to diagonal letter words.
 
-    Builds sum_KL [e_sign]^I_K [e_-sign]^L_I x^K_L from the represented
-    idempotents first = pi(e_sign, 3) and second = pi(e_-sign, 3), rewrites
-    it into diagonal words with the substitution tables, and returns
-    {letter word: coefficient}.
+    ``first`` and ``second`` are the blocks of pi(e_sign, 3) and
+    pi(e_-sign, 3) over ``words``, the arrangements of i_word.  Builds
+    sum_KL [e_sign]^I_K [e_-sign]^L_I x^K_L from row and column i_word of
+    them, rewrites it into diagonal words with ``rules``, its class table,
+    and returns {letter word: coefficient}.
     """
-    arrangements = sorted(set(itertools.permutations(i_word)))
-    i_idx = word_index(i_word, 3)
+    i = words.index(i_word)
     terms = {}
-    for k_word in arrangements:
-        ck = first.get(i_idx, word_index(k_word, 3))
+    for k_word, ck in zip(words, first[i]):
         if not ck:
             continue
-        for l_word in arrangements:
-            cl = second.get(word_index(l_word, 3), i_idx)
-            if cl:
-                terms[(k_word, l_word)] = ck * cl
+        for l_word, row in zip(words, second):
+            if row[i]:
+                terms[(k_word, l_word)] = ck * row[i]
     quotient = block_quotient(3, 3, (weight(i_word, 3), weight(i_word, 3)))
     elt = FreeElt(3, terms)
     if not quotient.contains(elt):
         raise MembershipFailure(
             "diagonal restriction is not a relation",
             residual=quotient.residual(elt).to_json())
-    key = "111" if len(set(i_word)) == 3 else \
-        ("12" if i_word.count(i_word[0]) == 1 else "21")
-    rules = {lhs: rhs for lhs, rhs in _substitution_tables()[key]}
     terms = _apply_rules(terms, rules, quotient)
-    if key == "111":
-        off = {w for w in terms if w[0] != w[1]}
-        if not off <= {((1, 2, 3), (2, 3, 1)), ((1, 2, 3), (3, 1, 2)),
-                       ((1, 2, 3), (3, 2, 1))}:
-            raise MembershipFailure(
-                "substitution tables leave unexpected off-diagonal words",
-                residual=sorted(off))
-        for lhs, rhs in _endgame_rules_111():
-            _validate_rule(lhs, rhs, quotient)
-            c = terms.pop(lhs, ZERO)
-            if c:
-                for word, cc in rhs.items():
-                    add_term(terms, word, c * cc)
-        leftover = terms.pop(((1, 2, 3), (2, 3, 1)), ZERO)
-        if leftover:
-            raise MembershipFailure(
-                "coefficients of the two obstruction words differ",
-                residual=str(leftover))
     off = sorted(w for w in terms if w[0] != w[1])
     if off:
         raise MembershipFailure(
@@ -344,7 +334,9 @@ def lemma_brute_check(sign: int) -> dict:
     _, ep, em, _ = idempotents_r3()
     plus, minus = pi(ep, 3), pi(em, 3)
     ortho = (plus * minus).is_zero() and (minus * plus).is_zero()
-    first, second = (plus, minus) if sign > 0 else (minus, plus)
+    first, second = map(appendix_blocks,
+                        (plus, minus) if sign > 0 else (minus, plus))
+    tables = _substitution_tables()
     w = omega()
     expected = {
         "12": {"reference": q_int(2) / (qs(4) * w * q_int(3))},
@@ -362,7 +354,9 @@ def lemma_brute_check(sign: int) -> dict:
     report = {"sign": "plus" if sign > 0 else "minus",
               "orthogonality": ortho, "weights": {}}
     for key, i_word, gen in cases:
-        diag = _restrict_to_diagonal(first, second, i_word)
+        wv = weight(i_word, 3)
+        diag = _restrict_to_diagonal(first[wv], second[wv], _arrangements(wv),
+                                     i_word, tables[key])
         word0, c0 = next(iter(sorted(gen.terms.items())))
         c = diag.get(word0, ZERO) / c0
         exact = diag == {wd: c * cc for wd, cc in gen.terms.items()}

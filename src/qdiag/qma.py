@@ -19,7 +19,7 @@ The kernels that the conjecture verdict compares come from the Hecke side
 (``hecke._composition_matrix``), with no block.  ``diag_relation_kernel`` is
 the FRT route to the same kernels, kept as the independent cross-check that
 the ``diag-kernel`` check runs at every weight; the blocks also carry the
-membership and proportionality claims of the brute-force restriction.
+membership claims of the brute-force restriction.
 """
 
 from __future__ import annotations

@@ -13,7 +13,10 @@ exchange relations read x^j_k x^i_k = q x^i_k x^j_k for j > i, and
 construction checks all three relations.
 
 ``pi`` extends sigma |-> rhat at positions (i, i+1) to an algebra map of
-H_r(q) into End(V^(x)r) via reduced words.
+H_r(q) into End(V^(x)r) via reduced words.  ``appendix_blocks`` is the one
+reader of the letter-class blocks of such an operator on V^(x)3: both
+``appendix`` and the brute-force diagonal restriction read pi(e21 sign)
+through it.
 """
 
 from __future__ import annotations
@@ -22,9 +25,9 @@ import itertools
 from functools import lru_cache
 
 from .errors import BoundExceeded
-from .hecke import HeckeElt, idempotents_r3
+from .hecke import HeckeElt
 from .linalg import QMatrix
-from .permutations import reduced_word
+from .permutations import _arrangements, reduced_word
 from .scalars import ONE, Q, add_term, gather, omega, q_power
 
 __all__ = [
@@ -190,18 +193,15 @@ def idempotent_block(m: QMatrix, words, n: int) -> list:
             for a in words]
 
 
-def appendix_blocks(sign: int):
-    """The pinned-comparison blocks of the represented mixed idempotent.
+def appendix_blocks(mat: QMatrix) -> dict:
+    """The letter-class blocks of a V^(x)3 operator for dim V = 3.
 
-    For dim V = 3, extracts from the tensor-cube image of e21(sign) the 6x6
-    block over the distinct-letter words 123..321 and the 3x3 block over
-    112, 121, 211 (lexicographic order in both).
+    Maps the weights (1,1,1), (2,1,0) and (1,2,0) to the blocks of ``mat``
+    over their arrangements (123..321, 112..211 and 122..221, lex): a 6x6
+    and two 3x3 blocks.
     """
-    _, ep, em, _ = idempotents_r3()
-    mat = pi(ep if sign > 0 else em, 3)
-    words6 = sorted(multiset_classes(3, 3)[(1, 2, 3)])
-    words3 = sorted(multiset_classes(3, 3)[(1, 1, 2)])
-    return idempotent_block(mat, words6, 3), idempotent_block(mat, words3, 3)
+    return {wv: idempotent_block(mat, _arrangements(wv), 3)
+            for wv in ((1, 1, 1), (2, 1, 0), (1, 2, 0))}
 
 
 def multiset_classes(n: int, r: int):

@@ -1,13 +1,14 @@
 """Cubic generators, ideals on both sides, the brute-force restriction."""
 
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
 
 from qdiag import hecke, linalg, pplactic
 from qdiag.checks import run_check
-from qdiag.errors import BoundExceeded
+from qdiag.errors import BoundExceeded, MembershipFailure
 from qdiag.hecke import _mul_gen, project_p, t
 from qdiag.permutations import (_arrangements, _weights, all_perms, inverse,
                                 s, weight)
@@ -245,6 +246,24 @@ def test_weight_shares_rows_of_its_composition():
     for per_composition in (ideal_component, hecke.weight_kernel):
         assert per_composition(composition(wide)) \
             is per_composition(composition(narrow))
+
+
+def test_zero_part_is_refused_before_anything_is_cached(monkeypatch):
+    # a weight with a zero part is not a composition: refused before any
+    # arrangement is listed, so no per-composition cache holds a duplicate
+    def refuse(*args):
+        raise AssertionError("arrangements listed for a zero part")
+
+    monkeypatch.setattr(hecke, "_arrangements", refuse)
+    monkeypatch.setattr(pplactic, "_arrangements", refuse)
+    for per_composition, wv in ((hecke.weight_kernel, (2, 0, 2)),
+                                (ideal_component, (1, 0, 1, 1)),
+                                (pplactic._composition_verdict, (1, 0, 1, 1))):
+        per_composition.cache_clear()
+        with pytest.raises(ValueError, match=re.escape(
+                f"composition {wv} has a zero part")):
+            per_composition(wv)
+        assert per_composition.cache_info().currsize == 0
 
 
 def _patch_kernel_at(monkeypatch, target, change):
@@ -488,6 +507,29 @@ def test_lemma_brute(sign):
     assert v12 == v21
     assert report["weights"]["12"]["matches_reference_up_to_sign"]
     assert v12 == -(q_int(2) / (qs(4) * w * q_int(3)))
+
+
+def test_lemma_brute_validates_the_endgame_rules(monkeypatch):
+    # the one rewriting pass still checks every rule it applies, the
+    # three-letter endgame included: a gauge rule that is not a relation
+    # is an internal failure that names its word
+    real = pplactic._endgame_rules_111
+
+    def wrong_gauge():
+        rules = real()
+        rules[((1, 2, 3), (3, 2, 1))] = {
+            ((3, 1, 2), (3, 1, 2)): ONE, ((1, 3, 2), (1, 3, 2)): ONE}
+        return rules
+
+    monkeypatch.setattr(pplactic, "_endgame_rules_111", wrong_gauge)
+    pplactic._substitution_tables.cache_clear()
+    try:
+        with pytest.raises(MembershipFailure,
+                           match=r"^substitution for \(\(1, 2, 3\), "
+                                 r"\(3, 2, 1\)\) is not a relation$"):
+            lemma_brute_check(1)
+    finally:
+        pplactic._substitution_tables.cache_clear()
 
 
 def test_conjecture_reports():

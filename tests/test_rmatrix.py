@@ -168,6 +168,9 @@ def test_appendix_blocks_all_classes(sign_key, sg):
                 assert block[i][j] == three[i][j], (multiset, i, j)
                 checked += 1
     assert checked == 90
+    # the one block reader gives the same blocks at its three classes
+    assert rmatrix.appendix_blocks(mat) == {
+        (1, 1, 1): six, (2, 1, 0): three, (1, 2, 0): three}
 
 
 def test_first_golden_entries():
