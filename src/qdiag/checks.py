@@ -198,7 +198,7 @@ def check_rhat(params) -> dict:
               parse_scalar(text) for row, col, text in golden["entries"]}
     m2 = rhat(2)
     computed = {(index_word(i, 2, 2), index_word(j, 2, 2)): v
-                for (i, j), v in m2.entries.items()}
+                for i, row in enumerate(m2.rows) for j, v in row.items()}
     if computed != pinned:
         return {"status": "FAIL", "witness": "frozen dim-2 entries differ"}
     detail["golden_entries_checked"] = len(pinned)
@@ -234,7 +234,7 @@ def check_appendix(params) -> dict:
                 compared += 1
     zero_pattern = all(
         sorted(index_word(i, 3, 3)) == sorted(index_word(j, 3, 3))
-        for (i, j) in mat.entries)
+        for i, row in enumerate(mat.rows) for j in row)
     if not zero_pattern:
         return {"status": "FAIL", "witness": "multiset zero pattern"}
     return {"status": "PASS", "entries_compared": compared,

@@ -195,10 +195,10 @@ def project_p(r: int, coeffs: dict) -> HeckeElt:
     The images are the rows of ``projection_matrix(r)``.
     """
     perms = all_perms(r)
+    rows = projection_matrix(r).rows
     out: dict = {}
-    for (i, j), v in projection_matrix(r).entries.items():
-        c = coeffs.get(perms[i])
-        if c:
+    for p, c in coeffs.items():
+        for j, v in rows[perms.index(p)].items():
             add_term(out, perms[j], c * v)
     return HeckeElt(r, out)
 
@@ -318,9 +318,8 @@ def _composition_matrix(lam: tuple) -> QMatrix:
             add_term(row, d, c * shift if shift else c)
         rows.append(row)
     col = {d: j for j, d in enumerate(sorted({d for d, _ in reps.values()}))}
-    entries = {(k, col[d]): c for k, row in enumerate(rows)
-               for d, c in row.items()}
-    return QMatrix(len(rows), len(col), entries)
+    return QMatrix(len(col), ({col[d]: c for d, c in row.items()}
+                              for row in rows))
 
 
 @lru_cache(maxsize=None)

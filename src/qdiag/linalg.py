@@ -1,9 +1,11 @@
 """Exact sparse linear algebra over Q(q).
 
-Vectors are dicts {column index: nonzero QScalar}.  Subspaces are kept in
-reduced row echelon form with pivot entries 1; since scalar canonical forms
-are unique, two subspaces are equal iff their RREF data are identical, and
-that comparison is used everywhere downstream.
+Vectors are dicts {column index: nonzero QScalar}.  A ``QMatrix`` is
+nothing but its column count and one such vector per row: a product, a
+kernel and the rank certificate read its rows as they are.  Subspaces are
+kept in reduced row echelon form with pivot entries 1; since scalar
+canonical forms are unique, two subspaces are equal iff their RREF data are
+identical, and that comparison is used everywhere downstream.
 
 Pivoting is deterministic: every row is pivoted on its leftmost nonzero
 column, with no magnitude pivoting.  ``SubspaceBasis.from_vectors`` consumes
@@ -40,25 +42,30 @@ def _vec_sub_scaled(vec: dict, row: dict, c: QScalar):
 
 
 class QMatrix:
-    """Sparse matrix over Q(q); entries map (row, col) -> nonzero scalar.
+    """Sparse matrix over Q(q): nothing but its column count and rows.
 
-    A matrix keeps nothing but its shape and entries: no index or cache is
-    filled in after construction.
+    ``rows[i]`` is row i as a sparse vector {column: nonzero QScalar}, the
+    format of every other vector here.  The constructor copies the rows it
+    is given and drops their zero entries, so a matrix shares no row with
+    its caller.  ``transpose`` is the one method that regroups entries.
     """
 
-    __slots__ = ("nrows", "ncols", "entries")
+    __slots__ = ("ncols", "rows")
 
-    def __init__(self, nrows: int, ncols: int, entries=None):
-        self.nrows = nrows
+    def __init__(self, ncols: int, rows):
         self.ncols = ncols
-        self.entries = {k: v for k, v in (entries or {}).items() if v}
+        self.rows = [{j: v for j, v in row.items() if v} for row in rows]
+
+    @property
+    def nrows(self) -> int:
+        return len(self.rows)
 
     @staticmethod
     def identity(n: int) -> "QMatrix":
-        return QMatrix(n, n, {(i, i): ONE for i in range(n)})
+        return QMatrix(n, ({i: ONE} for i in range(n)))
 
     def get(self, i: int, j: int) -> QScalar:
-        return self.entries.get((i, j), ZERO)
+        return self.rows[i].get(j, ZERO)
 
     def _check_shape(self, other):
         if self.nrows != other.nrows or self.ncols != other.ncols:
@@ -66,27 +73,28 @@ class QMatrix:
                 f"{self.nrows}x{self.ncols} vs {other.nrows}x{other.ncols}")
 
     def __eq__(self, other):
-        return (isinstance(other, QMatrix) and self.nrows == other.nrows
-                and self.ncols == other.ncols and self.entries == other.entries)
+        return (isinstance(other, QMatrix) and self.ncols == other.ncols
+                and self.rows == other.rows)
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not any(self.rows)
 
     def __add__(self, other):
         self._check_shape(other)
-        data = dict(self.entries)
-        for key, val in other.entries.items():
-            add_term(data, key, val)
-        return QMatrix(self.nrows, self.ncols, data)
+        out = []
+        for row, other_row in zip(self.rows, other.rows):
+            row = dict(row)
+            for j, val in other_row.items():
+                add_term(row, j, val)
+            out.append(row)
+        return QMatrix(self.ncols, out)
 
     def __sub__(self, other):
         return self + other.scale(-ONE)
 
     def scale(self, c: QScalar) -> "QMatrix":
-        if not c:
-            return QMatrix(self.nrows, self.ncols)
-        return QMatrix(self.nrows, self.ncols,
-                       {key: c * val for key, val in self.entries.items()})
+        return QMatrix(self.ncols, ({j: c * val for j, val in row.items()}
+                                    for row in self.rows))
 
     def __mul__(self, other):
         """Product, one ``scalars.gather`` call per output row.
@@ -99,39 +107,39 @@ class QMatrix:
         if self.ncols != other.nrows:
             raise DimensionMismatch(
                 f"{self.nrows}x{self.ncols} times {other.nrows}x{other.ncols}")
-        right = _rows(other)
-        entries = {}
-        for i, row in _rows(self).items():
+        out = []
+        for row in self.rows:
             gathered: dict = {}
             for k, a in row.items():
-                for j, b in right.get(k, {}).items():
+                for j, b in other.rows[k].items():
                     gathered.setdefault(j, []).append((a, b))
-            for j, val in gather(gathered).items():
-                entries[(i, j)] = val
-        return QMatrix(self.nrows, other.ncols, entries)
+            out.append(gather(gathered))
+        return QMatrix(other.ncols, out)
 
     def transpose(self) -> "QMatrix":
-        return QMatrix(self.ncols, self.nrows,
-                       {(j, i): val for (i, j), val in self.entries.items()})
-
-    def row(self, i: int) -> dict:
-        return {j: val for (r, j), val in self.entries.items() if r == i}
+        columns = [{} for _ in range(self.ncols)]
+        for i, row in enumerate(self.rows):
+            for j, val in row.items():
+                columns[j][i] = val
+        return QMatrix(self.nrows, columns)
 
     def apply(self, vec: dict) -> dict:
         """Matrix times a sparse column vector: the product with one column."""
-        column = QMatrix(self.ncols, 1, {(j, 0): c for j, c in vec.items()})
-        return {i: val for (i, _), val in (self * column).entries.items()}
+        column = QMatrix(1, ({0: vec[j]} if j in vec else {}
+                             for j in range(self.ncols)))
+        return {i: row[0] for i, row in enumerate((self * column).rows) if row}
 
     def to_json(self):
         return {
             "nrows": self.nrows,
             "ncols": self.ncols,
-            "entries": [[i, j, str(val)]
-                        for (i, j), val in sorted(self.entries.items())],
+            "entries": [[i, j, str(val)] for i, row in enumerate(self.rows)
+                        for j, val in sorted(row.items())],
         }
 
     def __repr__(self):
-        return f"QMatrix({self.nrows}x{self.ncols}, {len(self.entries)} entries)"
+        return (f"QMatrix({self.nrows}x{self.ncols},"
+                f" {sum(map(len, self.rows))} entries)")
 
 
 class SubspaceBasis:
@@ -193,14 +201,6 @@ class SubspaceBasis:
         return f"SubspaceBasis(dim {self.dim} of {self.ambient})"
 
 
-def _rows(m: QMatrix) -> dict:
-    """The nonzero rows of m, as sparse vectors keyed by row index."""
-    rows: dict = {}
-    for (i, j), val in m.entries.items():
-        rows.setdefault(i, {})[j] = val
-    return rows
-
-
 def _reduce_by(row: dict, pivot_rows: dict):
     """In place reduction of row against rows keyed by pivot column.
 
@@ -213,9 +213,7 @@ def _reduce_by(row: dict, pivot_rows: dict):
 
 def kernel(m: QMatrix) -> SubspaceBasis:
     """Right kernel {v : m v = 0} as a canonical subspace of Q(q)^ncols."""
-    rows = _rows(m)
-    row_space = SubspaceBasis.from_vectors(
-        (rows.get(i, {}) for i in range(m.nrows)), m.ncols)
+    row_space = SubspaceBasis.from_vectors(m.rows, m.ncols)
     pivot_set = set(row_space.pivots)
     free_cols = [c for c in range(m.ncols) if c not in pivot_set]
     vectors = []
@@ -231,15 +229,13 @@ def kernel(m: QMatrix) -> SubspaceBasis:
     if row_space.dim + basis.dim != m.ncols:
         raise ArithmeticError(
             f"rank {row_space.dim} + nullity {basis.dim} != {m.ncols} columns")
-    columns = QMatrix(m.ncols, basis.dim, {
-        (c, k): val for k, vec in enumerate(basis.rows)
-        for c, val in vec.items()})
-    product = (m * columns).entries
-    if product:
-        i, k = min(product, key=lambda key: (key[1], key[0]))
+    product = m * QMatrix(m.ncols, basis.rows).transpose()
+    failed = [(k, i) for i, row in enumerate(product.rows) for k in row]
+    if failed:
+        k, i = min(failed)
         raise ArithmeticError(
             f"kernel vector {k} (pivot {basis.pivots[k]}) is not annihilated:"
-            f" row {i} gives {product[i, k]}")
+            f" row {i} gives {product.get(i, k)}")
     return basis
 
 

@@ -210,8 +210,3 @@ def _weights(n: int, r: int) -> list:
 def perm_str(p: Perm) -> str:
     """Digit-string rendering, e.g. (3, 1, 2) -> '312'."""
     return "".join(str(v) for v in p) if len(p) < 10 else ",".join(map(str, p))
-
-
-if __name__ == "__main__":
-    import doctest
-    doctest.testmod()

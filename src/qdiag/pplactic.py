@@ -389,16 +389,12 @@ def _composition_certificate(lam: tuple, m: QMatrix):
     entry that is not a Laurent polynomial gives None.
     """
     gens = _composition_generators(lam)
-    g = QMatrix(len(gens), m.nrows, {(i, j): c for i, row in enumerate(gens)
-                                     for j, c in row.items()})
-    if not (g * m).is_zero():
+    if not (QMatrix(m.nrows, gens) * m).is_zero():
         return None
-    m_rows = [{} for _ in range(m.nrows)]
     try:
-        for (i, j), c in m.entries.items():
-            m_rows[i][j] = value_mod(c, CERT_POINT, CERT_PRIME)
-        g_rows = [{j: value_mod(c, CERT_POINT, CERT_PRIME)
-                   for j, c in row.items()} for row in gens]
+        g_rows, m_rows = [[{j: value_mod(c, CERT_POINT, CERT_PRIME)
+                            for j, c in row.items()} for row in rows]
+                          for rows in (gens, m.rows)]
     except ValueError:
         return None
     rank_g = rank_mod_p(g_rows, CERT_PRIME)

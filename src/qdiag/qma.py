@@ -249,13 +249,9 @@ def expand_diagonal(n: int, r: int, weight_vec: tuple):
     q = block_quotient(n, r, (weight_vec, weight_vec))
     diag = _arrangements(weight_vec)
     col = {w: j for j, w in enumerate(q.basis_words)}
-    entries = {}
-    for i, a in enumerate(diag):
-        nf = q.normal_form(FreeElt(n, {(a, a): ONE}))
-        for word, c in nf.items():
-            entries[(i, col[word])] = c
-    return diag, list(q.basis_words), QMatrix(len(diag), len(q.basis_words),
-                                              entries)
+    rows = ({col[word]: c for word, c in
+             q.normal_form(FreeElt(n, {(a, a): ONE})).items()} for a in diag)
+    return diag, list(q.basis_words), QMatrix(len(col), rows)
 
 
 def diag_relation_kernel(n: int, r: int) -> dict:

@@ -57,17 +57,17 @@ def index_word(idx: int, n: int, r: int) -> tuple:
 
 def _rhat_candidate(n: int) -> QMatrix:
     w = omega()
-    entries = {}
+    rows = [{} for _ in range(n * n)]
     for a in range(1, n + 1):
         for b in range(1, n + 1):
             col = word_index((a, b), n)
             if a == b:
-                entries[(col, col)] = Q
+                rows[col][col] = Q
                 continue
-            entries[(word_index((b, a), n), col)] = ONE
+            rows[word_index((b, a), n)][col] = ONE
             if a > b:
-                entries[(col, col)] = w
-    return QMatrix(n * n, n * n, entries)
+                rows[col][col] = w
+    return QMatrix(n * n, rows)
 
 
 def _satisfies_quadratic(m: QMatrix) -> bool:
@@ -89,14 +89,13 @@ def degree2_relation(m: QMatrix, n: int, upper: tuple, lower: tuple) -> dict:
     the generators x^a_b coordinatized as length-2 words: a dict keyed by
     (upper pair, lower pair).
     """
-    row = word_index(upper, n)
     col = word_index(lower, n)
     vec: dict = {}
-    for (i, k), val in m.entries.items():
-        if i == row:
-            add_term(vec, (index_word(k, n, 2), lower), val)
-    for (i, k), val in m.entries.items():
-        if k == col:
+    for k, val in m.rows[word_index(upper, n)].items():
+        add_term(vec, (index_word(k, n, 2), lower), val)
+    for i, row in enumerate(m.rows):
+        val = row.get(col)
+        if val is not None:
             add_term(vec, (upper, index_word(i, n, 2)), -val)
     return vec
 
@@ -143,16 +142,11 @@ def rhat_reading(n: int) -> str:
 
 def _embed(m: QMatrix, n: int, r: int, pos: int) -> QMatrix:
     """m acting at tensor positions (pos, pos+1) of V^(x)r, 1-based."""
-    left = n ** (pos - 1)
     right = n ** (r - pos - 1)
-    dim = n ** r
-    entries = {}
-    for (i, j), val in m.entries.items():
-        for a in range(left):
-            for b in range(right):
-                entries[(((a * n * n) + i) * right + b,
-                         ((a * n * n) + j) * right + b)] = val
-    return QMatrix(dim, dim, entries)
+    return QMatrix(n ** r, (
+        {((a * n * n) + j) * right + b: val for j, val in row.items()}
+        for a in range(n ** (pos - 1)) for row in m.rows
+        for b in range(right)))
 
 
 @lru_cache(maxsize=None)
@@ -176,11 +170,17 @@ def pi(x: HeckeElt, n: int) -> QMatrix:
     dim = n ** x.r
     if dim > DIM_BOUND:
         raise BoundExceeded(f"dim V^(x){x.r} = {dim} exceeds {DIM_BOUND}")
+    # one gather call for the whole sum: a call per row would repack the
+    # coefficients and the denominators of x once per row
     gathered: dict = {}
     for p, c in x.terms.items():
-        for key, val in _basis_matrix(p, n).entries.items():
-            gathered.setdefault(key, []).append((c, val))
-    return QMatrix(dim, dim, gather(gathered))
+        for i, row in enumerate(_basis_matrix(p, n).rows):
+            for j, val in row.items():
+                gathered.setdefault((i, j), []).append((c, val))
+    rows = [{} for _ in range(dim)]
+    for (i, j), val in gather(gathered).items():
+        rows[i][j] = val
+    return QMatrix(dim, rows)
 
 
 def idempotent_block(m: QMatrix, words, n: int) -> list:

@@ -435,8 +435,6 @@ class QScalar:
         return bool(self.num)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = qs(other)
         return (isinstance(other, QScalar)
                 and self.num == other.num and self.den == other.den)
 
@@ -718,8 +716,3 @@ def parse_scalar(text: str) -> QScalar:
     if p.pos != len(text):
         p.error("trailing input")
     return value
-
-
-if __name__ == "__main__":
-    import doctest
-    doctest.testmod()

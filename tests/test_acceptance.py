@@ -124,7 +124,7 @@ def test_criterion_06_rmatrix_suite():
         mat = pi(e, 3)
         ok = ok and all(sorted(index_word(i, 3, 3)) ==
                         sorted(index_word(j, 3, 3))
-                        for (i, j) in mat.entries)
+                        for i, row in enumerate(mat.rows) for j in row)
     assert _verdict(6, ok, "quadratic + braid relations, multiset zero pattern")
 
 
@@ -288,8 +288,7 @@ def test_criterion_12_property_suites():
     for n, r in ((2, 3), (3, 3), (2, 4)):
         for wv, ker in diag_relation_kernel(n, r).items():
             _, _, m = expand_diagonal(n, r, wv)
-            rows = SubspaceBasis.from_vectors(
-                [m.row(i) for i in range(m.nrows)], m.ncols)
+            rows = SubspaceBasis.from_vectors(m.rows, m.ncols)
             ok = ok and ker.dim + rows.dim == m.nrows
     assert _verdict(12, ok, f"100 associativity triples, {pairs} "
                             "representation pairs, rank-nullity everywhere")

@@ -242,7 +242,7 @@ def test_diag_kernel_dimensions():
     k4 = diag_kernel_of_p(4)
     m4 = projection_matrix(4)
     from qdiag.linalg import SubspaceBasis as SB
-    image_dim = SB.from_vectors([m4.row(i) for i in range(24)], 24).dim
+    image_dim = SB.from_vectors(m4.rows, 24).dim
     assert k4.dim == 24 - image_dim
 
 
@@ -277,17 +277,18 @@ def folded_projection_rows(lam):
     starts = [1 + sum(lam[:b]) for b in range(len(lam))]
     rows = [{} for _ in row_of]
     reps = set()
-    for (i, j), c in projection_matrix(r).entries.items():
+    for i, row in enumerate(projection_matrix(r).rows):
         k = row_of.get(perms[i])
         if k is None:
             continue
-        p = perms[j]
-        d = hecke._minimal_coset_rep(p, blocks, starts)
-        reps.add(d)
-        add_term(rows[k], d, c * q_power(length(p) - length(d)))
+        for j, c in row.items():
+            p = perms[j]
+            d = hecke._minimal_coset_rep(p, blocks, starts)
+            reps.add(d)
+            add_term(rows[k], d, c * q_power(length(p) - length(d)))
     col = {d: j for j, d in enumerate(sorted(reps))}
-    return QMatrix(len(rows), len(col), {
-        (k, col[d]): c for k, row in enumerate(rows) for d, c in row.items()})
+    return QMatrix(len(col), ({col[d]: c for d, c in row.items()}
+                              for row in rows))
 
 
 def test_composition_matrix_matches_folded_projection_rows():

@@ -27,6 +27,11 @@ def rand_vec(rng, ambient):
     return out
 
 
+def dense(row, ambient):
+    """row with an explicit zero at each column it leaves out."""
+    return {c: row.get(c, ZERO) for c in range(ambient)}
+
+
 def test_rref_canonical_and_idempotent():
     rows = [vec((0, omega()), (1, ONE)), vec((0, omega() * omega()),
                                              (1, omega()))]
@@ -64,13 +69,10 @@ def test_kernel_and_rank_nullity():
     rng = random.Random(5)
     for _ in range(15):
         nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
-        entries = {}
-        for i in range(nrows):
-            for c, v in rand_vec(rng, ncols).items():
-                entries[(i, c)] = v
-        m = QMatrix(nrows, ncols, entries)
-        rows = SubspaceBasis.from_vectors([m.row(i) for i in range(nrows)],
-                                          ncols)
+        given = [rand_vec(rng, ncols) for _ in range(nrows)]
+        m = QMatrix(ncols, [dense(row, ncols) for row in given])
+        assert m.rows == given
+        rows = SubspaceBasis.from_vectors(m.rows, ncols)
         ker = kernel(m)
         assert rows.dim + ker.dim == ncols
         for v in ker.rows:
@@ -81,22 +83,18 @@ def test_apply_matches_row_products():
     rng = random.Random(41)
     for _ in range(15):
         nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
-        entries = {}
-        for i in range(nrows):
-            for c, v in rand_vec(rng, ncols).items():
-                entries[(i, c)] = v
-        m = QMatrix(nrows, ncols, entries)
+        m = QMatrix(ncols, [rand_vec(rng, ncols) for _ in range(nrows)])
         vec = rand_vec(rng, ncols)
         expected = {}
-        for i in range(nrows):
+        for i, row in enumerate(m.rows):
             total = ZERO
-            for c, v in m.row(i).items():
+            for c, v in row.items():
                 total = total + v * vec.get(c, ZERO)
             if total:
                 expected[i] = total
         assert m.apply(vec) == expected
     # apply is a product with one column: the matrix keeps no index of its own
-    assert QMatrix.__slots__ == ("nrows", "ncols", "entries")
+    assert QMatrix.__slots__ == ("ncols", "rows")
 
 
 def test_product_matches_triple_loop():
@@ -104,17 +102,19 @@ def test_product_matches_triple_loop():
     dens = [ONE, q_int(2), q_int(3), Q + qs(2), qs(3)]
 
     def rand_matrix(nrows, ncols):
-        entries = {}
-        for i in range(nrows):
-            for c, v in rand_vec(rng, ncols).items():
-                entries[(i, c)] = v / rng.choice(dens)
-        return QMatrix(nrows, ncols, entries)
+        rows = []
+        for _ in range(nrows):
+            row = {c: v / rng.choice(dens)
+                   for c, v in rand_vec(rng, ncols).items()}
+            rows.append(dense(row, ncols))
+        return QMatrix(ncols, rows)
 
     def kernel_columns(m):
-        basis = kernel(m)
-        return QMatrix(m.ncols, basis.dim, {
-            (c, k): v for k, vec in enumerate(basis.rows)
-            for c, v in vec.items()})
+        return QMatrix(m.ncols, kernel(m).rows).transpose()
+
+    def entries(m):
+        return [(i, j, v) for i, row in enumerate(m.rows)
+                for j, v in row.items()]
 
     pairs = []
     for _ in range(20):
@@ -125,13 +125,13 @@ def test_product_matches_triple_loop():
     for a in (projection_matrix(4).transpose(), rand_matrix(3, 5)):
         pairs.append((a, kernel_columns(a)))
     for a, b in pairs:
-        data: dict = {}
-        for (i, l), x in a.entries.items():
-            for (l2, j), y in b.entries.items():
+        data = [{} for _ in range(a.nrows)]
+        for i, l, x in entries(a):
+            for l2, j, y in entries(b):
                 if l == l2:
-                    add_term(data, (i, j), x * y)
-        assert a * b == QMatrix(a.nrows, b.ncols, data)
-    assert all(not (a * b).entries and a.entries and b.entries
+                    add_term(data[i], j, x * y)
+        assert a * b == QMatrix(b.ncols, data)
+    assert all((a * b).is_zero() and not a.is_zero() and not b.is_zero()
                for a, b in pairs[-2:])
 
 
@@ -150,8 +150,7 @@ def test_kernel_independent_of_row_order():
     m = projection_matrix(5).transpose()
     order = list(range(m.nrows))
     random.Random(5).shuffle(order)
-    shuffled = QMatrix(m.nrows, m.ncols, {(order[i], j): v
-                                          for (i, j), v in m.entries.items()})
+    shuffled = QMatrix(m.ncols, [m.rows[i] for i in order])
     assert kernel(shuffled) == kernel(m)
 
 
@@ -171,7 +170,7 @@ def _kernel_with_tampered_basis(monkeypatch, m, tamper):
 
 
 # row 0 is zero, row 1 is (1, 1, w): the kernel has pivots 0 and 1
-GUARDED = QMatrix(2, 3, {(1, 0): ONE, (1, 1): ONE, (1, 2): omega()})
+GUARDED = QMatrix(3, [{}, {0: ONE, 1: ONE, 2: omega()}])
 
 
 def test_kernel_guard_names_the_vector_not_annihilated(monkeypatch):
@@ -201,28 +200,63 @@ def test_kernel_guard_checks_rank_nullity(monkeypatch):
 
 def test_kernel_identity_and_singular():
     assert kernel(QMatrix.identity(4)).dim == 0
-    m = QMatrix(2, 2, {(0, 0): ONE, (0, 1): ONE,
-                       (1, 0): omega(), (1, 1): omega()})
+    m = QMatrix(2, [{0: ONE, 1: ONE}, {0: omega(), 1: omega()}])
     ker = kernel(m)
     assert ker.dim == 1
     assert ker.rows[0] == {0: ONE, 1: -ONE}
 
 
 def test_matrix_algebra():
-    m = QMatrix(2, 2, {(0, 1): ONE, (1, 0): ONE, (1, 1): omega()})
+    m = QMatrix(2, [{1: ONE}, {0: ONE, 1: omega()}])
     ident = QMatrix.identity(2)
     assert m * ident == m and ident * m == m
     quad = (m - ident.scale(q_power(1))) * (m + ident.scale(q_power(-1)))
     assert quad.is_zero()
-    assert m.transpose().transpose() == m
     with pytest.raises(DimensionMismatch):
         m * QMatrix.identity(3)
     with pytest.raises(DimensionMismatch):
         m + QMatrix.identity(3)
 
 
+def test_zero_entries_and_rows_are_dropped():
+    # an explicit zero, or a row of nothing but zeros, is not stored: the
+    # matrix equals and dumps like the one built without it
+    plain = QMatrix(3, [{}, {2: omega(), 0: ONE}])
+    for rows in ([{1: ZERO}, {0: ONE, 2: omega()}],
+                 [{}, {0: ONE, 1: omega() - omega(), 2: omega()}],
+                 [dense({}, 3), dense({0: ONE, 2: omega()}, 3)]):
+        m = QMatrix(3, rows)
+        assert m == plain and m.rows == [{}, {0: ONE, 2: omega()}]
+        assert m.to_json() == plain.to_json() == {
+            "nrows": 2, "ncols": 3,
+            "entries": [[1, 0, "1"], [1, 2, "q - q^-1"]]}
+    # the matrix keeps its own copy of each row it is given
+    given = [{0: ONE}]
+    m = QMatrix(1, given)
+    given[0][0] = omega()
+    m.rows[0][0] = Q
+    assert given == [{0: omega()}] and m.rows == [{0: Q}]
+
+
+def test_transpose_twice_is_the_identity():
+    rng = random.Random(53)
+    matrices = [GUARDED, QMatrix(4, [{}, {}]), QMatrix.identity(3),
+                QMatrix(2, [{1: ONE}, {0: ONE, 1: omega()}]),
+                projection_matrix(4)]
+    for _ in range(10):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
+        matrices.append(QMatrix(ncols, [dense(rand_vec(rng, ncols), ncols)
+                                        for _ in range(nrows)]))
+    for m in matrices:
+        t = m.transpose()
+        assert (t.nrows, t.ncols) == (m.ncols, m.nrows)
+        assert all(t.get(j, i) == m.get(i, j)
+                   for i in range(m.nrows) for j in range(m.ncols))
+        assert t.transpose() == m
+
+
 def test_json_dumps():
-    m = QMatrix(1, 2, {(0, 1): omega()})
+    m = QMatrix(2, [{1: omega()}])
     assert m.to_json()["entries"] == [[0, 1, "q - q^-1"]]
     # a report names the coordinates of a basis as it prints it
     basis = SubspaceBasis.from_vectors([vec((0, ONE), (1, ONE))], 2)
@@ -232,10 +266,8 @@ def test_json_dumps():
 
 def test_rank_mod_p_of_projection_matrix():
     # P(3) has the one-dimensional kernel of the alternating combination
-    m = projection_matrix(3)
-    rows = [{} for _ in range(m.nrows)]
-    for (i, j), c in m.entries.items():
-        rows[i][j] = value_mod(c, CERT_POINT, CERT_PRIME)
+    rows = [{j: value_mod(c, CERT_POINT, CERT_PRIME) for j, c in row.items()}
+            for row in projection_matrix(3).rows]
     assert rank_mod_p(rows, CERT_PRIME) == 5
 
 

@@ -384,7 +384,7 @@ def _perturb_at(monkeypatch, target, row=0):
     def perturbed(lam):
         m = real(lam)
         if lam == target:
-            m.entries[row, 0] = m.get(row, 0) + q_power(3)
+            m.rows[row][0] = m.get(row, 0) + q_power(3)
         return m
 
     monkeypatch.setattr(hecke, "_composition_matrix", perturbed)

@@ -217,7 +217,6 @@ def test_rank_nullity_every_expansion_matrix():
     for n, r in ((2, 3), (3, 3), (2, 4)):
         for wv, ker in diag_relation_kernel(n, r).items():
             diag, basis, m = expand_diagonal(n, r, wv)
-            rows = SubspaceBasis.from_vectors(
-                [m.row(i) for i in range(m.nrows)], m.ncols)
+            rows = SubspaceBasis.from_vectors(m.rows, m.ncols)
             # left kernel dim + row rank = number of rows
             assert ker.dim + rows.dim == m.nrows

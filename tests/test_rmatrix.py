@@ -47,17 +47,17 @@ def test_reading_recorded():
 def test_ascending_placement_fails_only_the_exchange_relation(n):
     # the transposed convention, omega on ascending pairs, is a braid matrix
     # too; only the induced exchange relation tells the two apart
-    entries = {}
+    rows = [{} for _ in range(n * n)]
     for a in range(1, n + 1):
         for b in range(1, n + 1):
             col = word_index((a, b), n)
             if a == b:
-                entries[(col, col)] = Q
+                rows[col][col] = Q
                 continue
-            entries[(word_index((b, a), n), col)] = ONE
+            rows[word_index((b, a), n)][col] = ONE
             if a < b:
-                entries[(col, col)] = omega()
-    ascending = QMatrix(n * n, n * n, entries)
+                rows[col][col] = omega()
+    ascending = QMatrix(n * n, rows)
     assert ascending != rhat(n)
     assert _satisfies_quadratic(ascending) and _satisfies_braid(ascending, n)
     assert not _exchange_matches(ascending, n)
@@ -76,7 +76,7 @@ def test_frozen_dim2_entries():
     pinned = {(tuple(int(c) for c in row), tuple(int(c) for c in col)):
               parse_scalar(text) for row, col, text in golden["entries"]}
     computed = {(index_word(i, 2, 2), index_word(j, 2, 2)): v
-                for (i, j), v in rhat(2).entries.items()}
+                for i, row in enumerate(rhat(2).rows) for j, v in row.items()}
     assert computed == pinned
 
 
@@ -121,7 +121,7 @@ def test_pi_is_the_sum_of_scaled_basis_matrices():
         elements.append(HeckeElt(3, terms))
     for n in (2, 3):
         for x in elements:
-            expected = QMatrix(n ** 3, n ** 3)
+            expected = QMatrix(n ** 3, [{}] * n ** 3)
             for p, c in x.terms.items():
                 expected = expected + _basis_matrix(p, n).scale(c)
             assert pi(x, n) == expected
@@ -135,8 +135,10 @@ def test_multiset_zero_pattern():
     _, ep, em, _ = idempotents_r3()
     for e in (ep, em):
         mat = pi(e, 3)
-        for (i, j) in mat.entries:
-            assert sorted(index_word(i, 3, 3)) == sorted(index_word(j, 3, 3))
+        for i, row in enumerate(mat.rows):
+            for j in row:
+                assert sorted(index_word(i, 3, 3)) == \
+                    sorted(index_word(j, 3, 3))
 
 
 def _golden_blocks(sign_key):

@@ -73,6 +73,17 @@ def test_hash_agrees_with_eq():
         assert len(set(routes) | {x}) == 1
 
 
+def test_equal_values_hash_equal():
+    # a scalar and the int or Fraction it was made from: equal only where
+    # the hashes agree, so a set holds one of them or both
+    for scalar, value in ((ONE, 1), (qs(2), 2),
+                          (qs(Fraction(1, 2)), Fraction(1, 2))):
+        equal = scalar == value
+        assert equal == (value == scalar)
+        assert not equal or hash(scalar) == hash(value)
+        assert len({scalar, value}) == (1 if equal else 2)
+
+
 def test_field_laws_random():
     rng = random.Random(11)
     for _ in range(100):
@@ -140,12 +151,6 @@ def test_pow():
     assert omega() ** 0 == ONE
     assert omega() ** 3 == omega() * omega() * omega()
     assert q_int(2) ** -2 == (q_int(2) * q_int(2)).inv()
-
-
-def test_module_doctests():
-    import doctest
-    import qdiag.scalars
-    assert doctest.testmod(qdiag.scalars).failed == 0
 
 
 def test_coefficients_are_integers():

@@ -4,6 +4,7 @@ import ast
 import importlib
 import importlib.util
 import argparse
+import doctest
 import json
 import os
 import subprocess
@@ -49,6 +50,18 @@ def test_scalar_format_stays_in_scalars():
                if isinstance(node, ast.Attribute)
                and node.attr in ("num", "den")]
     assert SOURCES and not readers, readers
+
+
+def test_module_doctests():
+    # every example in the package runs here; a module with an example that
+    # doctest does not find fails as surely as a wrong one
+    results = {}
+    for path in SOURCES:
+        if ">>>" in path.read_text():
+            module = importlib.import_module(f"qdiag.{path.stem}")
+            results[path.name] = doctest.testmod(module)
+    assert results and all(r.attempted > 0 and r.failed == 0
+                           for r in results.values()), results
 
 
 def test_tracer_names_resolve():
