@@ -130,3 +130,10 @@ def test_arrangements_match_the_sorting_definition():
     assert _arrangements(tuple(wide)) == _arrangements_by_sorting(wide)
     # each call returns a new list
     assert _arrangements((1, 1)) is not _arrangements((1, 1))
+
+
+def test_module_doctests():
+    import doctest
+    import qdiag.permutations
+    result = doctest.testmod(qdiag.permutations)
+    assert result.attempted > 0 and result.failed == 0, result

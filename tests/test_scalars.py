@@ -153,6 +153,13 @@ def test_pow():
     assert q_int(2) ** -2 == (q_int(2) * q_int(2)).inv()
 
 
+def test_module_doctests():
+    import doctest
+    import qdiag.scalars
+    result = doctest.testmod(qdiag.scalars)
+    assert result.attempted > 0 and result.failed == 0, result
+
+
 def test_coefficients_are_integers():
     # a stray 1/lc would otherwise turn a coefficient into a float silently
     with pytest.raises(TypeError):
