@@ -512,20 +512,35 @@ def run_many(tasks, jobs: int = 1) -> list:
     """Run (name, params) tasks on up to `jobs` worker processes.
 
     At most one worker per task is started, so a single task never starts a
-    pool; with `jobs` 1, or where no process pool can be made, the tasks run
-    one after another in this process.  Reports come back in task order
-    regardless of completion order, and every worker has exited on return.
+    pool; with `jobs` 1, or where no process pool can be made or a worker
+    cannot be started, the tasks run one after another in this process.
+    Reports come back in task order regardless of completion order, and
+    every worker has exited on return.
     """
     tasks = list(tasks)
     # the pool may fork all its workers at the first submit
     jobs = min(jobs, len(tasks))
     pool = _process_pool(jobs) if jobs > 1 else None
-    if pool is None:
-        return [run_check(name, params) for name, params in tasks]
-    with pool:
-        futures = [pool.submit(run_check, name, params)
-                   for name, params in tasks]
-        return [f.result() for f in futures]
+    if pool is not None:
+        with pool:
+            try:
+                futures = [pool.submit(run_check, name, params)
+                           for name, params in tasks]
+            except OSError:
+                # a worker could not be started (a refused fork, say): the
+                # checks are pure, so every task runs again here
+                _stop_workers(pool)
+            else:
+                return [f.result() for f in futures]
+    return [run_check(name, params) for name, params in tasks]
+
+
+def _stop_workers(pool) -> None:
+    """Terminate the workers a pool did start before one failed to; with no
+    task handed out, each would wait on its queue and block the exit."""
+    for process in list((pool._processes or {}).values()):
+        process.terminate()
+        process.join()
 
 
 def _process_pool(jobs: int):

@@ -20,6 +20,20 @@ Every arithmetic step re-canonicalizes, which keeps entries reduced; at the
 block sizes this package works with, no extra denominator-clearing pass is
 needed (the relation rows are short and the full suite runs in seconds).
 
+The basis is kept fully reduced after every row, and the membership test
+rests on that: a vector v of the span is sum_p v[p] R_p over the pivots p
+it holds, R_p the row of pivot p, so ``scalars.PackedRows`` decides whether
+v is in the span by one packed zero test, with no Q(q) arithmetic.
+``from_vectors`` runs it before reducing each row and skips a row it shows
+to be in the span; ``contains`` answers by it.  Either takes the exact
+reduction where the test is undecided (an entry that is not a Laurent
+polynomial), and every row that adds to the span is reduced exactly, so the
+RREF is the one the exact route alone gives.  An echelon form with a single
+back-substitution at the end would have to keep the basis fully reduced
+between rows for this test to hold.  ``kernel`` checks m B = 0 by the test
+``scalars.vanishes`` and forms the exact product only to name a failure or
+where the test is undecided.
+
 ``rank_mod_p`` is the one computation over a prime field: the rank of
 integer rows, which the rank certificate of ``pplactic`` reads.
 """
@@ -29,7 +43,8 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 
 from .errors import DimensionMismatch
-from .scalars import ONE, ZERO, QScalar, add_term, gather
+from .scalars import (ONE, ZERO, PackedRows, QScalar, add_term, gather,
+                      vanishes)
 
 __all__ = ["QMatrix", "SubspaceBasis", "kernel", "rank_mod_p"]
 
@@ -160,7 +175,10 @@ class SubspaceBasis:
     @staticmethod
     def from_vectors(vectors, ambient: int) -> "SubspaceBasis":
         pivot_rows: dict = {}
+        packed = PackedRows(pivot_rows)
         for vec in sorted(vectors, key=len):
+            if _in_span(vec, packed):
+                continue
             row = dict(vec)
             _reduce_by(row, pivot_rows)
             if not row:
@@ -169,10 +187,11 @@ class SubspaceBasis:
             inv = row[p].inv()
             row = {c: v * inv for c, v in row.items()}
             # clear the new pivot column from the existing rows
-            for other in pivot_rows.values():
+            for key, other in pivot_rows.items():
                 c = other.get(p)
                 if c is not None:
                     _vec_sub_scaled(other, row, c)
+                    packed.forget(key)
             pivot_rows[p] = row
         pivots = sorted(pivot_rows)
         rows = [pivot_rows[p] for p in pivots]
@@ -189,7 +208,8 @@ class SubspaceBasis:
         return out
 
     def contains(self, vec: dict) -> bool:
-        return not self.reduce(vec)
+        verdict = _in_span(vec, PackedRows(dict(zip(self.pivots, self.rows))))
+        return not self.reduce(vec) if verdict is None else verdict
 
     def __eq__(self, other):
         return (isinstance(other, SubspaceBasis)
@@ -199,6 +219,23 @@ class SubspaceBasis:
 
     def __repr__(self):
         return f"SubspaceBasis(dim {self.dim} of {self.ambient})"
+
+
+def _in_span(vec: dict, packed: PackedRows):
+    """Whether vec lies in the span of ``packed.rows``, rows keyed by pivot
+    column, by the packed zero test; None where it is undecided.
+
+    The rows are fully reduced: each holds 1 at its pivot and 0 at every
+    other pivot, so a vector of the span is sum_p vec[p] rows[p] over the
+    pivots p it holds, and its leftmost column is a pivot.
+    """
+    pivot_rows = packed.rows
+    if not vec:
+        return True
+    if min(vec) not in pivot_rows:
+        return False
+    coeffs = {p: vec[p] for p in vec.keys() & pivot_rows.keys()}
+    return packed.is_combination(coeffs, vec)
 
 
 def _reduce_by(row: dict, pivot_rows: dict):
@@ -225,11 +262,16 @@ def kernel(m: QMatrix) -> SubspaceBasis:
                 vec[p] = -c
         vectors.append(vec)
     basis = SubspaceBasis.from_vectors(vectors, m.ncols)
-    # the basis checks itself: rank-nullity, then one product m * basis
+    # the basis checks itself: rank-nullity, then m * basis = 0, by the
+    # packed zero test
     if row_space.dim + basis.dim != m.ncols:
         raise ArithmeticError(
             f"rank {row_space.dim} + nullity {basis.dim} != {m.ncols} columns")
-    product = m * QMatrix(m.ncols, basis.rows).transpose()
+    columns = QMatrix(m.ncols, basis.rows).transpose()
+    if vanishes(m.rows, columns.rows):
+        return basis
+    # undecided or not zero: the exact product decides and names a failure
+    product = m * columns
     failed = [(k, i) for i, row in enumerate(product.rows) for k in row]
     if failed:
         k, i = min(failed)

@@ -24,7 +24,8 @@ arrangements of its weight.
 One cached verdict per composition lambda (``_composition_verdict``)
 decides ``conjecture``, and ``preplactic`` at 1^r.  It builds M_lambda once
 and tries a rank certificate first, with no elimination over Q(q): a literal
-zero test G_lambda M_lambda = 0 of the padded generator rows, then integer
+zero test G_lambda M_lambda = 0 of the padded generator rows, made on
+Kronecker-packed integers (``scalars.vanishes``), then integer
 ranks of both at q = CERT_POINT mod CERT_PRIME that add up to the number of
 arrangements.  Elsewhere the ideal and the kernel of that M_lambda are
 compared as canonical RREF subspaces, and that kernel is handed back with
@@ -54,7 +55,7 @@ from .permutations import (_arrangements, _tuple_sub, _weights, all_perms,
 from .qma import FreeElt, block_quotient
 from .rmatrix import appendix_blocks, pi
 from .scalars import (ONE, ZERO, add_term, omega, parse_scalar, q_int,
-                      q_power, qs, value_mod)
+                      q_power, qs, value_mod, vanishes)
 
 __all__ = [
     "RelationInstance", "ppk_generators", "ideal_component",
@@ -380,16 +381,18 @@ def lemma_brute_check(sign: int) -> dict:
 def _composition_certificate(lam: tuple, m: QMatrix):
     """dim I_lambda, certified equal to dim ker M_lambda, or None.
 
-    The literal zero test G_lambda M_lambda = 0 puts I_lambda in the left
-    kernel of M_lambda, so dim I_lambda + rank M_lambda <= N_lambda, the
-    number of arrangements.  q -> CERT_POINT mod CERT_PRIME is a ring map on
-    Laurent polynomials that can only lower a rank, so rank_p G + rank_p M =
-    N_lambda makes every inequality an equality: I_lambda is the kernel, of
-    dimension rank_p G.  A nonzero product entry, a rank shortfall or an
-    entry that is not a Laurent polynomial gives None.
+    The literal zero test G_lambda M_lambda = 0 (``scalars.vanishes``, with
+    each row of M_lambda packed once and no Q(q) product formed) puts
+    I_lambda in the left kernel of M_lambda, so dim I_lambda + rank
+    M_lambda <= N_lambda, the number of arrangements.  q -> CERT_POINT mod
+    CERT_PRIME is a ring map on Laurent polynomials that can only lower a
+    rank, so rank_p G + rank_p M = N_lambda makes every inequality an
+    equality: I_lambda is the kernel, of dimension rank_p G.  A nonzero
+    product entry, a rank shortfall or an entry that is not a Laurent
+    polynomial (the zero test is then undecided) gives None.
     """
     gens = _composition_generators(lam)
-    if not (QMatrix(m.nrows, gens) * m).is_zero():
+    if not vanishes(gens, m.rows):
         return None
     try:
         g_rows, m_rows = [[{j: value_mod(c, CERT_POINT, CERT_PRIME)

@@ -45,6 +45,16 @@ num1 ... numm)/(d1 ... dm), the denominator unpacked from the product of
 the packed ones, and one canonicalization of that fraction per group gives
 the unique form that term-by-term addition would reach.
 
+One zero test shares ``_pack`` and that bound.  ``vanishes`` and
+``PackedRows.is_combination`` decide whether sums of products of rows
+{column: scalar} are zero, or equal a target row, without forming a
+scalar: each entry of a row is packed once, each column sum is one
+integer, and 2^(k-1) stays above the bound of every coefficient of every
+column sum, so a column sum is zero if and only if its packed integer is.
+No gcd runs and nothing is unpacked.  A factor that is not a Laurent
+polynomial makes the test answer None, undecided, and its callers then
+take the exact route.
+
 >>> terms = {"x": [(q_int(2), omega()), (ONE / q_int(2), q_int(2))],
 ...          "y": [(Q, Q), (-Q, Q)]}
 >>> {key: str(value) for key, value in gather(terms).items()}
@@ -73,7 +83,7 @@ from .errors import PoleAtPoint
 __all__ = [
     "QScalar", "ZERO", "ONE", "Q",
     "qs", "q_power", "q_int", "omega", "bar", "parse_scalar", "add_term",
-    "gather", "value_mod",
+    "gather", "PackedRows", "vanishes", "value_mod",
 ]
 
 
@@ -190,6 +200,112 @@ class _Packing:
                         else _canon(num, den))
                 total = total + part if total else part
         return total
+
+
+class PackedRows:
+    """Sparse rows {column: scalar} under the packed zero test.
+
+    ``rows`` maps each key to a row, and the caller keeps them current:
+    ``forget(key)`` after editing a row.  A combination sum_key a[key]
+    rows[key] is tested column by column in integers, as ``gather`` sums:
+    each entry of a Laurent-polynomial row is packed once at q = 2^k and
+    divided by q^low for the row's lowest exponent low, and each
+    coefficient a is packed with the low that aligns it with its row.  A
+    coefficient of a column sum is at most the number of terms, target
+    included, times the largest L1 norm of a coefficient times the largest
+    of an entry (``gather``'s bound), and k keeps 2^(k-1) above it, so a
+    packed column sum is 0 if and only if the column sum is.  k only
+    grows, at least doubling when a test needs more, and every packed row
+    is dropped when it does.  A test that meets a scalar that is not a
+    Laurent polynomial answers None, undecided.
+    """
+
+    __slots__ = ("rows", "k", "_bounds", "_packed")
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.k = 0
+        self._bounds: dict = {}  # key -> (low, top) of a Laurent row
+        self._packed: dict = {}  # key -> {column: packed entry} at k
+
+    def forget(self, key) -> None:
+        """Drop what is packed of rows[key], which its caller edited."""
+        self._bounds.pop(key, None)
+        self._packed.pop(key, None)
+
+    def is_combination(self, coeffs: dict, target: dict):
+        """Whether target = sum_key coeffs[key] rows[key]; None, undecided,
+        where a scalar is not a Laurent polynomial."""
+        goal = _bounds(target)
+        if goal is None:
+            return None
+        low, top_b = goal
+        terms = []
+        top_a = 1
+        for key, a in coeffs.items():
+            if a.den is not _ONE_COEFFS:
+                return None
+            bounds = self._bounds.get(key)
+            if bounds is None:
+                bounds = _bounds(self.rows[key])
+                if bounds is None:
+                    return None
+                self._bounds[key] = bounds
+            row_low, top = bounds
+            if a and row_low is not None:
+                terms.append((a.num, key, row_low))
+                top_a = max(top_a, sum(map(abs, a.num.values())))
+                top_b = max(top_b, top)
+                row_low += min(a.num)
+                low = row_low if low is None else min(low, row_low)
+        if not terms:
+            return not any(target.values())
+        need = ((len(terms) + 1) * top_a * top_b).bit_length() + 1
+        if need > self.k:
+            self.k = max(need, 2 * self.k)
+            self._packed.clear()
+        k = self.k
+        packed = self._packed
+        acc = {j: -_pack(c.num, k, low) for j, c in target.items()}
+        get = acc.get
+        for num, key, row_low in terms:
+            entries = packed.get(key)
+            if entries is None:
+                entries = packed[key] = {j: _pack(c.num, k, row_low)
+                                         for j, c in self.rows[key].items()}
+            a = _pack(num, k, low - row_low)
+            for j, v in entries.items():
+                acc[j] = get(j, 0) + a * v
+        return not any(acc.values())
+
+
+def _bounds(row: dict):
+    """(lowest exponent or None, largest entry L1 norm) of a row of Laurent
+    polynomials; None if an entry has a denominator."""
+    nums = []
+    for c in row.values():
+        if c.den is not _ONE_COEFFS:
+            return None
+        nums.append(c.num)
+    return (min(map(min, filter(None, nums)), default=None),
+            max(map(sum, map(map, repeat(abs), map(dict.values, nums))),
+                default=0))
+
+
+def vanishes(left, right):
+    """Whether sum_k a[k] right[k] is the zero row for every row a of left.
+
+    ``right`` maps each key to a sparse row {column: scalar}.  The test is
+    ``PackedRows.is_combination`` with an empty target, so each row of right
+    is packed once; it answers None, undecided, at the first scalar that is
+    not a Laurent polynomial.
+    """
+    packed = PackedRows(right)
+    for a in left:
+        verdict = packed.is_combination(a, {})
+        if not verdict:
+            return verdict
+    return True
 
 
 def _pack(p: dict, k: int, low: int) -> int:

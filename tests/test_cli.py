@@ -477,3 +477,39 @@ def test_pool_that_cannot_start_runs_serially(monkeypatch, error):
     for report in serial + reports:
         del report["seconds"]
     assert reports == serial
+
+
+@pytest.mark.parametrize("started", [0, 1])
+def test_worker_that_cannot_start_runs_serially(monkeypatch, started):
+    # the fork of worker `started` + 1 is refused: run_many runs every task
+    # here, and the worker that did start (at most one) is stopped
+    import multiprocessing
+    import multiprocessing.process
+    from qdiag.checks import run_many
+    tasks = [("rhat", {}), ("braid-identity", {})]
+    serial = [r.to_json() for r in run_many(tasks, jobs=1)]
+    start = multiprocessing.process.BaseProcess.start
+    calls = []
+
+    def refuse_after(self):
+        calls.append(self)
+        if len(calls) > started:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        start(self)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                        refuse_after)
+    try:
+        reports = [r.to_json() for r in run_many(tasks, jobs=2)]
+    finally:
+        monkeypatch.undo()
+        # a worker left waiting on its queue would block the exit of pytest
+        leftover = multiprocessing.active_children()
+        for process in leftover:
+            process.terminate()
+            process.join()
+    for report in serial + reports:
+        del report["seconds"]
+    assert reports == serial
+    assert len(calls) == started + 1
+    assert leftover == []

@@ -10,8 +10,8 @@ from qdiag.hecke import projection_matrix
 from qdiag.linalg import QMatrix, SubspaceBasis, kernel, rank_mod_p
 from qdiag.pplactic import CERT_POINT, CERT_PRIME
 from qdiag.qma import block_quotient
-from qdiag.scalars import (ONE, Q, ZERO, add_term, omega, q_int, q_power, qs,
-                           value_mod)
+from qdiag.scalars import (ONE, Q, ZERO, PackedRows, add_term, omega, q_int,
+                           q_power, qs, value_mod)
 
 
 def vec(*pairs):
@@ -189,6 +189,26 @@ def test_kernel_guard_names_the_vector_not_annihilated(monkeypatch):
         _kernel_with_tampered_basis(monkeypatch, GUARDED, perturb)
 
 
+def test_kernel_guard_names_a_laurent_failure(monkeypatch):
+    # every entry is a Laurent polynomial, so the packed test sees the
+    # failure, and the exact product names it
+    m = QMatrix(3, [{}, {0: ONE, 1: ONE, 2: Q}])
+    basis = kernel(m)
+    assert basis.rows == [{0: ONE, 2: -q_power(-1)}, {1: ONE, 2: -q_power(-1)}]
+
+    def perturb(basis):
+        rows = [dict(row) for row in basis.rows]
+        rows[1][2] = Q
+        return SubspaceBasis(basis.ambient, rows, basis.pivots)
+
+    # (1, 1, q) . (0, 1, q) = 1 + q^2, where the kernel has -q^-1
+    verdicts = _count_in_span(monkeypatch)
+    with pytest.raises(ArithmeticError, match=r"^kernel vector 1 \(pivot 1\) "
+                       r"is not annihilated: row 1 gives q\^2 \+ 1$"):
+        _kernel_with_tampered_basis(monkeypatch, m, perturb)
+    assert verdicts[-1] is False
+
+
 def test_kernel_guard_checks_rank_nullity(monkeypatch):
     def drop_first(basis):
         return SubspaceBasis(basis.ambient, basis.rows[1:], basis.pivots[1:])
@@ -282,3 +302,72 @@ def test_rank_mod_p_drops_with_the_prime():
     # (1, 0, -1) - (1, 1, 0) + (0, 1, 1) = 0
     rows = [{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: -1}]
     assert rank_mod_p(rows, 101) == 2
+
+
+def _count_in_span(monkeypatch):
+    """The verdicts of every packed membership test, in order."""
+    verdicts = []
+    test = PackedRows.is_combination
+
+    def counted(self, coeffs, target):
+        verdicts.append(test(self, coeffs, target))
+        return verdicts[-1]
+
+    monkeypatch.setattr(PackedRows, "is_combination", counted)
+    return verdicts
+
+
+def _planted(rng, basis, count):
+    """Random Laurent combinations of the rows of basis."""
+    out = []
+    for _ in range(count):
+        combo: dict = {}
+        for row in rng.sample(basis.rows, min(3, basis.dim)):
+            c = qs(rng.choice((-2, -1, 1, 3))) * q_power(rng.randint(-2, 2))
+            for j, v in row.items():
+                add_term(combo, j, c * v)
+        out.append(combo)
+    return out
+
+
+def test_rows_in_the_span_are_skipped(monkeypatch):
+    rng = random.Random(47)
+    rows = projection_matrix(4).rows
+    basis = SubspaceBasis.from_vectors(rows, 24)
+    planted = [row for row in _planted(rng, basis, 30) if row]
+    verdicts = _count_in_span(monkeypatch)
+    mixed = basis.rows + planted
+    rng.shuffle(mixed)
+    assert SubspaceBasis.from_vectors(mixed, 24) == basis
+    # each row that adds nothing is in the span when it is met, and the
+    # packed test shows it: no such row is reduced over Q(q)
+    assert verdicts.count(True) == len(mixed) - basis.dim
+    assert None not in verdicts
+
+
+def test_a_perturbed_combination_is_not_skipped(monkeypatch):
+    rng = random.Random(53)
+    basis = SubspaceBasis.from_vectors(projection_matrix(4).rows, 24)
+    (original,) = _planted(rng, basis, 1)
+    # q^3 more in one entry: that unit vector is not in the span, so the
+    # combination leaves it
+    combo = dict(original)
+    j = max(combo)
+    combo[j] = combo[j] + q_power(3)
+    verdicts = _count_in_span(monkeypatch)
+    bigger = SubspaceBasis.from_vectors(basis.rows + [combo], 24)
+    assert bigger.dim == basis.dim + 1
+    assert False in verdicts
+    assert not basis.contains(combo)
+    assert basis.contains(original)
+
+
+def test_contains_agrees_with_reduce():
+    rng = random.Random(59)
+    for _ in range(20):
+        gens = [rand_vec(rng, 5) for _ in range(3)]
+        if rng.random() < 0.3:
+            gens[0] = {c: v * q_int(2).inv() for c, v in gens[0].items()}
+        basis = SubspaceBasis.from_vectors(gens, 5)
+        for v in gens + [rand_vec(rng, 5) for _ in range(3)] + [{}]:
+            assert basis.contains(v) is (not basis.reduce(v))

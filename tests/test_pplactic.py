@@ -17,7 +17,7 @@ from qdiag.pplactic import (hecke_side_kernel, ideal_component,
                             lemma_brute_check, ppk_generators,
                             preplactic_ideal_component, verify_conjecture)
 from qdiag.scalars import (ONE, ZERO, add_term, omega, parse_scalar, q_int,
-                           q_power, qs)
+                           q_power, qs, vanishes)
 
 
 def hecke_product_action(coeffs, i, r):
@@ -375,6 +375,31 @@ def test_certificate_matches_exact_route(r):
         assert dim == ker.dim == idl.dim, lam
         assert idl == ker
         assert pplactic._composition_verdict(lam) == (dim, dim, None, None)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+def test_packed_zero_test_agrees_with_the_product(r):
+    # G M = 0 at every composition, on both routes; q^3 added to one entry
+    # of M that a generator row reads makes both refuse it
+    for lam in compositions(r):
+        m = hecke._composition_matrix(lam)
+        gens = pplactic._composition_generators(lam)
+        assert vanishes(gens, m.rows) is True, lam
+        assert (linalg.QMatrix(m.nrows, gens) * m).is_zero(), lam
+        if not gens:
+            continue
+        k = min(min(g) for g in gens)
+        rows = list(m.rows)
+        rows[k] = dict(rows[k])
+        rows[k][0] = rows[k].get(0, ZERO) + q_power(3)
+        perturbed = linalg.QMatrix(m.ncols, rows)
+        assert vanishes(gens, perturbed.rows) is False, lam
+        assert not (linalg.QMatrix(m.nrows, gens) * perturbed).is_zero(), lam
+
+
+def test_closure_dimensions():
+    assert preplactic_ideal_component(4).dim == 14
+    assert preplactic_ideal_component(5).dim == 94
 
 
 def _perturb_at(monkeypatch, target, row=0):

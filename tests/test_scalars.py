@@ -8,8 +8,9 @@ from math import gcd
 import pytest
 
 from qdiag.errors import PoleAtPoint
-from qdiag.scalars import (ONE, Q, QScalar, ZERO, add_term, bar, gather,
-                           omega, parse_scalar, q_int, q_power, qs, value_mod)
+from qdiag.scalars import (ONE, Q, QScalar, ZERO, PackedRows, add_term, bar,
+                           gather, omega, parse_scalar, q_int, q_power, qs,
+                           value_mod, vanishes)
 
 
 def rand_scalar(rng, nonzero=False):
@@ -414,3 +415,90 @@ def test_value_mod_is_the_laurent_evaluation():
 def test_value_mod_refuses_a_denominator(c):
     with pytest.raises(ValueError, match="not a Laurent polynomial"):
         value_mod(c, 7, 101)
+
+
+def _exact_combination(coeffs, rows):
+    """sum_key coeffs[key] rows[key], one ordinary product at a time."""
+    out: dict = {}
+    for key, a in coeffs.items():
+        for j, v in rows[key].items():
+            add_term(out, j, a * v)
+    return out
+
+
+def test_packed_zero_test_matches_exact_sums():
+    rng = random.Random(43)
+
+    def laurent(bits):
+        return QScalar({e: rng.randint(-(1 << bits), 1 << bits)
+                        for e in rng.sample(range(-4, 5), rng.randint(1, 3))})
+
+    for trial in range(60):
+        bits = rng.choice((2, 20, 45))
+        rows = {key: {j: laurent(bits) for j in rng.sample(range(6), 3)}
+                for key in range(4)}
+        coeffs = {key: laurent(bits) for key in rng.sample(range(4), 3)}
+        target = _exact_combination(coeffs, rows)
+        packed = PackedRows(rows)
+        assert packed.is_combination(coeffs, target) is True
+        assert vanishes([coeffs], rows) is (not target)
+        # one q-power more in one column, maybe one the sum does not reach
+        changed = dict(target)
+        add_term(changed, rng.randrange(7), q_power(rng.randint(-9, 9)))
+        assert packed.is_combination(coeffs, changed) is False
+
+
+def test_packed_zero_test_does_not_alias():
+    # at q = 2^w, 2^w q^0 and q^1 pack to one integer: the bound keeps k
+    # above every coefficient, so the two stay apart at every width, with
+    # the large coefficient in the target, in a coefficient or in a row
+    for w in range(1, 80):
+        big = QScalar({0: 1 << w})
+        assert PackedRows({0: {0: Q}}).is_combination(
+            {0: ONE}, {0: big}) is False, w
+        assert PackedRows({0: {0: ONE}}).is_combination(
+            {0: big}, {0: Q}) is False, w
+        assert PackedRows({0: {0: big}}).is_combination(
+            {0: ONE}, {0: Q}) is False, w
+        assert vanishes([{0: ONE, 1: -ONE}], {0: {0: Q}, 1: {0: big}}) is False
+        assert PackedRows({0: {0: Q}}).is_combination(
+            {0: big}, {0: big * Q}) is True, w
+    # n terms of 2^w each sum to n 2^w, which q^1 packs to when k is the
+    # bit length of n 2^w: the bound counts the terms, target included
+    for n in range(1, 6):
+        for w in range(70):
+            rows = {i: {0: QScalar({0: 1 << w})} for i in range(n)}
+            ones = dict.fromkeys(rows, ONE)
+            assert PackedRows(rows).is_combination(ones, {0: Q}) is False
+            assert PackedRows(rows).is_combination(
+                ones, {0: QScalar({0: n << w})}) is True
+    # a coefficient past 2^70 over a wide exponent span
+    huge = QScalar({-30: 1 << 70, 25: -(1 << 70) + 1})
+    rows = {0: {0: huge, 3: huge * Q}, 1: {0: Q, 3: Q * Q}}
+    assert vanishes([{0: Q, 1: -huge}], rows) is True
+    assert vanishes([{0: Q, 1: -huge + ONE}], rows) is False
+
+
+def test_packed_zero_test_is_undecided_off_laurent_polynomials():
+    half, rational = qs(Fraction(1, 2)), ONE / q_int(2)
+    for odd in (half, rational):
+        assert vanishes([{0: odd}], {0: {0: ONE}}) is None
+        assert vanishes([{0: ONE}], {0: {0: odd}}) is None
+        assert PackedRows({0: {0: ONE}}).is_combination({0: ONE},
+                                                        {0: odd}) is None
+    # the first test that meets one decides nothing, whatever came before
+    assert vanishes([{0: ONE}, {1: ONE}], {0: {0: ONE}, 1: {0: half}}) is False
+    assert vanishes([{0: ONE, 1: -ONE}, {1: ONE}],
+                    {0: {0: ONE}, 1: {0: ONE}, 2: {0: half}}) is False
+    assert vanishes([{0: ONE, 1: -ONE}, {2: ONE}],
+                    {0: {0: ONE}, 1: {0: ONE}, 2: {0: half}}) is None
+
+
+def test_forgotten_row_is_packed_again():
+    rows = {0: {0: ONE, 1: Q}}
+    packed = PackedRows(rows)
+    assert packed.is_combination({0: Q}, {0: Q, 1: Q * Q}) is True
+    rows[0][1] = omega()
+    packed.forget(0)
+    assert packed.is_combination({0: Q}, {0: Q, 1: Q * Q}) is False
+    assert packed.is_combination({0: Q}, {0: Q, 1: Q * omega()}) is True

@@ -118,11 +118,12 @@ def test_reports_do_not_depend_on_assert():
     # `python -O` strips assert statements; the packed products must give
     # the same reports without them, on both paths of the packing: the
     # denominator-1 sums of hecke-axioms and the rational-function groups
-    # of idempotents
+    # of idempotents; and so must the packed zero test, which preplactic
+    # runs on G M and before each row of its RREFs
     src = str(Path(qdiag.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-    for check in ("hecke-axioms", "idempotents"):
+    for check in ("hecke-axioms", "idempotents", "preplactic"):
         reports = []
         for flags in ([], ["-O"]):
             out = subprocess.run(
