@@ -537,8 +537,17 @@ def run_many(tasks, jobs: int = 1) -> list:
 
 def _stop_workers(pool) -> None:
     """Terminate the workers a pool did start before one failed to; with no
-    task handed out, each would wait on its queue and block the exit."""
-    for process in list((pool._processes or {}).values()):
+    task handed out, each would wait on its queue and block the exit.
+
+    The workers are read from ``ProcessPoolExecutor._processes``, a private
+    dict {pid: process} of CPython; anything else there raises, so a Python
+    that changes it cannot bring the exit hang back unnoticed.
+    """
+    processes = pool._processes
+    if not isinstance(processes, dict):
+        raise TypeError("ProcessPoolExecutor._processes is "
+                        f"{type(processes).__name__}, not a dict of workers")
+    for process in list(processes.values()):
         process.terminate()
         process.join()
 

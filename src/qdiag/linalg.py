@@ -25,12 +25,12 @@ rests on that: a vector v of the span is sum_p v[p] R_p over the pivots p
 it holds, R_p the row of pivot p, so ``scalars.PackedRows`` decides whether
 v is in the span by one packed zero test, with no Q(q) arithmetic.
 ``from_vectors`` runs it before reducing each row and skips a row it shows
-to be in the span; ``contains`` answers by it.  Either takes the exact
-reduction where the test is undecided (an entry that is not a Laurent
-polynomial), and every row that adds to the span is reduced exactly, so the
-RREF is the one the exact route alone gives.  An echelon form with a single
-back-substitution at the end would have to keep the basis fully reduced
-between rows for this test to hold.  ``kernel`` checks m B = 0 by the test
+to be in the span.  It takes the exact reduction where the test is
+undecided (an entry that is not a Laurent polynomial), and every row that
+adds to the span is reduced exactly, so the RREF is the one the exact route
+alone gives.  An echelon form with a single back-substitution at the end
+would have to keep the basis fully reduced between rows for this test to
+hold.  ``contains`` stays the exact ``reduce``.  ``kernel`` checks m B = 0 by the test
 ``scalars.vanishes`` and forms the exact product only to name a failure or
 where the test is undecided.
 
@@ -208,8 +208,7 @@ class SubspaceBasis:
         return out
 
     def contains(self, vec: dict) -> bool:
-        verdict = _in_span(vec, PackedRows(dict(zip(self.pivots, self.rows))))
-        return not self.reduce(vec) if verdict is None else verdict
+        return not self.reduce(vec)
 
     def __eq__(self, other):
         return (isinstance(other, SubspaceBasis)

@@ -215,9 +215,9 @@ class PackedRows:
     included, times the largest L1 norm of a coefficient times the largest
     of an entry (``gather``'s bound), and k keeps 2^(k-1) above it, so a
     packed column sum is 0 if and only if the column sum is.  k only
-    grows, at least doubling when a test needs more, and every packed row
-    is dropped when it does.  A test that meets a scalar that is not a
-    Laurent polynomial answers None, undecided.
+    grows, to what a test needs, and every packed row is dropped when it
+    does.  A test that meets a scalar that is not a Laurent polynomial
+    answers None, undecided.
     """
 
     __slots__ = ("rows", "k", "_bounds", "_packed")
@@ -262,7 +262,7 @@ class PackedRows:
             return not any(target.values())
         need = ((len(terms) + 1) * top_a * top_b).bit_length() + 1
         if need > self.k:
-            self.k = max(need, 2 * self.k)
+            self.k = need
             self._packed.clear()
         k = self.k
         packed = self._packed

@@ -513,3 +513,13 @@ def test_worker_that_cannot_start_runs_serially(monkeypatch, started):
     assert reports == serial
     assert len(calls) == started + 1
     assert leftover == []
+
+
+def test_stopping_workers_needs_the_pool_worker_dict():
+    # the workers are read from a private attribute of the pool: a shape
+    # other than {pid: process} raises instead of leaving them running
+    class Pool:
+        _processes = None
+
+    with pytest.raises(TypeError, match="_processes"):
+        checks._stop_workers(Pool())
