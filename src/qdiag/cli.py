@@ -5,7 +5,9 @@ array.  Results are cached content-addressed by (check, parameters, source
 digest), where the digest covers the package's .py and data files, so an
 edited check never serves its old report; re-running with identical
 parameters reproduces the stored report byte for byte; an entry is renamed
-into place whole, and one that does not parse is recomputed.  Exit status is 0
+into place whole, and one that cannot be read or parsed is recomputed.  A
+cache that cannot be written costs one warning on stderr, never a report.
+Exit status is 0
 when every executed check passes, 1 when one fails or reports an error, and 2
 when none does but one was skipped at a size bound (or the check name is
 unknown).
@@ -67,6 +69,18 @@ def _cache_key(name: str, params: dict) -> str:
 
 def _cache_path(cache_dir: Path, name: str, params: dict) -> Path:
     return cache_dir / f"{_cache_key(name, params)}.json"
+
+
+def _store(path: Path, report: CheckReport):
+    """Write one cache entry; a reader sees the whole entry or none."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(json.dumps(report.to_json(), indent=1))
+        os.replace(tmp, path)
+    except OSError:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _print_text(report: CheckReport):
@@ -151,8 +165,8 @@ def main(argv=None) -> int:
             path = _cache_path(args.cache_dir, name, params)
             try:
                 cached = CheckReport.from_json(json.loads(path.read_text()))
-            except (FileNotFoundError, ValueError, KeyError, TypeError):
-                pass  # missing or partial: recomputed and overwritten
+            except (OSError, ValueError, KeyError, TypeError):
+                pass  # missing, unreadable or partial: recomputed
         if cached is not None:
             slots[idx] = cached
         else:
@@ -163,11 +177,12 @@ def main(argv=None) -> int:
     for (idx, name, params), report in zip(pending, fresh):
         slots[idx] = report
         if use_cache:
-            args.cache_dir.mkdir(parents=True, exist_ok=True)
-            path = _cache_path(args.cache_dir, name, params)
-            tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-            tmp.write_text(json.dumps(report.to_json(), indent=1))
-            os.replace(tmp, path)  # a reader sees the whole entry or none
+            try:
+                _store(_cache_path(args.cache_dir, name, params), report)
+            except OSError as exc:
+                print(f"warning: report cache not written: {exc}",
+                      file=sys.stderr)
+                use_cache = False  # one warning, and no further attempt
     reports = [slots[i] for i in range(len(tasks))]
 
     payload = [r.to_json() for r in reports]

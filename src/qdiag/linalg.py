@@ -20,19 +20,16 @@ Every arithmetic step re-canonicalizes, which keeps entries reduced; at the
 block sizes this package works with, no extra denominator-clearing pass is
 needed (the relation rows are short and the full suite runs in seconds).
 
-The basis is kept fully reduced after every row, and the membership test
-rests on that: a vector v of the span is sum_p v[p] R_p over the pivots p
-it holds, R_p the row of pivot p, so ``scalars.PackedRows`` decides whether
-v is in the span by one packed zero test, with no Q(q) arithmetic.
-``from_vectors`` runs it before reducing each row and skips a row it shows
-to be in the span.  It takes the exact reduction where the test is
-undecided (an entry that is not a Laurent polynomial), and every row that
-adds to the span is reduced exactly, so the RREF is the one the exact route
-alone gives.  An echelon form with a single back-substitution at the end
-would have to keep the basis fully reduced between rows for this test to
-hold.  ``contains`` stays the exact ``reduce``.  ``kernel`` checks m B = 0 by the test
-``scalars.vanishes`` and forms the exact product only to name a failure or
-where the test is undecided.
+The basis is kept fully reduced after every row, and reduction rests on
+that: a vector v reduces to v - sum_p v[p] R_p over the pivots p it holds,
+R_p the row of pivot p, which is zero if and only if v is in the span.
+``scalars.PackedRows`` forms that one residual exactly, on packed integers
+where every entry is a Laurent polynomial, for every vector that
+``from_vectors``, ``reduce`` and ``contains`` meet; a basis keeps the
+packed rows it was built with.  An echelon form with a single
+back-substitution at the end would have to keep the basis fully reduced
+between rows for this to hold.  ``kernel`` checks m B = 0 by the residuals
+of the rows of m, which also name a failure.
 
 ``rank_mod_p`` is the one computation over a prime field: the rank of
 integer rows, which the rank certificate of ``pplactic`` reads.
@@ -43,17 +40,9 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 
 from .errors import DimensionMismatch
-from .scalars import (ONE, ZERO, PackedRows, QScalar, add_term, gather,
-                      vanishes)
+from .scalars import ONE, ZERO, PackedRows, QScalar, add_term, gather
 
 __all__ = ["QMatrix", "SubspaceBasis", "kernel", "rank_mod_p"]
-
-
-def _vec_sub_scaled(vec: dict, row: dict, c: QScalar):
-    """In place vec -= c * row."""
-    c = -c
-    for col, val in row.items():
-        add_term(vec, col, c * val)
 
 
 class QMatrix:
@@ -163,24 +152,25 @@ class SubspaceBasis:
     ``rows`` are sparse vectors sorted by pivot column; each pivot entry is 1
     and pivot columns are cleared from every other row.  Coordinates are
     bare column indices: a report that prints a basis names them itself.
+    The basis holds the packed forms of its rows, so the rows are not
+    mutated after construction; an edited basis is a new ``SubspaceBasis``.
     """
 
-    __slots__ = ("ambient", "rows", "pivots")
+    __slots__ = ("ambient", "rows", "pivots", "_packed")
 
-    def __init__(self, ambient: int, rows, pivots):
+    def __init__(self, ambient: int, rows, pivots, packed=None):
         self.ambient = ambient
         self.rows = rows
         self.pivots = pivots
+        self._packed = (PackedRows(dict(zip(pivots, rows))) if packed is None
+                        else packed)
 
     @staticmethod
     def from_vectors(vectors, ambient: int) -> "SubspaceBasis":
         pivot_rows: dict = {}
         packed = PackedRows(pivot_rows)
         for vec in sorted(vectors, key=len):
-            if _in_span(vec, packed):
-                continue
-            row = dict(vec)
-            _reduce_by(row, pivot_rows)
+            row = _residual(packed, vec)
             if not row:
                 continue
             p = min(row)
@@ -190,22 +180,22 @@ class SubspaceBasis:
             for key, other in pivot_rows.items():
                 c = other.get(p)
                 if c is not None:
-                    _vec_sub_scaled(other, row, c)
+                    c = -c
+                    for col, val in row.items():
+                        add_term(other, col, c * val)
                     packed.forget(key)
             pivot_rows[p] = row
         pivots = sorted(pivot_rows)
         rows = [pivot_rows[p] for p in pivots]
-        return SubspaceBasis(ambient, rows, pivots)
+        return SubspaceBasis(ambient, rows, pivots, packed)
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
     def reduce(self, vec: dict) -> dict:
-        """Canonical residual of vec modulo this subspace."""
-        out = dict(vec)
-        _reduce_by(out, dict(zip(self.pivots, self.rows)))
-        return out
+        """Canonical residual of vec modulo this subspace, a fresh row."""
+        return _residual(self._packed, vec)
 
     def contains(self, vec: dict) -> bool:
         return not self.reduce(vec)
@@ -220,31 +210,12 @@ class SubspaceBasis:
         return f"SubspaceBasis(dim {self.dim} of {self.ambient})"
 
 
-def _in_span(vec: dict, packed: PackedRows):
-    """Whether vec lies in the span of ``packed.rows``, rows keyed by pivot
-    column, by the packed zero test; None where it is undecided.
-
-    The rows are fully reduced: each holds 1 at its pivot and 0 at every
-    other pivot, so a vector of the span is sum_p vec[p] rows[p] over the
-    pivots p it holds, and its leftmost column is a pivot.
-    """
-    pivot_rows = packed.rows
-    if not vec:
-        return True
-    if min(vec) not in pivot_rows:
-        return False
-    coeffs = {p: vec[p] for p in vec.keys() & pivot_rows.keys()}
-    return packed.is_combination(coeffs, vec)
-
-
-def _reduce_by(row: dict, pivot_rows: dict):
-    """In place reduction of row against rows keyed by pivot column.
-
-    No pivot row holds another's pivot column, so a subtraction never brings
-    a pivot back: one per pivot column the row holds clears them all.
-    """
-    for p in sorted(row.keys() & pivot_rows.keys()):
-        _vec_sub_scaled(row, pivot_rows[p], row[p])
+def _residual(packed: PackedRows, vec: dict) -> dict:
+    """vec - sum_p vec[p] rows[p] over the pivots p of ``packed.rows`` that
+    vec holds, rows keyed by pivot column and fully reduced: each holds 1
+    at its pivot and 0 at every other pivot, so this is vec modulo them."""
+    rows = packed.rows
+    return packed.residual({p: vec[p] for p in vec.keys() & rows.keys()}, vec)
 
 
 def kernel(m: QMatrix) -> SubspaceBasis:
@@ -261,22 +232,19 @@ def kernel(m: QMatrix) -> SubspaceBasis:
                 vec[p] = -c
         vectors.append(vec)
     basis = SubspaceBasis.from_vectors(vectors, m.ncols)
-    # the basis checks itself: rank-nullity, then m * basis = 0, by the
-    # packed zero test
+    # the basis checks itself: rank-nullity, then m * basis = 0, row i of
+    # the product being minus the residual of row i of m
     if row_space.dim + basis.dim != m.ncols:
         raise ArithmeticError(
             f"rank {row_space.dim} + nullity {basis.dim} != {m.ncols} columns")
-    columns = QMatrix(m.ncols, basis.rows).transpose()
-    if vanishes(m.rows, columns.rows):
-        return basis
-    # undecided or not zero: the exact product decides and names a failure
-    product = m * columns
-    failed = [(k, i) for i, row in enumerate(product.rows) for k in row]
+    packed = PackedRows(QMatrix(m.ncols, basis.rows).transpose().rows)
+    residuals = [packed.residual(row, {}) for row in m.rows]
+    failed = [(k, i) for i, res in enumerate(residuals) for k in res]
     if failed:
         k, i = min(failed)
         raise ArithmeticError(
             f"kernel vector {k} (pivot {basis.pivots[k]}) is not annihilated:"
-            f" row {i} gives {product.get(i, k)}")
+            f" row {i} gives {-residuals[i][k]}")
     return basis
 
 

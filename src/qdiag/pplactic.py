@@ -389,7 +389,7 @@ def _composition_certificate(lam: tuple, m: QMatrix):
     rank, so rank_p G + rank_p M = N_lambda makes every inequality an
     equality: I_lambda is the kernel, of dimension rank_p G.  A nonzero
     product entry, a rank shortfall or an entry that is not a Laurent
-    polynomial (the zero test is then undecided) gives None.
+    polynomial (``value_mod`` refuses it) gives None.
     """
     gens = _composition_generators(lam)
     if not vanishes(gens, m.rows):

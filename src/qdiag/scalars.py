@@ -45,15 +45,15 @@ num1 ... numm)/(d1 ... dm), the denominator unpacked from the product of
 the packed ones, and one canonicalization of that fraction per group gives
 the unique form that term-by-term addition would reach.
 
-One zero test shares ``_pack`` and that bound.  ``vanishes`` and
-``PackedRows.is_combination`` decide whether sums of products of rows
-{column: scalar} are zero, or equal a target row, without forming a
-scalar: each entry of a row is packed once, each column sum is one
-integer, and 2^(k-1) stays above the bound of every coefficient of every
-column sum, so a column sum is zero if and only if its packed integer is.
-No gcd runs and nothing is unpacked.  A factor that is not a Laurent
-polynomial makes the test answer None, undecided, and its callers then
-take the exact route.
+One residual shares ``_pack`` and that bound.  ``PackedRows.residual``
+forms target - sum_key a[key] rows[key] for sparse rows {column: scalar},
+and ``vanishes`` asks whether such sums are zero.  Where every scalar is a
+Laurent polynomial, each entry of a row is packed once, each column sum is
+one integer, and 2^(k-1) stays above the bound of every coefficient of
+every column sum, so a column sum is zero if and only if its packed
+integer is, and only the nonzero ones are unpacked; no gcd runs.  A factor
+that is not a Laurent polynomial makes the residual be summed exactly, in
+Q(q), term by term.
 
 >>> terms = {"x": [(q_int(2), omega()), (ONE / q_int(2), q_int(2))],
 ...          "y": [(Q, Q), (-Q, Q)]}
@@ -203,21 +203,21 @@ class _Packing:
 
 
 class PackedRows:
-    """Sparse rows {column: scalar} under the packed zero test.
+    """Sparse rows {column: scalar} for exact residuals of their combinations.
 
     ``rows`` maps each key to a row, and the caller keeps them current:
-    ``forget(key)`` after editing a row.  A combination sum_key a[key]
-    rows[key] is tested column by column in integers, as ``gather`` sums:
+    ``forget(key)`` after editing a row.  A residual target - sum_key a[key]
+    rows[key] is summed column by column in integers, as ``gather`` sums:
     each entry of a Laurent-polynomial row is packed once at q = 2^k and
     divided by q^low for the row's lowest exponent low, and each
     coefficient a is packed with the low that aligns it with its row.  A
     coefficient of a column sum is at most the number of terms, target
     included, times the largest L1 norm of a coefficient times the largest
-    of an entry (``gather``'s bound), and k keeps 2^(k-1) above it, so a
-    packed column sum is 0 if and only if the column sum is.  k only
-    grows, to what a test needs, and every packed row is dropped when it
-    does.  A test that meets a scalar that is not a Laurent polynomial
-    answers None, undecided.
+    of an entry (``gather``'s bound), and k keeps 2^(k-1) above it, so each
+    nonzero column sum unpacks to its coefficients.  k only grows, to what
+    a residual needs, and every packed row is dropped when it does.  A
+    residual that meets a scalar that is not a Laurent polynomial is summed
+    in Q(q) with ``add_term``.
     """
 
     __slots__ = ("rows", "k", "_bounds", "_packed")
@@ -225,7 +225,7 @@ class PackedRows:
     def __init__(self, rows):
         self.rows = rows
         self.k = 0
-        self._bounds: dict = {}  # key -> (low, top) of a Laurent row
+        self._bounds: dict = {}  # key -> (low, top), or False off Laurent
         self._packed: dict = {}  # key -> {column: packed entry} at k
 
     def forget(self, key) -> None:
@@ -233,24 +233,22 @@ class PackedRows:
         self._bounds.pop(key, None)
         self._packed.pop(key, None)
 
-    def is_combination(self, coeffs: dict, target: dict):
-        """Whether target = sum_key coeffs[key] rows[key]; None, undecided,
-        where a scalar is not a Laurent polynomial."""
+    def residual(self, coeffs: dict, target: dict) -> dict:
+        """target - sum_key coeffs[key] rows[key], as a fresh sparse row."""
         goal = _bounds(target)
         if goal is None:
-            return None
+            return self._summed(coeffs, target)
         low, top_b = goal
         terms = []
         top_a = 1
         for key, a in coeffs.items():
             if a.den is not _ONE_COEFFS:
-                return None
+                return self._summed(coeffs, target)
             bounds = self._bounds.get(key)
             if bounds is None:
-                bounds = _bounds(self.rows[key])
-                if bounds is None:
-                    return None
-                self._bounds[key] = bounds
+                bounds = self._bounds[key] = _bounds(self.rows[key]) or False
+            if not bounds:
+                return self._summed(coeffs, target)
             row_low, top = bounds
             if a and row_low is not None:
                 terms.append((a.num, key, row_low))
@@ -259,14 +257,14 @@ class PackedRows:
                 row_low += min(a.num)
                 low = row_low if low is None else min(low, row_low)
         if not terms:
-            return not any(target.values())
+            return dict(target)
         need = ((len(terms) + 1) * top_a * top_b).bit_length() + 1
         if need > self.k:
             self.k = need
             self._packed.clear()
         k = self.k
         packed = self._packed
-        acc = {j: -_pack(c.num, k, low) for j, c in target.items()}
+        acc = {j: _pack(c.num, k, low) for j, c in target.items()}
         get = acc.get
         for num, key, row_low in terms:
             entries = packed.get(key)
@@ -275,8 +273,18 @@ class PackedRows:
                                          for j, c in self.rows[key].items()}
             a = _pack(num, k, low - row_low)
             for j, v in entries.items():
-                acc[j] = get(j, 0) + a * v
-        return not any(acc.values())
+                acc[j] = get(j, 0) - a * v
+        return {j: _scalar(_unpack(v, k, low), _ONE_COEFFS)
+                for j, v in acc.items() if v}
+
+    def _summed(self, coeffs: dict, target: dict) -> dict:
+        """The residual summed in Q(q), term by term."""
+        out = dict(target)
+        for key, a in coeffs.items():
+            a = -a
+            for j, v in self.rows[key].items():
+                add_term(out, j, a * v)
+        return out
 
 
 def _bounds(row: dict):
@@ -292,20 +300,15 @@ def _bounds(row: dict):
                 default=0))
 
 
-def vanishes(left, right):
+def vanishes(left, right) -> bool:
     """Whether sum_k a[k] right[k] is the zero row for every row a of left.
 
-    ``right`` maps each key to a sparse row {column: scalar}.  The test is
-    ``PackedRows.is_combination`` with an empty target, so each row of right
-    is packed once; it answers None, undecided, at the first scalar that is
-    not a Laurent polynomial.
+    ``right`` maps each key to a sparse row {column: scalar}.  Each row a
+    gives ``PackedRows.residual`` with an empty target, so each row of
+    right is packed once.
     """
     packed = PackedRows(right)
-    for a in left:
-        verdict = packed.is_combination(a, {})
-        if not verdict:
-            return verdict
-    return True
+    return not any(packed.residual(a, {}) for a in left)
 
 
 def _pack(p: dict, k: int, low: int) -> int:

@@ -113,6 +113,32 @@ def test_truncated_cache_entry_is_recomputed(tmp_path, capsys):
     assert [p.name for p in cache.iterdir()] == [path.name]
 
 
+def test_unusable_cache_still_prints_every_report(tmp_path, capsys,
+                                                  monkeypatch):
+    # a cache that cannot be read is a miss, and one that cannot be written
+    # costs one warning line for the whole run: every report and the exit
+    # status stay
+    monkeypatch.setattr(cli, "ALL_ORDER", [("rhat", {}), ("systd", {})])
+    argv = ["run", "all", "--jobs", "1", "--format", "json"]
+    assert main([*argv, "--no-cache"]) == 0
+    fresh = json.loads(capsys.readouterr().out)
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory")
+    entry_dir = tmp_path / "cache"
+    cli._cache_path(entry_dir, "rhat", {}).mkdir(parents=True)
+    for cache in (blocker / "x", entry_dir):
+        code = main([*argv, "--cache-dir", str(cache)])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert [{k: v for k, v in r.items() if k != "seconds"}
+                for r in json.loads(captured.out)] == \
+            [{k: v for k, v in r.items() if k != "seconds"} for r in fresh]
+        (line,) = captured.err.splitlines()
+        assert line.startswith("warning: report cache not written: ")
+    assert blocker.read_text() == "not a directory"
+    assert [p.is_dir() for p in entry_dir.iterdir()] == [True]
+
+
 def test_out_directory(tmp_path, capsys):
     out_dir = tmp_path / "dumps"
     code, _ = run_cli(capsys, "run", "rhat", "--n", "2", "--out",

@@ -1,5 +1,6 @@
 """Exact sparse matrices, canonical RREF subspaces, kernels."""
 
+import copy
 import random
 
 import pytest
@@ -10,8 +11,8 @@ from qdiag.hecke import projection_matrix
 from qdiag.linalg import QMatrix, SubspaceBasis, kernel, rank_mod_p
 from qdiag.pplactic import CERT_POINT, CERT_PRIME
 from qdiag.qma import block_quotient
-from qdiag.scalars import (ONE, Q, ZERO, PackedRows, add_term, omega, q_int,
-                           q_power, qs, value_mod)
+from qdiag.scalars import (ONE, Q, ZERO, PackedRows, QScalar, add_term, omega,
+                           q_int, q_power, qs, value_mod)
 
 
 def vec(*pairs):
@@ -190,8 +191,8 @@ def test_kernel_guard_names_the_vector_not_annihilated(monkeypatch):
 
 
 def test_kernel_guard_names_a_laurent_failure(monkeypatch):
-    # every entry is a Laurent polynomial, so the packed test sees the
-    # failure, and the exact product names it
+    # every entry is a Laurent polynomial, so the residuals of the rows of m
+    # name the failure on packed integers, with no Q(q) product
     m = QMatrix(3, [{}, {0: ONE, 1: ONE, 2: Q}])
     basis = kernel(m)
     assert basis.rows == [{0: ONE, 2: -q_power(-1)}, {1: ONE, 2: -q_power(-1)}]
@@ -202,11 +203,12 @@ def test_kernel_guard_names_a_laurent_failure(monkeypatch):
         return SubspaceBasis(basis.ambient, rows, basis.pivots)
 
     # (1, 1, q) . (0, 1, q) = 1 + q^2, where the kernel has -q^-1
-    verdicts = _count_in_span(monkeypatch)
+    failure = {1: -(Q * Q + ONE)}
+    residuals = _spy_residuals(monkeypatch)
     with pytest.raises(ArithmeticError, match=r"^kernel vector 1 \(pivot 1\) "
                        r"is not annihilated: row 1 gives q\^2 \+ 1$"):
         _kernel_with_tampered_basis(monkeypatch, m, perturb)
-    assert verdicts[-1] is False
+    assert residuals[-1] == (failure, 0)
 
 
 def test_kernel_guard_checks_rank_nullity(monkeypatch):
@@ -304,17 +306,25 @@ def test_rank_mod_p_drops_with_the_prime():
     assert rank_mod_p(rows, 101) == 2
 
 
-def _count_in_span(monkeypatch):
-    """The verdicts of every packed membership test, in order."""
-    verdicts = []
-    test = PackedRows.is_combination
+def _spy_residuals(monkeypatch):
+    """(residual, Q(q) products it took) of every packed residual, in order."""
+    calls = []
+    products = [0]
+    residual, mul = PackedRows.residual, QScalar.__mul__
 
-    def counted(self, coeffs, target):
-        verdicts.append(test(self, coeffs, target))
-        return verdicts[-1]
+    def counted_mul(self, other):
+        products[0] += 1
+        return mul(self, other)
 
-    monkeypatch.setattr(PackedRows, "is_combination", counted)
-    return verdicts
+    def spied(self, coeffs, target):
+        before = products[0]
+        out = residual(self, coeffs, target)
+        calls.append((out, products[0] - before))
+        return out
+
+    monkeypatch.setattr(QScalar, "__mul__", counted_mul)
+    monkeypatch.setattr(PackedRows, "residual", spied)
+    return calls
 
 
 def _planted(rng, basis, count):
@@ -335,31 +345,49 @@ def test_rows_in_the_span_are_skipped(monkeypatch):
     rows = projection_matrix(4).rows
     basis = SubspaceBasis.from_vectors(rows, 24)
     planted = [row for row in _planted(rng, basis, 30) if row]
-    verdicts = _count_in_span(monkeypatch)
     mixed = basis.rows + planted
     rng.shuffle(mixed)
+    residuals = _spy_residuals(monkeypatch)
     assert SubspaceBasis.from_vectors(mixed, 24) == basis
-    # each row that adds nothing is in the span when it is met, and the
-    # packed test shows it: no such row is reduced over Q(q)
-    assert verdicts.count(True) == len(mixed) - basis.dim
-    assert None not in verdicts
+    # each row that adds nothing is in the span when it is met, and its
+    # residual comes back empty with no product over Q(q): every entry is a
+    # Laurent polynomial, so every residual is summed on packed integers
+    assert len(residuals) == len(mixed)
+    assert [out for out, _ in residuals].count({}) == len(mixed) - basis.dim
+    assert all(products == 0 for _, products in residuals)
 
 
 def test_a_perturbed_combination_is_not_skipped(monkeypatch):
     rng = random.Random(53)
     basis = SubspaceBasis.from_vectors(projection_matrix(4).rows, 24)
     (original,) = _planted(rng, basis, 1)
-    # q^3 more in one entry: that unit vector is not in the span, so the
-    # combination leaves it
+    # q^3 more in one entry off the pivots: that unit vector is not in the
+    # span, so the residual of the combination is exactly that entry
     combo = dict(original)
-    j = max(combo)
+    j = max(combo.keys() - set(basis.pivots))
     combo[j] = combo[j] + q_power(3)
-    verdicts = _count_in_span(monkeypatch)
+    residuals = _spy_residuals(monkeypatch)
     bigger = SubspaceBasis.from_vectors(basis.rows + [combo], 24)
     assert bigger.dim == basis.dim + 1
-    assert False in verdicts
+    assert ({j: q_power(3)}, 0) in residuals
+    assert basis.reduce(combo) == {j: q_power(3)}
     assert not basis.contains(combo)
     assert basis.contains(original)
+
+
+def test_from_vectors_leaves_its_input_rows_alone():
+    # the residual is a fresh row, even where no pivot applies, so clearing
+    # a pivot column never edits a row the caller still holds
+    rng = random.Random(67)
+    rows = projection_matrix(4).rows
+    basis = SubspaceBasis.from_vectors(rows, 24)
+    given = rows + _planted(rng, basis, 10) + [{4: Q}, {4: ONE, 10: omega()}]
+    copies = copy.deepcopy(given)
+    built = SubspaceBasis.from_vectors(given, 24)
+    assert given == copies
+    assert not {id(row) for row in given} & {id(row) for row in built.rows}
+    free = {10: omega()}
+    assert basis.reduce(free) == free and basis.reduce(free) is not free
 
 
 def test_contains_agrees_with_reduce():

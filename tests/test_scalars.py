@@ -426,7 +426,15 @@ def _exact_combination(coeffs, rows):
     return out
 
 
-def test_packed_zero_test_matches_exact_sums():
+def _residual(coeffs, rows, target):
+    """target - sum_key coeffs[key] rows[key], term by term."""
+    out = dict(target)
+    for key, v in _exact_combination(coeffs, rows).items():
+        add_term(out, key, -v)
+    return out
+
+
+def test_packed_residual_matches_exact_sums():
     rng = random.Random(43)
 
     def laurent(bits):
@@ -440,65 +448,104 @@ def test_packed_zero_test_matches_exact_sums():
         coeffs = {key: laurent(bits) for key in rng.sample(range(4), 3)}
         target = _exact_combination(coeffs, rows)
         packed = PackedRows(rows)
-        assert packed.is_combination(coeffs, target) is True
+        assert packed.residual(coeffs, target) == {}
         assert vanishes([coeffs], rows) is (not target)
-        # one q-power more in one column, maybe one the sum does not reach
+        # one q-power more in one column, maybe one the sum does not reach,
+        # is all that is left
+        col, extra = rng.randrange(7), q_power(rng.randint(-9, 9))
         changed = dict(target)
-        add_term(changed, rng.randrange(7), q_power(rng.randint(-9, 9)))
-        assert packed.is_combination(coeffs, changed) is False
+        add_term(changed, col, extra)
+        assert packed.residual(coeffs, changed) == {col: extra}
 
 
-def test_packed_zero_test_does_not_alias():
+def test_packed_residual_does_not_alias():
     # at q = 2^w, 2^w q^0 and q^1 pack to one integer: the bound keeps k
     # above every coefficient, so the two stay apart at every width, with
     # the large coefficient in the target, in a coefficient or in a row
     for w in range(1, 80):
         big = QScalar({0: 1 << w})
-        assert PackedRows({0: {0: Q}}).is_combination(
-            {0: ONE}, {0: big}) is False, w
-        assert PackedRows({0: {0: ONE}}).is_combination(
-            {0: big}, {0: Q}) is False, w
-        assert PackedRows({0: {0: big}}).is_combination(
-            {0: ONE}, {0: Q}) is False, w
+        assert PackedRows({0: {0: Q}}).residual(
+            {0: ONE}, {0: big}) == {0: big - Q}, w
+        assert PackedRows({0: {0: ONE}}).residual(
+            {0: big}, {0: Q}) == {0: Q - big}, w
+        assert PackedRows({0: {0: big}}).residual(
+            {0: ONE}, {0: Q}) == {0: Q - big}, w
         assert vanishes([{0: ONE, 1: -ONE}], {0: {0: Q}, 1: {0: big}}) is False
-        assert PackedRows({0: {0: Q}}).is_combination(
-            {0: big}, {0: big * Q}) is True, w
+        assert PackedRows({0: {0: Q}}).residual({0: big}, {0: big * Q}) == {}
     # n terms of 2^w each sum to n 2^w, which q^1 packs to when k is the
     # bit length of n 2^w: the bound counts the terms, target included
     for n in range(1, 6):
         for w in range(70):
             rows = {i: {0: QScalar({0: 1 << w})} for i in range(n)}
             ones = dict.fromkeys(rows, ONE)
-            assert PackedRows(rows).is_combination(ones, {0: Q}) is False
-            assert PackedRows(rows).is_combination(
-                ones, {0: QScalar({0: n << w})}) is True
+            total = QScalar({0: n << w})
+            assert PackedRows(rows).residual(ones, {0: Q}) == {0: Q - total}
+            assert PackedRows(rows).residual(ones, {0: total}) == {}
     # a coefficient past 2^70 over a wide exponent span
     huge = QScalar({-30: 1 << 70, 25: -(1 << 70) + 1})
     rows = {0: {0: huge, 3: huge * Q}, 1: {0: Q, 3: Q * Q}}
     assert vanishes([{0: Q, 1: -huge}], rows) is True
     assert vanishes([{0: Q, 1: -huge + ONE}], rows) is False
+    assert PackedRows(rows).residual({0: Q, 1: -huge + ONE}, {}) == \
+        {0: -Q, 3: -Q * Q}
 
 
-def test_packed_zero_test_is_undecided_off_laurent_polynomials():
+def test_residual_off_laurent_polynomials_is_exact():
     half, rational = qs(Fraction(1, 2)), ONE / q_int(2)
     for odd in (half, rational):
-        assert vanishes([{0: odd}], {0: {0: ONE}}) is None
-        assert vanishes([{0: ONE}], {0: {0: odd}}) is None
-        assert PackedRows({0: {0: ONE}}).is_combination({0: ONE},
-                                                        {0: odd}) is None
-    # the first test that meets one decides nothing, whatever came before
+        assert vanishes([{0: odd}], {0: {0: ONE}}) is False
+        assert vanishes([{0: ONE}], {0: {0: odd}}) is False
+        assert vanishes([{0: odd, 1: -ONE}], {0: {0: ONE}, 1: {0: odd}})
+        assert PackedRows({0: {0: ONE}}).residual(
+            {0: ONE}, {0: odd}) == {0: odd - ONE}
+        assert PackedRows({0: {0: odd}}).residual({0: Q}, {0: Q * odd}) == {}
+    # a row off Laurent polynomials decides what it meets, whatever came
+    # before, and a test that does not meet it stays on packed integers
     assert vanishes([{0: ONE}, {1: ONE}], {0: {0: ONE}, 1: {0: half}}) is False
     assert vanishes([{0: ONE, 1: -ONE}, {1: ONE}],
                     {0: {0: ONE}, 1: {0: ONE}, 2: {0: half}}) is False
     assert vanishes([{0: ONE, 1: -ONE}, {2: ONE}],
-                    {0: {0: ONE}, 1: {0: ONE}, 2: {0: half}}) is None
+                    {0: {0: ONE}, 1: {0: ONE}, 2: {0: half}}) is False
+    assert vanishes([{0: ONE, 1: -ONE}, {2: ONE, 3: -half}],
+                    {0: {0: ONE}, 1: {0: ONE}, 2: {0: half},
+                     3: {0: ONE}}) is True
+
+
+def test_residual_is_the_term_by_term_sum():
+    # both ways of summing, the packed one on Laurent rows and the Q(q) one
+    # where a denominator appears, give the canonical term-by-term residual
+    rng = random.Random(61)
+
+    def laurent():
+        return QScalar({e: rng.randint(-9, 9)
+                        for e in rng.sample(range(-3, 4), rng.randint(1, 3))})
+
+    for trial in range(80):
+        make = laurent if trial % 2 else (lambda: rand_scalar(rng))
+        rows = {key: {j: make() for j in rng.sample(range(5), 3)}
+                for key in range(4)}
+        rows = {key: {j: v for j, v in row.items() if v}
+                for key, row in rows.items()}
+        coeffs = {key: make() for key in rng.sample(range(4), 3)}
+        coeffs = {key: a for key, a in coeffs.items() if a}
+        target = {j: v for j in rng.sample(range(6), 2) if (v := make())}
+        if rng.random() < 0.3:
+            target = _exact_combination(coeffs, rows)
+        packed = PackedRows(rows)
+        expected = _residual(coeffs, rows, target)
+        got = packed.residual(coeffs, target)
+        assert got == expected and got is not target
+        assert packed.residual(coeffs, target) == expected  # rows packed once
+        assert vanishes([coeffs], rows) is (not _exact_combination(coeffs,
+                                                                   rows))
 
 
 def test_forgotten_row_is_packed_again():
     rows = {0: {0: ONE, 1: Q}}
     packed = PackedRows(rows)
-    assert packed.is_combination({0: Q}, {0: Q, 1: Q * Q}) is True
+    assert packed.residual({0: Q}, {0: Q, 1: Q * Q}) == {}
     rows[0][1] = omega()
     packed.forget(0)
-    assert packed.is_combination({0: Q}, {0: Q, 1: Q * Q}) is False
-    assert packed.is_combination({0: Q}, {0: Q, 1: Q * omega()}) is True
+    assert packed.residual({0: Q}, {0: Q, 1: Q * Q}) == \
+        {1: Q * Q - Q * omega()}
+    assert packed.residual({0: Q}, {0: Q, 1: Q * omega()}) == {}

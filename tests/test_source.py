@@ -118,12 +118,13 @@ def test_reports_do_not_depend_on_assert():
     # `python -O` strips assert statements; the packed products must give
     # the same reports without them, on both paths of the packing: the
     # denominator-1 sums of hecke-axioms and the rational-function groups
-    # of idempotents; and so must the packed zero test, which preplactic
-    # runs on G M and before each row of its RREFs
+    # of idempotents; and so must the residual of every row reduction,
+    # which preplactic runs on G M and on each row of its RREFs, and
+    # diag-kernel in the kernel's self-check m B = 0 and its FRT block RREFs
     src = str(Path(qdiag.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-    for check in ("hecke-axioms", "idempotents", "preplactic"):
+    for check in ("hecke-axioms", "idempotents", "preplactic", "diag-kernel"):
         reports = []
         for flags in ([], ["-O"]):
             out = subprocess.run(
