@@ -514,49 +514,21 @@ def run_many(tasks, jobs: int = 1) -> list:
     At most one worker per task is started, so a single task never starts a
     pool; with `jobs` 1, or where no process pool can be made or a worker
     cannot be started, the tasks run one after another in this process.
-    Reports come back in task order regardless of completion order, and
-    every worker has exited on return.
+    A pool whose start fails stops the workers it did start, and one that
+    runs is terminated on return, so every worker has exited by then.
+    Reports come back in task order.
     """
     tasks = list(tasks)
-    # the pool may fork all its workers at the first submit
     jobs = min(jobs, len(tasks))
-    pool = _process_pool(jobs) if jobs > 1 else None
-    if pool is not None:
-        with pool:
-            try:
-                futures = [pool.submit(run_check, name, params)
-                           for name, params in tasks]
-            except OSError:
-                # a worker could not be started (a refused fork, say): the
-                # checks are pure, so every task runs again here
-                _stop_workers(pool)
-            else:
-                return [f.result() for f in futures]
+    if jobs > 1:
+        from multiprocessing import Pool
+        try:
+            pool = Pool(jobs)
+        except (ImportError, OSError, NotImplementedError):
+            # no working semaphores, or a refused fork: the checks are
+            # pure, so every task runs here
+            pass
+        else:
+            with pool:
+                return pool.starmap(run_check, tasks, chunksize=1)
     return [run_check(name, params) for name, params in tasks]
-
-
-def _stop_workers(pool) -> None:
-    """Terminate the workers a pool did start before one failed to; with no
-    task handed out, each would wait on its queue and block the exit.
-
-    The workers are read from ``ProcessPoolExecutor._processes``, a private
-    dict {pid: process} of CPython; anything else there raises, so a Python
-    that changes it cannot bring the exit hang back unnoticed.
-    """
-    processes = pool._processes
-    if not isinstance(processes, dict):
-        raise TypeError("ProcessPoolExecutor._processes is "
-                        f"{type(processes).__name__}, not a dict of workers")
-    for process in list(processes.values()):
-        process.terminate()
-        process.join()
-
-
-def _process_pool(jobs: int):
-    """A pool of `jobs` workers, or None where the platform cannot make one
-    (no working POSIX semaphores, for example)."""
-    from concurrent.futures import ProcessPoolExecutor
-    try:
-        return ProcessPoolExecutor(max_workers=jobs)
-    except (OSError, NotImplementedError):
-        return None

@@ -8,9 +8,9 @@ so right multiplication by a generator is
 
 and the basis product T_p T_rho walks the reduced word of rho.  Its terms
 are the structure constants of H_r, Laurent polynomials in q, held in one
-cache per (p, rho) that every product here reads; a general product passes
-the triples (c_p, d_rho, s) of all its coefficients to one
-``scalars.gather``.
+cache per (p, rho) that every product here reads; a general product is one
+``scalars.PackedRows.combine`` whose rows are the structure constants of
+its pairs (p, rho), each with the coefficient pair (c_p, d_rho).
 
 T^alpha denotes T_(alpha^-1); the double-coset projection of a diagonal
 element sum c_alpha T^alpha (x) T_alpha is p = sum c_alpha T_(alpha^-1) T_alpha.
@@ -59,7 +59,7 @@ from .permutations import (
     _arrangements, _check_rank, all_perms, apply_gen, descends, identity,
     inverse, length, perm_of_word, perm_str, reduced_word, sign, standardize,
 )
-from .scalars import (ONE, ZERO, QScalar, add_term, bar, gather, omega,
+from .scalars import (ONE, ZERO, PackedRows, QScalar, add_term, bar, omega,
                       q_int, q_power, qs)
 
 __all__ = [
@@ -116,12 +116,12 @@ class HeckeElt:
         if isinstance(other, QScalar):
             return self.scale(other)
         self._check(other)
-        gathered: dict = {}
+        rows, coeffs = {}, {}
         for p, c in self.terms.items():
             for rho, d in other.terms.items():
-                for sigma, s in _structure_constants(p, rho).items():
-                    gathered.setdefault(sigma, []).append((c, d, s))
-        return HeckeElt(self.r, gather(gathered))
+                rows[p, rho] = _structure_constants(p, rho)
+                coeffs[p, rho] = (c, d)
+        return HeckeElt(self.r, PackedRows(rows).combine(coeffs, {}))
 
     def coeff(self, p) -> QScalar:
         return self.terms.get(p, ZERO)

@@ -23,13 +23,14 @@ needed (the relation rows are short and the full suite runs in seconds).
 The basis is kept fully reduced after every row, and reduction rests on
 that: a vector v reduces to v - sum_p v[p] R_p over the pivots p it holds,
 R_p the row of pivot p, which is zero if and only if v is in the span.
-``scalars.PackedRows`` forms that one residual exactly, on packed integers
-where every entry is a Laurent polynomial, for every vector that
+``scalars.PackedRows.combine`` forms that one residual exactly, on packed
+integers where every entry is a Laurent polynomial, for every vector that
 ``from_vectors``, ``reduce`` and ``contains`` meet; a basis keeps the
 packed rows it was built with.  An echelon form with a single
 back-substitution at the end would have to keep the basis fully reduced
-between rows for this to hold.  ``kernel`` checks m B = 0 by the residuals
-of the rows of m, which also name a failure.
+between rows for this to hold.  The matrix product packs its right factor
+once and combines its rows with the entries of each left row, and
+``kernel`` checks m B = 0 by that product, which also names a failure.
 
 ``rank_mod_p`` is the one computation over a prime field: the rank of
 integer rows, which the rank certificate of ``pplactic`` reads.
@@ -40,7 +41,7 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 
 from .errors import DimensionMismatch
-from .scalars import ONE, ZERO, PackedRows, QScalar, add_term, gather
+from .scalars import ONE, ZERO, PackedRows, QScalar, add_term
 
 __all__ = ["QMatrix", "SubspaceBasis", "kernel", "rank_mod_p"]
 
@@ -101,24 +102,18 @@ class QMatrix:
                                     for row in self.rows))
 
     def __mul__(self, other):
-        """Product, one ``scalars.gather`` call per output row.
-
-        A call per row keeps only that row's products in memory; one call
-        for the whole product would hold them all at once.
-        """
+        """Product: the rows of the right factor are packed once, and row i
+        combines them with the entries of row i of the left factor as
+        coefficients (``scalars.PackedRows.combine``)."""
         if not isinstance(other, QMatrix):
             return NotImplemented
         if self.ncols != other.nrows:
             raise DimensionMismatch(
                 f"{self.nrows}x{self.ncols} times {other.nrows}x{other.ncols}")
-        out = []
-        for row in self.rows:
-            gathered: dict = {}
-            for k, a in row.items():
-                for j, b in other.rows[k].items():
-                    gathered.setdefault(j, []).append((a, b))
-            out.append(gather(gathered))
-        return QMatrix(other.ncols, out)
+        packed = PackedRows(other.rows)
+        return QMatrix(other.ncols, [
+            packed.combine({k: (a,) for k, a in row.items()}, {})
+            for row in self.rows])
 
     def transpose(self) -> "QMatrix":
         columns = [{} for _ in range(self.ncols)]
@@ -174,8 +169,10 @@ class SubspaceBasis:
             if not row:
                 continue
             p = min(row)
-            inv = row[p].inv()
-            row = {c: v * inv for c, v in row.items()}
+            # a pivot entry 1 needs no scaling: the row keeps its scalars
+            if row[p] != ONE:
+                inv = row[p].inv()
+                row = {c: v * inv for c, v in row.items()}
             # clear the new pivot column from the existing rows
             for key, other in pivot_rows.items():
                 c = other.get(p)
@@ -215,7 +212,8 @@ def _residual(packed: PackedRows, vec: dict) -> dict:
     vec holds, rows keyed by pivot column and fully reduced: each holds 1
     at its pivot and 0 at every other pivot, so this is vec modulo them."""
     rows = packed.rows
-    return packed.residual({p: vec[p] for p in vec.keys() & rows.keys()}, vec)
+    return packed.combine({p: (-vec[p],) for p in vec.keys() & rows.keys()},
+                          vec)
 
 
 def kernel(m: QMatrix) -> SubspaceBasis:
@@ -232,19 +230,17 @@ def kernel(m: QMatrix) -> SubspaceBasis:
                 vec[p] = -c
         vectors.append(vec)
     basis = SubspaceBasis.from_vectors(vectors, m.ncols)
-    # the basis checks itself: rank-nullity, then m * basis = 0, row i of
-    # the product being minus the residual of row i of m
+    # the basis checks itself: rank-nullity, then m * basis = 0
     if row_space.dim + basis.dim != m.ncols:
         raise ArithmeticError(
             f"rank {row_space.dim} + nullity {basis.dim} != {m.ncols} columns")
-    packed = PackedRows(QMatrix(m.ncols, basis.rows).transpose().rows)
-    residuals = [packed.residual(row, {}) for row in m.rows]
-    failed = [(k, i) for i, res in enumerate(residuals) for k in res]
+    product = (m * QMatrix(m.ncols, basis.rows).transpose()).rows
+    failed = [(k, i) for i, row in enumerate(product) for k in row]
     if failed:
         k, i = min(failed)
         raise ArithmeticError(
             f"kernel vector {k} (pivot {basis.pivots[k]}) is not annihilated:"
-            f" row {i} gives {-residuals[i][k]}")
+            f" row {i} gives {product[i][k]}")
     return basis
 
 

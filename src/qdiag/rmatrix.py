@@ -28,7 +28,7 @@ from .errors import BoundExceeded
 from .hecke import HeckeElt
 from .linalg import QMatrix
 from .permutations import _arrangements, reduced_word
-from .scalars import ONE, Q, add_term, gather, omega, q_power
+from .scalars import ONE, PackedRows, Q, add_term, omega, q_power
 
 __all__ = [
     "rhat", "rhat_reading", "pi", "word_index", "index_word",
@@ -166,19 +166,22 @@ def _basis_matrix(perm, n: int) -> QMatrix:
 
 
 def pi(x: HeckeElt, n: int) -> QMatrix:
-    """The representation of H_r(q) on V^(x)r, extended linearly over T_sigma."""
+    """The representation of H_r(q) on V^(x)r, extended linearly over T_sigma.
+
+    pi(x) = sum_p c_p pi(T_p) is one ``scalars.PackedRows.combine``: each
+    basis matrix pi(T_p) is one sparse row keyed by its entries (i, j).
+    """
     dim = n ** x.r
     if dim > DIM_BOUND:
         raise BoundExceeded(f"dim V^(x){x.r} = {dim} exceeds {DIM_BOUND}")
-    # one gather call for the whole sum: a call per row would repack the
-    # coefficients and the denominators of x once per row
-    gathered: dict = {}
-    for p, c in x.terms.items():
-        for i, row in enumerate(_basis_matrix(p, n).rows):
-            for j, val in row.items():
-                gathered.setdefault((i, j), []).append((c, val))
+    # one sum for the whole matrix: a sum per row would repack the
+    # coefficients of x once per row
+    matrices = {p: {(i, j): val
+                    for i, row in enumerate(_basis_matrix(p, n).rows)
+                    for j, val in row.items()} for p in x.terms}
     rows = [{} for _ in range(dim)]
-    for (i, j), val in gather(gathered).items():
+    for (i, j), val in PackedRows(matrices).combine(
+            {p: (c,) for p, c in x.terms.items()}, {}).items():
         rows[i][j] = val
     return QMatrix(dim, rows)
 

@@ -26,38 +26,37 @@ the boundaries: rational constants (``qs``), parsing, evaluation and the
 text form, which divides by the denominator's leading coefficient.
 
 Sparse combinations have two primitives.  ``add_term`` scatters: it adds one
-scalar into a dict entry.  ``gather`` gathers: it takes {key: [factor tuple,
-...]}, the shape of every matrix, Hecke and representation product, and
-returns {key: sum of the products of its tuples} without the zero sums.
-It packs (Kronecker substitution): each distinct numerator of the call is
-read once at q = 2^k, divided by q^low for the lowest exponent low of the
-call, so each product in a sum is one integer product, and each sum is
-unpacked once: its base-2^k digits, taken in -2^(k-1)..2^(k-1)-1, are its
-coefficients.  Each distinct denominator, an ordinary polynomial, is read
-once at q = 2^k as it is.  This is exact.  A coefficient of a sum of
-products is at most the sum, over its products, of the product of the
-factors' L1 norms (the sums of their absolute coefficients), and k is
-chosen so that 2^(k-1) exceeds that bound for every sum of the call and
-every product of its denominators; so equal packed denominators are equal
-polynomials.  The sums are taken per group of products whose factors have
-equal packed denominators: products over (d1, ..., dm) sum to (sum of
-num1 ... numm)/(d1 ... dm), the denominator unpacked from the product of
-the packed ones, and one canonicalization of that fraction per group gives
-the unique form that term-by-term addition would reach.
+scalar into a dict entry.  ``PackedRows.combine`` gathers: for sparse rows
+{column: scalar} held by key it returns base + sum_key prod(coeffs[key])
+rows[key], each coefficient a tuple of factors.  That is the shape of every
+matrix, Hecke and representation product, of every row reduction and of
+every zero test.  It packs (Kronecker substitution): each distinct factor
+numerator of a call and each row entry is read once at q = 2^k and divided
+by q^low for its own lowest exponent low, so each product is one integer
+product, shifted by whole digits to the lowest exponent of the call, and
+each column sum is unpacked once: its base-2^k digits, taken in
+-2^(k-1)..2^(k-1)-1, are its coefficients.  Each distinct denominator, an
+ordinary polynomial, is read once at q = 2^k as it is.  This is exact.  A
+coefficient of a column sum is at most the sum, over its products, of the
+product of the factors' and the entry's L1 norms (the sums of their
+absolute coefficients), and k is chosen so that 2^(k-1) exceeds that bound
+for every column sum of the call and every product of its denominators; so
+a column sum is zero if and only if its packed integer is, and equal packed
+denominators are equal polynomials.  Products whose factors all have
+denominator 1 share one accumulator, and no gcd runs for them.  The others
+are summed per group of equal packed denominators: products over (d1, ...,
+dm) sum to (sum of num1 ... numm entry)/(d1 ... dm), the denominator
+unpacked from the product of the packed ones, and one canonicalization per
+nonzero column of a group gives the unique form that term-by-term addition
+would reach.  A base or row entry that is not a Laurent polynomial makes the
+combination be summed in Q(q), term by term, and so is a combination with
+no base whose rows share no column: it sums nothing.  ``vanishes`` asks
+whether such combinations are zero.
 
-One residual shares ``_pack`` and that bound.  ``PackedRows.residual``
-forms target - sum_key a[key] rows[key] for sparse rows {column: scalar},
-and ``vanishes`` asks whether such sums are zero.  Where every scalar is a
-Laurent polynomial, each entry of a row is packed once, each column sum is
-one integer, and 2^(k-1) stays above the bound of every coefficient of
-every column sum, so a column sum is zero if and only if its packed
-integer is, and only the nonzero ones are unpacked; no gcd runs.  A factor
-that is not a Laurent polynomial makes the residual be summed exactly, in
-Q(q), term by term.
-
->>> terms = {"x": [(q_int(2), omega()), (ONE / q_int(2), q_int(2))],
-...          "y": [(Q, Q), (-Q, Q)]}
->>> {key: str(value) for key, value in gather(terms).items()}
+>>> rows = PackedRows({"a": {"x": omega(), "y": Q}, "b": {"x": ONE}})
+>>> out = rows.combine({"a": (q_int(2),), "b": (ONE / q_int(2), q_int(2))},
+...                    {"y": -Q * q_int(2)})
+>>> {key: str(value) for key, value in out.items()}
 {'x': 'q^2 + 1 - q^-2'}
 
 >>> str(q_int(3))
@@ -74,16 +73,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import chain, repeat
 from math import gcd, prod
-from operator import attrgetter, index, mul
+from operator import index, mul
 
 from .errors import PoleAtPoint
 
 __all__ = [
     "QScalar", "ZERO", "ONE", "Q",
     "qs", "q_power", "q_int", "omega", "bar", "parse_scalar", "add_term",
-    "gather", "PackedRows", "vanishes", "value_mod",
+    "PackedRows", "vanishes", "value_mod",
 ]
 
 
@@ -105,119 +103,23 @@ def add_term(d: dict, key, c) -> None:
         del d[key]
 
 
-def gather(terms: dict) -> dict:
-    """{key: sum of the products of its factor tuples}, zero sums dropped.
-
-    ``terms`` maps each key to a list of tuples of scalars.  A key with one
-    tuple gets the ordinary product.  The products of the other keys are
-    summed per group of equal denominators in one packed integer each, as
-    the module docstring describes, and each group is canonicalized once.
-    """
-    sums = [tuples for tuples in terms.values() if len(tuples) > 1]
-    packing = _Packing(sums) if sums else None
-    out = {}
-    for key, tuples in terms.items():
-        value = (reduce(mul, tuples[0]) if len(tuples) == 1
-                 else packing.sum_of(tuples))
-        if value:
-            out[key] = value
-    return out
-
-
-_num_of = attrgetter("num")
-_den_of = attrgetter("den")
-
-
-def _factors(sums: list):
-    """Every factor of every product of the sums, in order."""
-    return chain.from_iterable(chain.from_iterable(sums))
-
-
-class _Packing:
-    """The distinct numerators and denominators of one ``gather`` call, packed.
-
-    Each numerator is read once at q = 2^k and divided by q^low, for the
-    lowest exponent low of the call; each denominator, an ordinary
-    polynomial, is read once at q = 2^k as it is.  A coefficient of a sum is
-    at most the sum, over its products, of the product of the factors' L1
-    norms, and a coefficient of a product of denominators at most the
-    product of their L1 norms.  With at most ``most`` products per sum,
-    ``width`` factors per product and L1 norm ``top`` per numerator or
-    denominator, both are at most most * top ** width, and k is the least
-    integer with 2^(k-1) above it: so every such coefficient is one balanced
-    base-2^k digit of its packed value, and equal packed denominators are
-    equal polynomials.
-    """
-
-    def __init__(self, sums: list):
-        scalars = dict(zip(map(id, _factors(sums)), _factors(sums)))
-        nums = list(map(_num_of, scalars.values()))
-        dens = list(map(_den_of, scalars.values()))
-        distinct = dict(zip(map(id, dens), dens))
-        sizes = set(map(len, chain.from_iterable(sums)))
-        # with every denominator 1 and one size, each sum is one group
-        self.plain = len(sizes) == 1 and distinct.keys() == {id(_ONE_COEFFS)}
-        most = max(map(len, sums))
-        top = max(map(sum, map(map, repeat(abs), map(
-            dict.values, chain(nums, distinct.values())))))
-        width = max(sizes)
-        self.k = k = (most * top ** width).bit_length() + 1
-        self.low = low = min(map(min, filter(None, nums)), default=0)
-        packed = [_pack(p, k, low) for p in nums]
-        self.get = dict(zip(scalars, packed)).__getitem__
-        if not self.plain:
-            dens_packed = {i: _pack(d, k, 0) for i, d in distinct.items()}
-            self.den = dict(zip(scalars, [dens_packed[id(d)]
-                                          for d in dens])).__getitem__
-            self.group_dens: dict = {}  # group -> its unpacked denominator
-
-    def sum_of(self, tuples: list) -> QScalar:
-        """The sum of the products of the factor tuples of one key."""
-        get, k, low = self.get, self.k, self.low
-        if self.plain:
-            value = sum([prod(map(get, map(id, t))) for t in tuples])
-            if not value:
-                return ZERO
-            return _scalar(_unpack(value, k, len(tuples[0]) * low),
-                           _ONE_COEFFS)
-        # a group is the tuple of its factors' packed denominators
-        parts: dict = {}
-        for t in tuples:
-            ids = tuple(map(id, t))
-            group = tuple(map(self.den, ids))
-            parts[group] = parts.get(group, 0) + prod(map(get, ids))
-        group_dens = self.group_dens
-        total = ZERO
-        for group, value in parts.items():
-            if value:
-                num = _unpack(value, k, len(group) * low)
-                den = group_dens.get(group)
-                if den is None:
-                    den = prod(group)
-                    den = group_dens[group] = (
-                        _ONE_COEFFS if den == 1 else _unpack(den, k, 0))
-                part = (_scalar(num, den) if den is _ONE_COEFFS
-                        else _canon(num, den))
-                total = total + part if total else part
-        return total
-
-
 class PackedRows:
-    """Sparse rows {column: scalar} for exact residuals of their combinations.
+    """Sparse rows {column: scalar} for exact sums of their products.
 
     ``rows`` maps each key to a row, and the caller keeps them current:
-    ``forget(key)`` after editing a row.  A residual target - sum_key a[key]
-    rows[key] is summed column by column in integers, as ``gather`` sums:
-    each entry of a Laurent-polynomial row is packed once at q = 2^k and
-    divided by q^low for the row's lowest exponent low, and each
-    coefficient a is packed with the low that aligns it with its row.  A
-    coefficient of a column sum is at most the number of terms, target
-    included, times the largest L1 norm of a coefficient times the largest
-    of an entry (``gather``'s bound), and k keeps 2^(k-1) above it, so each
-    nonzero column sum unpacks to its coefficients.  k only grows, to what
-    a residual needs, and every packed row is dropped when it does.  A
-    residual that meets a scalar that is not a Laurent polynomial is summed
-    in Q(q) with ``add_term``.
+    ``forget(key)`` after editing a row.  ``combine`` packs as the module
+    docstring describes: each entry of a Laurent-polynomial row is packed
+    once at q = 2^k and divided by q^low for the row's lowest exponent low,
+    and each product is shifted to align with the lowest exponent of its
+    call.  With at most ``width`` factors per coefficient, L1 norm ``top``
+    per factor numerator or denominator and ``top_row`` per row or base
+    entry, a coefficient of a column sum of n products is at most
+    (n + 1) top^width top_row, base included, which also bounds every
+    product of denominators, and k keeps 2^(k-1) above it.  k only grows,
+    to what a call needs, and every packed row is dropped when it does.
+    Two combinations are formed in Q(q) instead, one product per entry: one
+    that meets a base or row entry that is not a Laurent polynomial, and
+    one with no base whose rows share no column, which sums nothing.
     """
 
     __slots__ = ("rows", "k", "_bounds", "_packed")
@@ -233,82 +135,125 @@ class PackedRows:
         self._bounds.pop(key, None)
         self._packed.pop(key, None)
 
-    def residual(self, coeffs: dict, target: dict) -> dict:
-        """target - sum_key coeffs[key] rows[key], as a fresh sparse row."""
-        goal = _bounds(target)
-        if goal is None:
-            return self._summed(coeffs, target)
-        low, top_b = goal
-        terms = []
-        top_a = 1
-        for key, a in coeffs.items():
-            if a.den is not _ONE_COEFFS:
-                return self._summed(coeffs, target)
-            bounds = self._bounds.get(key)
+    def combine(self, coeffs: dict, base: dict) -> dict:
+        """base + sum_key prod(coeffs[key]) rows[key], a fresh sparse row.
+
+        Each coefficient is a tuple of scalar factors.  Where the sum is
+        packed, they are packed one by one, and no product of them is
+        formed in Q(q).
+        """
+        rows, bounds_of = self.rows, self._bounds
+        goal = _bounds(base)
+        if goal is None or not base and _disjoint(
+                list(map(rows.__getitem__, coeffs))):
+            return self._summed(coeffs, base)
+        low, top_row = goal
+        factors = {id(f): f for t in coeffs.values() for f in t if f}
+        lows = {i: min(f.num) for i, f in factors.items()}
+        lowest = lows.__getitem__
+        terms = []  # (key, factor ids, row low, lowest exponent of products)
+        for key, t in coeffs.items():
+            bounds = bounds_of.get(key)
             if bounds is None:
-                bounds = self._bounds[key] = _bounds(self.rows[key]) or False
+                bounds = bounds_of[key] = _bounds(rows[key]) or False
             if not bounds:
-                return self._summed(coeffs, target)
-            row_low, top = bounds
-            if a and row_low is not None:
-                terms.append((a.num, key, row_low))
-                top_a = max(top_a, sum(map(abs, a.num.values())))
-                top_b = max(top_b, top)
-                row_low += min(a.num)
-                low = row_low if low is None else min(low, row_low)
+                return self._summed(coeffs, base)
+            row_low, row_top = bounds
+            if row_low is None or not all(t):
+                continue
+            ids = tuple(map(id, t))
+            off = row_low + sum(map(lowest, ids))
+            terms.append((key, ids, row_low, off))
+            if low is None or off < low:
+                low = off
+            if row_top > top_row:
+                top_row = row_top
         if not terms:
-            return dict(target)
-        need = ((len(terms) + 1) * top_a * top_b).bit_length() + 1
+            return dict(base)
+        top = max(sum(map(abs, p.values()))
+                  for f in factors.values() for p in (f.num, f.den))
+        width = max(map(len, coeffs.values()))
+        need = ((len(terms) + 1) * top ** width * top_row).bit_length() + 1
         if need > self.k:
             self.k = need
             self._packed.clear()
         k = self.k
+        nums = {i: _pack(f.num, k, lows[i]) for i, f in factors.items()}
+        dens = {i: _pack(f.den, k, 0) for i, f in factors.items()
+                if f.den is not _ONE_COEFFS}
+        acc = {j: _pack(c.num, k, low) for j, c in base.items()}
+        groups: dict = {}  # packed denominators -> their column sums
         packed = self._packed
-        acc = {j: _pack(c.num, k, low) for j, c in target.items()}
-        get = acc.get
-        for num, key, row_low in terms:
+        packed_num = nums.__getitem__
+        for key, ids, row_low, off in terms:
             entries = packed.get(key)
             if entries is None:
                 entries = packed[key] = {j: _pack(c.num, k, row_low)
-                                         for j, c in self.rows[key].items()}
-            a = _pack(num, k, low - row_low)
+                                         for j, c in rows[key].items()}
+            a = prod(map(packed_num, ids)) << (k * (off - low))
+            sums = acc
+            if dens:
+                group = tuple([dens[i] for i in ids if i in dens])
+                if group:
+                    sums = groups.get(group)
+                    if sums is None:
+                        sums = groups[group] = {}
+            get = sums.get
             for j, v in entries.items():
-                acc[j] = get(j, 0) - a * v
-        return {j: _scalar(_unpack(v, k, low), _ONE_COEFFS)
-                for j, v in acc.items() if v}
-
-    def _summed(self, coeffs: dict, target: dict) -> dict:
-        """The residual summed in Q(q), term by term."""
-        out = dict(target)
-        for key, a in coeffs.items():
-            a = -a
-            for j, v in self.rows[key].items():
-                add_term(out, j, a * v)
+                sums[j] = get(j, 0) + a * v
+        out = {j: _scalar(_unpack(v, k, low), _ONE_COEFFS)
+               for j, v in acc.items() if v}
+        for group, sums in groups.items():
+            den = _unpack(prod(group), k, 0)
+            for j, v in sums.items():
+                if v:
+                    add_term(out, j, _canon(_unpack(v, k, low), den))
         return out
+
+    def _summed(self, coeffs: dict, base: dict) -> dict:
+        """The combination summed in Q(q), term by term."""
+        out = dict(base)
+        for key, t in coeffs.items():
+            c = reduce(mul, t)
+            if c:
+                for j, v in self.rows[key].items():
+                    add_term(out, j, c * v)
+        return out
+
+
+def _disjoint(rows: list) -> bool:
+    """Whether no column is in two of the rows: then a combination of them
+    sums nothing, and each of its entries is one product in Q(q)."""
+    return len(set().union(*rows)) == sum(map(len, rows))
 
 
 def _bounds(row: dict):
     """(lowest exponent or None, largest entry L1 norm) of a row of Laurent
     polynomials; None if an entry has a denominator."""
-    nums = []
+    low, top = None, 0
     for c in row.values():
         if c.den is not _ONE_COEFFS:
             return None
-        nums.append(c.num)
-    return (min(map(min, filter(None, nums)), default=None),
-            max(map(sum, map(map, repeat(abs), map(dict.values, nums))),
-                default=0))
+        num = c.num
+        if num:
+            e, norm = min(num), sum(map(abs, num.values()))
+            if low is None or e < low:
+                low = e
+            if norm > top:
+                top = norm
+    return low, top
 
 
 def vanishes(left, right) -> bool:
     """Whether sum_k a[k] right[k] is the zero row for every row a of left.
 
     ``right`` maps each key to a sparse row {column: scalar}.  Each row a
-    gives ``PackedRows.residual`` with an empty target, so each row of
-    right is packed once.
+    is one ``PackedRows.combine`` with an empty base, so each row of right
+    is packed once.
     """
     packed = PackedRows(right)
-    return not any(packed.residual(a, {}) for a in left)
+    return not any(packed.combine({k: (c,) for k, c in a.items()}, {})
+                   for a in left)
 
 
 def _pack(p: dict, k: int, low: int) -> int:

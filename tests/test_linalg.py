@@ -191,7 +191,7 @@ def test_kernel_guard_names_the_vector_not_annihilated(monkeypatch):
 
 
 def test_kernel_guard_names_a_laurent_failure(monkeypatch):
-    # every entry is a Laurent polynomial, so the residuals of the rows of m
+    # every entry is a Laurent polynomial, so the rows of the product m B
     # name the failure on packed integers, with no Q(q) product
     m = QMatrix(3, [{}, {0: ONE, 1: ONE, 2: Q}])
     basis = kernel(m)
@@ -203,12 +203,29 @@ def test_kernel_guard_names_a_laurent_failure(monkeypatch):
         return SubspaceBasis(basis.ambient, rows, basis.pivots)
 
     # (1, 1, q) . (0, 1, q) = 1 + q^2, where the kernel has -q^-1
-    failure = {1: -(Q * Q + ONE)}
-    residuals = _spy_residuals(monkeypatch)
+    failure = {1: Q * Q + ONE}
+    combined = _spy_combine(monkeypatch)
     with pytest.raises(ArithmeticError, match=r"^kernel vector 1 \(pivot 1\) "
                        r"is not annihilated: row 1 gives q\^2 \+ 1$"):
         _kernel_with_tampered_basis(monkeypatch, m, perturb)
-    assert residuals[-1] == (failure, 0)
+    assert combined[-1] == (failure, 0)
+
+
+def test_kernel_guard_names_the_least_failure(monkeypatch):
+    # two kernel vectors fail, each at one row: the guard names the least
+    # kernel vector, then the least row it fails at
+    m = QMatrix(4, [{1: ONE, 3: ONE}, {0: ONE, 2: ONE}])
+    basis = kernel(m)
+    assert basis.rows == [{0: ONE, 2: -ONE}, {1: ONE, 3: -ONE}]
+
+    def perturb(basis):
+        return SubspaceBasis(basis.ambient, [{0: ONE, 2: Q}, {1: ONE, 3: Q}],
+                             basis.pivots)
+
+    # vector 0 fails at row 1 only, vector 1 at row 0 only
+    with pytest.raises(ArithmeticError, match=r"^kernel vector 0 \(pivot 0\) "
+                       r"is not annihilated: row 1 gives q \+ 1$"):
+        _kernel_with_tampered_basis(monkeypatch, m, perturb)
 
 
 def test_kernel_guard_checks_rank_nullity(monkeypatch):
@@ -306,24 +323,25 @@ def test_rank_mod_p_drops_with_the_prime():
     assert rank_mod_p(rows, 101) == 2
 
 
-def _spy_residuals(monkeypatch):
-    """(residual, Q(q) products it took) of every packed residual, in order."""
+def _spy_combine(monkeypatch):
+    """(result, Q(q) products it took) of every ``PackedRows.combine``, in
+    order: each residual of a row reduction and each row of a product."""
     calls = []
     products = [0]
-    residual, mul = PackedRows.residual, QScalar.__mul__
+    combine, mul = PackedRows.combine, QScalar.__mul__
 
     def counted_mul(self, other):
         products[0] += 1
         return mul(self, other)
 
-    def spied(self, coeffs, target):
+    def spied(self, coeffs, base):
         before = products[0]
-        out = residual(self, coeffs, target)
+        out = combine(self, coeffs, base)
         calls.append((out, products[0] - before))
         return out
 
     monkeypatch.setattr(QScalar, "__mul__", counted_mul)
-    monkeypatch.setattr(PackedRows, "residual", spied)
+    monkeypatch.setattr(PackedRows, "combine", spied)
     return calls
 
 
@@ -347,7 +365,7 @@ def test_rows_in_the_span_are_skipped(monkeypatch):
     planted = [row for row in _planted(rng, basis, 30) if row]
     mixed = basis.rows + planted
     rng.shuffle(mixed)
-    residuals = _spy_residuals(monkeypatch)
+    residuals = _spy_combine(monkeypatch)
     assert SubspaceBasis.from_vectors(mixed, 24) == basis
     # each row that adds nothing is in the span when it is met, and its
     # residual comes back empty with no product over Q(q): every entry is a
@@ -366,7 +384,7 @@ def test_a_perturbed_combination_is_not_skipped(monkeypatch):
     combo = dict(original)
     j = max(combo.keys() - set(basis.pivots))
     combo[j] = combo[j] + q_power(3)
-    residuals = _spy_residuals(monkeypatch)
+    residuals = _spy_combine(monkeypatch)
     bigger = SubspaceBasis.from_vectors(basis.rows + [combo], 24)
     assert bigger.dim == basis.dim + 1
     assert ({j: q_power(3)}, 0) in residuals

@@ -9,8 +9,8 @@ import pytest
 
 from qdiag.errors import PoleAtPoint
 from qdiag.scalars import (ONE, Q, QScalar, ZERO, PackedRows, add_term, bar,
-                           gather, omega, parse_scalar, q_int, q_power, qs,
-                           value_mod, vanishes)
+                           omega, parse_scalar, q_int, q_power, qs, value_mod,
+                           vanishes)
 
 
 def rand_scalar(rng, nonzero=False):
@@ -276,11 +276,11 @@ def assert_canonical(x):
     assert (den is ONE.den) == (den == {0: 1})
 
 
-def _sum_term_by_term(terms):
+def _sum_term_by_term(terms, base=()):
     # the oracle: one ordinary product and one add_term per term
-    sums: dict = {}
-    for key, tuples in terms.items():
-        for t in tuples:
+    sums = dict(base)
+    for key, products in terms.items():
+        for t in products:
             product = ONE
             for x in t:
                 product = product * x
@@ -288,12 +288,30 @@ def _sum_term_by_term(terms):
     return sums
 
 
-def test_gather_matches_term_by_term_sum():
+def _combined(terms, base=()):
+    """PackedRows.combine of {key: [product, ...]}: the last scalar of each
+    product is the entry of a row {key: entry}, the others its coefficient."""
+    rows, coeffs = {}, {}
+    for key, products in terms.items():
+        for n, t in enumerate(products):
+            rows[key, n] = {key: t[-1]}
+            coeffs[key, n] = t[:-1]
+    return PackedRows(rows).combine(coeffs, dict(base))
+
+
+def test_combine_matches_term_by_term_sum():
     rng = random.Random(41)
 
     def laurent():
         return qs(rng.randint(-3, 3)) * q_power(rng.randint(-2, 2)) + \
             qs(rng.randint(-2, 2)) * q_power(rng.randint(-2, 2))
+
+    def entry():
+        # a row entry: 1 or a nonzero Laurent polynomial
+        while True:
+            x = rng.choice((ONE, laurent()))
+            if x:
+                return x
 
     def huge():
         # coefficients past 2^70 and an exponent span past 60 force a
@@ -314,13 +332,13 @@ def test_gather_matches_term_by_term_sum():
     huge_dens = [QScalar({0: rng.randint(-(1 << 72), 1 << 72),
                           1: rng.randint(1, 3) << 70}) for _ in range(3)]
     kinds = set()
-    for trial in range(80):
+    for trial in range(96):
         dens = rng.sample(shared, k=rng.randint(1, 3))
         terms = {}
         for key in range(rng.randint(1, 5)):
-            tuples = []
+            products = []
             for _ in range(rng.randint(1, 6)):
-                # every fourth call has one size of tuple, the others mix
+                # every fourth call has one size of coefficient, the others mix
                 size = rng.choice((2, 3)) if trial % 4 else 2 + trial % 8 // 4
                 kind = rng.randrange(7)
                 kinds.add(kind)
@@ -343,38 +361,59 @@ def test_gather_matches_term_by_term_sum():
                     t = [laurent() / rng.choice(huge_dens)] + \
                         [laurent() for _ in range(size - 1)]
                 rng.shuffle(t)
-                tuples.append(tuple(t))
+                products.append(tuple(t) + (entry(),))
             # a sum that cancels: the key must be dropped
             if rng.random() < 0.3:
-                tuples += [(-t[0],) + t[1:] for t in tuples]
-            terms[key] = tuples
-        want = _sum_term_by_term(terms)
-        got = gather(terms)
+                products += [(-t[0],) + t[1:] for t in products]
+            terms[key] = products
+        base = {key: laurent() for key in range(rng.randint(0, 6))}
+        if trial % 8 == 7:
+            # a row entry or a base entry with a denominator: the whole
+            # combination is summed in Q(q)
+            key = rng.choice(list(terms))
+            if trial % 16 == 7:
+                t = terms[key][0]
+                terms[key][0] = t[:-1] + (rand_scalar(rng, nonzero=True),)
+            else:
+                base[key] = rand_scalar(rng, nonzero=True)
+        base = {key: x for key, x in base.items() if x}
+        want = _sum_term_by_term(terms, base)
+        got = _combined(terms, base)
         assert got == want
         for x in got.values():
             assert x
             assert_canonical(x)
     assert kinds == set(range(7))
-    # every denominator 1 and one size: each key is a single group
+    # every denominator 1 and one size: each key is one packed sum
     for size in (2, 3):
-        terms = {key: [tuple(laurent() for _ in range(size))
+        terms = {key: [tuple(laurent() for _ in range(size)) + (entry(),)
                        for _ in range(rng.randint(1, 6))]
                  for key in range(6)}
         terms[6] = terms[0] + [(-t[0],) + t[1:] for t in terms[0]]
-        assert gather(terms) == _sum_term_by_term(terms)
-        assert 6 not in gather(terms)
+        assert _combined(terms) == _sum_term_by_term(terms)
+        assert 6 not in _combined(terms)
     # the widest packing really is past 64 bits
     x = QScalar({-30: 1 << 70, 30: 1})
-    assert gather({0: [(x, x), (x, -x), (x, q_power(1))]}) == {0: x * Q}
+    assert _combined({0: [(x, x), (x, -x), (x, q_power(1))]}) == {0: x * Q}
+    assert _combined({0: [(x, x, ONE), (x, -x, ONE), (x, Q, ONE)]}) == \
+        {0: x * Q}
     # three factors whose product reaches the cube of their L1 norm
     y = QScalar({0: 1 << 40, 1: 1 << 40, 2: 1 << 40})
-    assert gather({0: [(y, y, y), (y, y, -Q)]}) == {0: y * y * y - y * y * Q}
+    assert _combined({0: [(y, y, y), (y, y, -Q)]}) == \
+        {0: y * y * y - y * y * Q}
+    assert _combined({0: [(y, y, y, ONE), (y, y, -Q, ONE)]}) == \
+        {0: y * y * y - y * y * Q}
     # one term is the ordinary product; empty, zero and cancelling sums drop
     a, b = ONE / q_int(2), Q / (Q + qs(2))
-    assert gather({"k": [(a, b)]}) == {"k": a * b}
-    assert gather({}) == {}
-    assert gather({0: [(ZERO, a), (b, ZERO)], 1: [(a, ZERO)]}) == {}
-    assert gather({0: [(a, b), (-a, b)], 1: [(a, b, a)]}) == {1: a * b * a}
+    assert _combined({"k": [(a, b, ONE)]}) == {"k": a * b}
+    assert _combined({}) == {}
+    assert _combined({0: [(ZERO, a, ONE), (b, ZERO, ONE)],
+                      1: [(a, ZERO, ONE)]}) == {}
+    assert _combined({0: [(a, b, ONE), (-a, b, ONE)], 1: [(a, b, a, ONE)]}) \
+        == {1: a * b * a}
+    # a row entry with a denominator is multiplied in Q(q)
+    assert _combined({0: [(Q, a), (ONE, b)]}, {0: ONE}) == {0: Q * a + b + ONE}
+    assert _combined({0: [(Q, a), (-Q, a)]}, {1: b}) == {1: b}
 
 
 def test_random_check_scalar_matches_sum_of_products():
@@ -434,6 +473,13 @@ def _residual(coeffs, rows, target):
     return out
 
 
+def _residual_by(rows, coeffs, target):
+    """target - sum_key coeffs[key] rows[key] by ``PackedRows.combine``;
+    rows is a PackedRows or the rows to pack."""
+    packed = rows if isinstance(rows, PackedRows) else PackedRows(rows)
+    return packed.combine({key: (-a,) for key, a in coeffs.items()}, target)
+
+
 def test_packed_residual_matches_exact_sums():
     rng = random.Random(43)
 
@@ -448,14 +494,14 @@ def test_packed_residual_matches_exact_sums():
         coeffs = {key: laurent(bits) for key in rng.sample(range(4), 3)}
         target = _exact_combination(coeffs, rows)
         packed = PackedRows(rows)
-        assert packed.residual(coeffs, target) == {}
+        assert _residual_by(packed, coeffs, target) == {}
         assert vanishes([coeffs], rows) is (not target)
         # one q-power more in one column, maybe one the sum does not reach,
         # is all that is left
         col, extra = rng.randrange(7), q_power(rng.randint(-9, 9))
         changed = dict(target)
         add_term(changed, col, extra)
-        assert packed.residual(coeffs, changed) == {col: extra}
+        assert _residual_by(packed, coeffs, changed) == {col: extra}
 
 
 def test_packed_residual_does_not_alias():
@@ -464,14 +510,17 @@ def test_packed_residual_does_not_alias():
     # the large coefficient in the target, in a coefficient or in a row
     for w in range(1, 80):
         big = QScalar({0: 1 << w})
-        assert PackedRows({0: {0: Q}}).residual(
-            {0: ONE}, {0: big}) == {0: big - Q}, w
-        assert PackedRows({0: {0: ONE}}).residual(
-            {0: big}, {0: Q}) == {0: Q - big}, w
-        assert PackedRows({0: {0: big}}).residual(
-            {0: ONE}, {0: Q}) == {0: Q - big}, w
+        assert _residual_by({0: {0: Q}}, {0: ONE}, {0: big}) == \
+            {0: big - Q}, w
+        assert _residual_by({0: {0: ONE}}, {0: big}, {0: Q}) == \
+            {0: Q - big}, w
+        assert _residual_by({0: {0: big}}, {0: ONE}, {0: Q}) == \
+            {0: Q - big}, w
         assert vanishes([{0: ONE, 1: -ONE}], {0: {0: Q}, 1: {0: big}}) is False
-        assert PackedRows({0: {0: Q}}).residual({0: big}, {0: big * Q}) == {}
+        assert _residual_by({0: {0: Q}}, {0: big}, {0: big * Q}) == {}
+        # the target is one more term: 2^w + 2^w reaches 2^(w+1)
+        assert _residual_by({0: {0: big}}, {0: -ONE}, {0: big}) == \
+            {0: big + big}, w
     # n terms of 2^w each sum to n 2^w, which q^1 packs to when k is the
     # bit length of n 2^w: the bound counts the terms, target included
     for n in range(1, 6):
@@ -479,14 +528,14 @@ def test_packed_residual_does_not_alias():
             rows = {i: {0: QScalar({0: 1 << w})} for i in range(n)}
             ones = dict.fromkeys(rows, ONE)
             total = QScalar({0: n << w})
-            assert PackedRows(rows).residual(ones, {0: Q}) == {0: Q - total}
-            assert PackedRows(rows).residual(ones, {0: total}) == {}
+            assert _residual_by(rows, ones, {0: Q}) == {0: Q - total}
+            assert _residual_by(rows, ones, {0: total}) == {}
     # a coefficient past 2^70 over a wide exponent span
     huge = QScalar({-30: 1 << 70, 25: -(1 << 70) + 1})
     rows = {0: {0: huge, 3: huge * Q}, 1: {0: Q, 3: Q * Q}}
     assert vanishes([{0: Q, 1: -huge}], rows) is True
     assert vanishes([{0: Q, 1: -huge + ONE}], rows) is False
-    assert PackedRows(rows).residual({0: Q, 1: -huge + ONE}, {}) == \
+    assert _residual_by(rows, {0: Q, 1: -huge + ONE}, {}) == \
         {0: -Q, 3: -Q * Q}
 
 
@@ -496,9 +545,9 @@ def test_residual_off_laurent_polynomials_is_exact():
         assert vanishes([{0: odd}], {0: {0: ONE}}) is False
         assert vanishes([{0: ONE}], {0: {0: odd}}) is False
         assert vanishes([{0: odd, 1: -ONE}], {0: {0: ONE}, 1: {0: odd}})
-        assert PackedRows({0: {0: ONE}}).residual(
-            {0: ONE}, {0: odd}) == {0: odd - ONE}
-        assert PackedRows({0: {0: odd}}).residual({0: Q}, {0: Q * odd}) == {}
+        assert _residual_by({0: {0: ONE}}, {0: ONE}, {0: odd}) == \
+            {0: odd - ONE}
+        assert _residual_by({0: {0: odd}}, {0: Q}, {0: Q * odd}) == {}
     # a row off Laurent polynomials decides what it meets, whatever came
     # before, and a test that does not meet it stays on packed integers
     assert vanishes([{0: ONE}, {1: ONE}], {0: {0: ONE}, 1: {0: half}}) is False
@@ -533,9 +582,10 @@ def test_residual_is_the_term_by_term_sum():
             target = _exact_combination(coeffs, rows)
         packed = PackedRows(rows)
         expected = _residual(coeffs, rows, target)
-        got = packed.residual(coeffs, target)
+        got = _residual_by(packed, coeffs, target)
         assert got == expected and got is not target
-        assert packed.residual(coeffs, target) == expected  # rows packed once
+        # the rows are packed once
+        assert _residual_by(packed, coeffs, target) == expected
         assert vanishes([coeffs], rows) is (not _exact_combination(coeffs,
                                                                    rows))
 
@@ -543,9 +593,9 @@ def test_residual_is_the_term_by_term_sum():
 def test_forgotten_row_is_packed_again():
     rows = {0: {0: ONE, 1: Q}}
     packed = PackedRows(rows)
-    assert packed.residual({0: Q}, {0: Q, 1: Q * Q}) == {}
+    assert _residual_by(packed, {0: Q}, {0: Q, 1: Q * Q}) == {}
     rows[0][1] = omega()
     packed.forget(0)
-    assert packed.residual({0: Q}, {0: Q, 1: Q * Q}) == \
+    assert _residual_by(packed, {0: Q}, {0: Q, 1: Q * Q}) == \
         {1: Q * Q - Q * omega()}
-    assert packed.residual({0: Q}, {0: Q, 1: Q * omega()}) == {}
+    assert _residual_by(packed, {0: Q}, {0: Q, 1: Q * omega()}) == {}

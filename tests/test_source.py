@@ -101,26 +101,44 @@ def test_conjecture_path_stays_off_the_frt_route():
     assert not imported & {"qma", "rmatrix"}, imported
 
 
-def test_gather_is_the_one_sum_of_products():
-    # every sum of products goes through scalars.gather; no second kernel
+def test_packed_rows_is_the_one_packing():
+    # every sum of products goes through scalars.PackedRows.combine: the
+    # packing helpers are named inside that class alone, and the product
+    # modules import it
     from qdiag import scalars
-    assert "gather" in scalars.__all__ and not hasattr(scalars, "dot")
-    importers = set()
+    assert not hasattr(scalars, "gather") and not hasattr(scalars, "_Packing")
+    assert callable(scalars._pack) and callable(scalars._unpack)
+    outside, importers = [], set()
     for path in SOURCES:
-        for node in ast.walk(ast.parse(path.read_text())):
-            if (isinstance(node, ast.ImportFrom) and node.module == "scalars"
-                    and any(a.name == "gather" for a in node.names)):
-                importers.add(path.name)
+        tree = ast.parse(path.read_text())
+        inside = {id(node) for top in tree.body
+                  if isinstance(top, ast.ClassDef) and top.name == "PackedRows"
+                  for node in ast.walk(top)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+                if "PackedRows" in names:
+                    importers.add(path.name)
+            else:
+                continue
+            if {"_pack", "_unpack"} & set(names) and id(node) not in inside:
+                outside.append(f"{path.name}:{node.lineno}")
+    assert not outside, outside
     assert {"hecke.py", "linalg.py", "rmatrix.py"} <= importers, importers
 
 
 def test_reports_do_not_depend_on_assert():
-    # `python -O` strips assert statements; the packed products must give
-    # the same reports without them, on both paths of the packing: the
-    # denominator-1 sums of hecke-axioms and the rational-function groups
-    # of idempotents; and so must the residual of every row reduction,
-    # which preplactic runs on G M and on each row of its RREFs, and
-    # diag-kernel in the kernel's self-check m B = 0 and its FRT block RREFs
+    # `python -O` strips assert statements; the packed sums of products
+    # must give the same reports without them, on both paths of the
+    # packing: the denominator-1 sums of hecke-axioms and the
+    # rational-function groups of idempotents; and so must every row
+    # reduction, which preplactic runs on G M and on each row of its RREFs,
+    # and diag-kernel in the kernel's self-check m B = 0 and its FRT block
+    # RREFs
     src = str(Path(qdiag.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
