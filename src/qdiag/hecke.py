@@ -6,11 +6,18 @@ so right multiplication by a generator is
     T_sigma . T_si = T_(sigma.si)                      if the length goes up,
     T_sigma . T_si = T_(sigma.si) + (q - q^-1) T_sigma otherwise,
 
-and the basis product T_p T_rho walks the reduced word of rho.  Its terms
-are the structure constants of H_r, Laurent polynomials in q, held in one
-cache per (p, rho) that every product here reads; a general product is one
-``scalars.PackedRows.combine`` whose rows are the structure constants of
-its pairs (p, rho), each with the coefficient pair (c_p, d_rho).
+and the basis product T_p T_rho walks the reduced word of rho.  Every
+product here is such a walk, on packed integers (``scalars.Packing``): an
+element is {permutation index: c at q = 2^k}, each step looks up its
+target and descent in tables of S_r cached per r, and carries a factor q,
+so the target gets v << k and a descent keeps (v << 2k) - v.  A step at
+most triples the L1 norm (the sum of the absolute coefficients), so a walk
+along a word of length l keeps every coefficient at most 3^l times the
+norm it started from.  The general product x y is sum_rho d_rho x T_rho,
+packed for the bound |x|_1 sum_rho 3^l(rho) |d_rho|_1, or sum_p c_p T_p y
+walked from the left where x has fewer terms; a row of M_lambda below
+starts from one term, so 3^l(beta) bounds it.  Nothing is cached per pair
+of basis elements.  The tables list S_r, so products need r <= RANK_BOUND.
 
 T^alpha denotes T_(alpha^-1); the double-coset projection of a diagonal
 element sum c_alpha T^alpha (x) T_alpha is p = sum c_alpha T_(alpha^-1) T_alpha.
@@ -59,8 +66,8 @@ from .permutations import (
     _arrangements, _check_rank, all_perms, apply_gen, descends, identity,
     inverse, length, perm_of_word, perm_str, reduced_word, sign, standardize,
 )
-from .scalars import (ONE, ZERO, PackedRows, QScalar, add_term, bar, omega,
-                      q_int, q_power, qs)
+from .scalars import (ONE, ZERO, Packing, QScalar, add_term, bar, extent,
+                      omega, q_int, q_power, qs)
 
 __all__ = [
     "HeckeElt", "t", "project_p",
@@ -116,12 +123,7 @@ class HeckeElt:
         if isinstance(other, QScalar):
             return self.scale(other)
         self._check(other)
-        rows, coeffs = {}, {}
-        for p, c in self.terms.items():
-            for rho, d in other.terms.items():
-                rows[p, rho] = _structure_constants(p, rho)
-                coeffs[p, rho] = (c, d)
-        return HeckeElt(self.r, PackedRows(rows).combine(coeffs, {}))
+        return HeckeElt(self.r, _product(self.terms, other.terms, self.r))
 
     def coeff(self, p) -> QScalar:
         return self.terms.get(p, ZERO)
@@ -168,15 +170,119 @@ def _mul_gen(terms: dict, i: int, w: QScalar) -> dict:
     return out
 
 
-# every pair of S_5 fits; at r = 6 the bound keeps the cache finite
-@lru_cache(maxsize=1 << 14)
-def _structure_constants(p, rho) -> dict:
-    """T_p T_rho as a term dict, walking the reduced word of rho."""
-    w = omega()
-    terms = {p: ONE}
-    for i in reduced_word(rho):
-        terms = _mul_gen(terms, i, w)
-    return terms
+class _Steps:
+    """Step tables of S_r, each permutation named by its index in
+    ``all_perms(r)``: for each generator i, ``right[i]`` is the pair
+    (index of p s_i, whether p descends there) over the indices p, and
+    ``left[i]`` the same for s_i p.  ``words[p]`` is the reduced word of p,
+    ``left_words[p]`` the same word reversed, the order in which T_p acts
+    from the left, and ``lengths[p]`` its length."""
+
+    __slots__ = ("perms", "index", "right", "left", "words", "left_words",
+                 "lengths")
+
+    def __init__(self, r: int):
+        perms = self.perms = all_perms(r)
+        index = self.index = {p: j for j, p in enumerate(perms)}
+        self.right, self.left = [None], [None]
+        for i in range(1, r):
+            self.right.append(([index[apply_gen(p, i)] for p in perms],
+                               [descends(p, i) for p in perms]))
+            self.left.append(([index[p[:i - 1] + (p[i], p[i - 1]) + p[i + 1:]]
+                               for p in perms],
+                              [p[i - 1] > p[i] for p in perms]))
+        self.words = [reduced_word(p) for p in perms]
+        self.left_words = [word[::-1] for word in self.words]
+        self.lengths = [len(word) for word in self.words]
+
+
+@lru_cache(maxsize=None)
+def _steps(r: int) -> _Steps:
+    """The step tables of S_r, built once per r."""
+    return _Steps(r)
+
+
+def _walk(state: dict, word, table: list, k: int) -> dict:
+    """q^len(word) s T_word, or q^len(word) T_word s by the left tables, for
+    a packed element s = {index: int} at q = 2^k, one generator of word at
+    a time in the order given.
+
+    A step by T_si takes p to p si (or si p); where that is shorter, the
+    quadratic relation adds (q - q^-1) p.  The step carries a factor q, so
+    the target gets v << k and a descent keeps (v << 2k) - v, and no
+    exponent goes below the packing's.  A step at most triples the L1 norm
+    of s (the sum of its coefficients' absolute values)."""
+    k2 = k + k
+    for i in word:
+        targets, descents = table[i]
+        out: dict = {}
+        get = out.get
+        for j, v in state.items():
+            t = targets[j]
+            out[t] = get(t, 0) + (v << k)
+            if descents[j]:
+                out[j] = get(j, 0) + (v << k2) - v
+        state = out
+    return state
+
+
+def _product(x: dict, y: dict, r: int) -> dict:
+    """The product of two term dicts of H_r, as packed generator walks.
+
+    It is sum_rho d_rho x T_rho: x walks the reduced word of each rho of
+    y.  Where x has fewer terms, it is sum_p c_p T_p y instead: y walks the
+    reduced word of each p of x from the left.  Each side is split by
+    denominator, and every pair of groups is one packed sum.  The walked
+    side s is packed over its lowest exponent; each walk gives
+    q^l(rho) s T_rho, whose L1 norm is at most 3^l(rho) |s|_1, and its
+    product with d_rho is shifted to the lowest exponent of the pair.  So
+    |s|_1 sum_rho 3^l(rho) |d_rho|_1 bounds every coefficient of a sum,
+    and the packing is made for that bound over the whole product, with
+    each L1 norm the larger of numerator's and denominator's, which also
+    covers the product of two denominators.  Each entry of each pair is
+    unpacked and canonicalized once.
+    """
+    steps = _steps(r)
+    index, lengths = steps.index, steps.lengths
+    if len(x) < len(y):
+        walked, coeffs, table, words = y, x, steps.left, steps.left_words
+    else:
+        walked, coeffs, table, words = x, y, steps.right, steps.words
+    walked = [(index[p], c, *extent(c)) for p, c in walked.items()]
+    coeffs = [(index[p], c, *extent(c)) for p, c in coeffs.items()]
+    packing = Packing(sum(top for *_, top in walked)
+                      * sum(3 ** lengths[i] * top for i, _, _, top in coeffs))
+    k = packing.k
+    groups = []  # (denominator, lowest exponent, [(word, packed d_rho)])
+    for over, part in _by_denominator(coeffs, packing).items():
+        base = min(c_low - lengths[i] for i, _, c_low in part)
+        groups.append((over, base, [
+            (words[i], packing.numerator(c, c_low) << (
+                k * (c_low - lengths[i] - base))) for i, c, c_low in part]))
+    out: dict = {}
+    perms = steps.perms
+    for over, part in _by_denominator(walked, packing).items():
+        low = min(c_low for _, _, c_low in part)
+        start = {i: packing.numerator(c, low) for i, c, _ in part}
+        for over_c, base, terms in groups:
+            sums: dict = {}
+            get = sums.get
+            for word, a in terms:
+                for j, v in _walk(start, word, table, k).items():
+                    sums[j] = get(j, 0) + a * v
+            for j, c in packing.scalars(sums, low + base,
+                                        over * over_c).items():
+                add_term(out, perms[j], c)
+    return out
+
+
+def _by_denominator(terms: list, packing: Packing) -> dict:
+    """Terms (index, scalar, lowest exponent, norm) grouped by packed
+    denominator: {denominator: [(index, scalar, lowest exponent)]}."""
+    groups: dict = {}
+    for i, c, low, _ in terms:
+        groups.setdefault(packing.denominator(c), []).append((i, c, low))
+    return groups
 
 
 def t(p) -> HeckeElt:
@@ -297,26 +403,41 @@ def _minimal_coset_rep(p, blocks: list, starts: list):
 
 
 def _composition_matrix(lam: tuple) -> QMatrix:
-    """M_lambda, columns d in lex order, for a composition with no zero part."""
+    """M_lambda, columns d in lex order, for a composition with no zero part.
+
+    Row A walks T_(beta^-1) T_beta from {beta^-1: 1} along the reduced word
+    of beta, packed: the walk's L1 norm stays at most 3^l(beta), and the
+    fold only shifts and sums its terms, so that bound fixes the row's
+    packing.  Each entry is unpacked once, at q^-l(beta), the power of q the
+    walk carries.
+    """
     if 0 in lam:
         raise ValueError(f"composition {lam} has a zero part")
     _check_rank(sum(lam))
+    steps = _steps(sum(lam))
+    index, lengths, right = steps.index, steps.lengths, steps.right
     blocks = [b for b, k in enumerate(lam) for _ in range(k)]
     starts = [1 + sum(lam[:b]) for b in range(len(lam))]
-    reps: dict = {}
+    reps: dict = {}  # index -> (d, length of the index minus that of d)
     rows = []
     for a in _arrangements(lam):
         beta = standardize(a)
-        row: dict = {}
-        for p, c in _structure_constants(inverse(beta), beta).items():
+        j = index[beta]
+        n = lengths[j]
+        packing = Packing(3 ** n)
+        k = packing.k
+        folded: dict = {}
+        walked = _walk({index[inverse(beta)]: 1}, steps.words[j], right, k)
+        for p, v in walked.items():
+            if not v:
+                continue
             rep = reps.get(p)
             if rep is None:
-                d = _minimal_coset_rep(p, blocks, starts)
-                shift = q_power(length(p) - length(d)) if d != p else None
-                rep = reps[p] = (d, shift)
+                d = _minimal_coset_rep(steps.perms[p], blocks, starts)
+                rep = reps[p] = (d, lengths[p] - lengths[index[d]])
             d, shift = rep
-            add_term(row, d, c * shift if shift else c)
-        rows.append(row)
+            folded[d] = folded.get(d, 0) + (v << (k * shift))
+        rows.append(packing.scalars(folded, -n))
     col = {d: j for j, d in enumerate(sorted({d for d, _ in reps.values()}))}
     return QMatrix(len(col), ({col[d]: c for d, c in row.items()}
                               for row in rows))

@@ -111,9 +111,8 @@ class QMatrix:
             raise DimensionMismatch(
                 f"{self.nrows}x{self.ncols} times {other.nrows}x{other.ncols}")
         packed = PackedRows(other.rows)
-        return QMatrix(other.ncols, [
-            packed.combine({k: (a,) for k, a in row.items()}, {})
-            for row in self.rows])
+        return QMatrix(other.ncols, [packed.combine(row, {})
+                                     for row in self.rows])
 
     def transpose(self) -> "QMatrix":
         columns = [{} for _ in range(self.ncols)]
@@ -212,7 +211,7 @@ def _residual(packed: PackedRows, vec: dict) -> dict:
     vec holds, rows keyed by pivot column and fully reduced: each holds 1
     at its pivot and 0 at every other pivot, so this is vec modulo them."""
     rows = packed.rows
-    return packed.combine({p: (-vec[p],) for p in vec.keys() & rows.keys()},
+    return packed.combine({p: -vec[p] for p in vec.keys() & rows.keys()},
                           vec)
 
 

@@ -155,7 +155,6 @@ def generator_matrix(n: int, r: int, i: int) -> QMatrix:
     return _embed(rhat(n), n, r, i)
 
 
-@lru_cache(maxsize=None)
 def _basis_matrix(perm, n: int) -> QMatrix:
     r = len(perm)
     word = reduced_word(perm)
@@ -165,23 +164,34 @@ def _basis_matrix(perm, n: int) -> QMatrix:
     return out
 
 
+@lru_cache(maxsize=None)
+def _basis_rows(n: int, r: int) -> PackedRows:
+    """The basis matrices pi(T_p) of S_r on V^(x)r, each one sparse row
+    keyed by its entries (i, j), built as ``pi`` meets them and kept packed
+    from one call to the next."""
+    return PackedRows({})
+
+
 def pi(x: HeckeElt, n: int) -> QMatrix:
     """The representation of H_r(q) on V^(x)r, extended linearly over T_sigma.
 
-    pi(x) = sum_p c_p pi(T_p) is one ``scalars.PackedRows.combine``: each
-    basis matrix pi(T_p) is one sparse row keyed by its entries (i, j).
+    pi(x) = sum_p c_p pi(T_p) is one ``scalars.PackedRows.combine`` over
+    the basis matrices of ``_basis_rows(n, r)``.
     """
     dim = n ** x.r
     if dim > DIM_BOUND:
         raise BoundExceeded(f"dim V^(x){x.r} = {dim} exceeds {DIM_BOUND}")
     # one sum for the whole matrix: a sum per row would repack the
     # coefficients of x once per row
-    matrices = {p: {(i, j): val
-                    for i, row in enumerate(_basis_matrix(p, n).rows)
-                    for j, val in row.items()} for p in x.terms}
+    packed = _basis_rows(n, x.r)
+    matrices = packed.rows
+    for p in x.terms:
+        if p not in matrices:
+            matrices[p] = {(i, j): val
+                           for i, row in enumerate(_basis_matrix(p, n).rows)
+                           for j, val in row.items()}
     rows = [{} for _ in range(dim)]
-    for (i, j), val in PackedRows(matrices).combine(
-            {p: (c,) for p, c in x.terms.items()}, {}).items():
+    for (i, j), val in packed.combine(x.terms, {}).items():
         rows[i][j] = val
     return QMatrix(dim, rows)
 

@@ -27,35 +27,37 @@ text form, which divides by the denominator's leading coefficient.
 
 Sparse combinations have two primitives.  ``add_term`` scatters: it adds one
 scalar into a dict entry.  ``PackedRows.combine`` gathers: for sparse rows
-{column: scalar} held by key it returns base + sum_key prod(coeffs[key])
-rows[key], each coefficient a tuple of factors.  That is the shape of every
-matrix, Hecke and representation product, of every row reduction and of
-every zero test.  It packs (Kronecker substitution): each distinct factor
-numerator of a call and each row entry is read once at q = 2^k and divided
-by q^low for its own lowest exponent low, so each product is one integer
-product, shifted by whole digits to the lowest exponent of the call, and
-each column sum is unpacked once: its base-2^k digits, taken in
--2^(k-1)..2^(k-1)-1, are its coefficients.  Each distinct denominator, an
-ordinary polynomial, is read once at q = 2^k as it is.  This is exact.  A
-coefficient of a column sum is at most the sum, over its products, of the
-product of the factors' and the entry's L1 norms (the sums of their
-absolute coefficients), and k is chosen so that 2^(k-1) exceeds that bound
-for every column sum of the call and every product of its denominators; so
-a column sum is zero if and only if its packed integer is, and equal packed
-denominators are equal polynomials.  Products whose factors all have
-denominator 1 share one accumulator, and no gcd runs for them.  The others
-are summed per group of equal packed denominators: products over (d1, ...,
-dm) sum to (sum of num1 ... numm entry)/(d1 ... dm), the denominator
-unpacked from the product of the packed ones, and one canonicalization per
+{column: scalar} held by key it returns base + sum_key coeffs[key]
+rows[key], one scalar per key.  That is the shape of every matrix and
+representation product, of every row reduction and of every zero test.
+It packs (Kronecker substitution, ``Packing``, the one packer): each
+coefficient's numerator and each row entry's is read once at q = 2^k and
+divided by q^low for its own lowest exponent low, so each product is one
+integer product, shifted by whole digits to the lowest exponent of the
+call, and each column sum is unpacked once: its base-2^k digits, taken in
+-2^(k-1)..2^(k-1)-1, are its coefficients.  Each denominator, an ordinary
+polynomial, is read at q = 2^k as it is.  This is exact.  A coefficient of
+a column sum of n products is at most the sum, over its products and the
+base, of the product of the coefficient's and the entry's L1 norms (the
+sums of their absolute coefficients), so at most (n + 1) top top_row for
+the largest L1 norm top of a coefficient's numerator or denominator and
+top_row of an entry's; k keeps 2^(k-1) above that bound, which also bounds
+every product of two denominators.  So a column sum is zero if and only if
+its packed integer is, and equal packed denominators are equal
+polynomials.  Products whose coefficient and entry both have denominator 1
+share one accumulator with the base's Laurent entries, and no gcd runs for
+them.  The others are summed per group of equal packed denominators: the
+products over d and e, a coefficient's and an entry's (either may be 1),
+sum to (sum of their numerators)/(d e), and one canonicalization per
 nonzero column of a group gives the unique form that term-by-term addition
-would reach.  A base or row entry that is not a Laurent polynomial makes the
-combination be summed in Q(q), term by term, and so is a combination with
-no base whose rows share no column: it sums nothing.  ``vanishes`` asks
-whether such combinations are zero.
+would reach.  A combination with no base whose rows share no column sums
+nothing, so it is formed in Q(q), one product per entry.  ``vanishes``
+asks whether such combinations are zero.  The Hecke product walks on the
+same packing (``hecke``).
 
->>> rows = PackedRows({"a": {"x": omega(), "y": Q}, "b": {"x": ONE}})
->>> out = rows.combine({"a": (q_int(2),), "b": (ONE / q_int(2), q_int(2))},
-...                    {"y": -Q * q_int(2)})
+>>> rows = PackedRows({"a": {"x": omega(), "y": Q},
+...                    "b": {"x": ONE / q_int(2)}})
+>>> out = rows.combine({"a": q_int(2), "b": q_int(2)}, {"y": -Q * q_int(2)})
 >>> {key: str(value) for key, value in out.items()}
 {'x': 'q^2 + 1 - q^-2'}
 
@@ -72,16 +74,16 @@ True
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, reduce
-from math import gcd, prod
-from operator import index, mul
+from functools import lru_cache
+from math import gcd
+from operator import index
 
 from .errors import PoleAtPoint
 
 __all__ = [
     "QScalar", "ZERO", "ONE", "Q",
     "qs", "q_power", "q_int", "omega", "bar", "parse_scalar", "add_term",
-    "PackedRows", "vanishes", "value_mod",
+    "Packing", "PackedRows", "extent", "vanishes", "value_mod",
 ]
 
 
@@ -103,32 +105,87 @@ def add_term(d: dict, key, c) -> None:
         del d[key]
 
 
+class Packing:
+    """Integer Laurent polynomials as integers at q = 2^k.
+
+    This is the one Kronecker packing.  ``numerators`` reads the numerators
+    of scalars, each divided by q^low, at q = 2^k, and ``denominators``
+    reads their denominators, ordinary polynomials, as they are.  Packing
+    is a ring map from Z[q] to Z, so sums, products and shifts by whole
+    digits (products with q) of packed integers pack the sums, products and
+    q-multiples of the polynomials.  ``scalars`` reads integers back: the
+    base-2^k digits of each, taken in -2^(k-1)..2^(k-1)-1, are the
+    coefficients of q^low, q^(low+1), ...  A polynomial is read back
+    exactly when 2^(k-1) exceeds the absolute value of each of its
+    coefficients; ``Packing(bound)`` is the narrowest packing with 2^(k-1)
+    above bound, so a caller that bounds every coefficient it unpacks by
+    bound, for instance by a sum of L1 norms (sums of absolute
+    coefficients), unpacks exactly, and two polynomials within the bound
+    are equal if and only if their packed integers are.
+    """
+
+    __slots__ = ("k",)
+
+    def __init__(self, bound: int):
+        self.k = bound.bit_length() + 1
+
+    def numerator(self, c: "QScalar", low: int) -> int:
+        """The packed numerator of c over q^low."""
+        return _pack(c.num, self.k, low)
+
+    def numerators(self, row: dict, low: int) -> dict:
+        """The packed numerators of the entries of a row over q^low."""
+        k = self.k
+        return {j: _pack(c.num, k, low) for j, c in row.items()}
+
+    def denominator(self, c: "QScalar") -> int:
+        """The packed denominator of c, 1 for a Laurent polynomial."""
+        den = c.den
+        return 1 if den is _ONE_COEFFS else _pack(den, self.k, 0)
+
+    def denominators(self, row: dict) -> dict:
+        """The packed denominators of the entries of a row that have one."""
+        k = self.k
+        return {j: _pack(c.den, k, 0) for j, c in row.items()
+                if c.den is not _ONE_COEFFS}
+
+    def scalars(self, sums: dict, low: int, over: int = 1) -> dict:
+        """The nonzero sums read back, each over the packed denominator
+        over (1: none), in canonical form."""
+        k = self.k
+        if over == 1:
+            return {j: _scalar(_unpack(v, k, low), _ONE_COEFFS)
+                    for j, v in sums.items() if v}
+        den = _unpack(over, k, 0)
+        return {j: _canon(_unpack(v, k, low), den)
+                for j, v in sums.items() if v}
+
+
 class PackedRows:
-    """Sparse rows {column: scalar} for exact sums of their products.
+    """Sparse rows {column: scalar} for exact sums of their multiples.
 
     ``rows`` maps each key to a row, and the caller keeps them current:
     ``forget(key)`` after editing a row.  ``combine`` packs as the module
-    docstring describes: each entry of a Laurent-polynomial row is packed
-    once at q = 2^k and divided by q^low for the row's lowest exponent low,
-    and each product is shifted to align with the lowest exponent of its
-    call.  With at most ``width`` factors per coefficient, L1 norm ``top``
-    per factor numerator or denominator and ``top_row`` per row or base
-    entry, a coefficient of a column sum of n products is at most
-    (n + 1) top^width top_row, base included, which also bounds every
-    product of denominators, and k keeps 2^(k-1) above it.  k only grows,
-    to what a call needs, and every packed row is dropped when it does.
-    Two combinations are formed in Q(q) instead, one product per entry: one
-    that meets a base or row entry that is not a Laurent polynomial, and
-    one with no base whose rows share no column, which sums nothing.
+    docstring describes: each entry of a row is packed once, its numerator
+    divided by q^low for the row's lowest exponent low, and each product is
+    shifted to align with the lowest exponent of its call.  With L1 norm
+    ``top`` per coefficient numerator or denominator and ``top_row`` per row
+    or base entry numerator or denominator, a coefficient of a column sum of
+    n products is at most (n + 1) top top_row, base included, which also
+    bounds the product of a coefficient's and an entry's denominators, and
+    k keeps 2^(k-1) above it.  k only grows, to what a call needs, and
+    every packed row is dropped when it does.  A combination with no base
+    whose rows share no column sums nothing, so it is formed in Q(q), one
+    product per entry.
     """
 
-    __slots__ = ("rows", "k", "_bounds", "_packed")
+    __slots__ = ("rows", "packing", "_bounds", "_packed")
 
     def __init__(self, rows):
         self.rows = rows
-        self.k = 0
-        self._bounds: dict = {}  # key -> (low, top), or False off Laurent
-        self._packed: dict = {}  # key -> {column: packed entry} at k
+        self.packing = Packing(0)
+        self._bounds: dict = {}  # key -> (lowest exponent or None, top)
+        self._packed: dict = {}  # key -> (numerators, denominators) at k
 
     def forget(self, key) -> None:
         """Drop what is packed of rows[key], which its caller edited."""
@@ -136,89 +193,93 @@ class PackedRows:
         self._packed.pop(key, None)
 
     def combine(self, coeffs: dict, base: dict) -> dict:
-        """base + sum_key prod(coeffs[key]) rows[key], a fresh sparse row.
-
-        Each coefficient is a tuple of scalar factors.  Where the sum is
-        packed, they are packed one by one, and no product of them is
-        formed in Q(q).
-        """
+        """base + sum_key coeffs[key] rows[key], a fresh sparse row."""
         rows, bounds_of = self.rows, self._bounds
-        goal = _bounds(base)
-        if goal is None or not base and _disjoint(
-                list(map(rows.__getitem__, coeffs))):
-            return self._summed(coeffs, base)
-        low, top_row = goal
-        factors = {id(f): f for t in coeffs.values() for f in t if f}
-        lows = {i: min(f.num) for i, f in factors.items()}
-        lowest = lows.__getitem__
-        terms = []  # (key, factor ids, row low, lowest exponent of products)
-        for key, t in coeffs.items():
+        if not base and _disjoint(list(map(rows.__getitem__, coeffs))):
+            return self._summed(coeffs)
+        low, top_row = _bounds(base)
+        top = 0
+        terms = []  # (key, coefficient, its lowest exponent, product's)
+        for key, c in coeffs.items():
             bounds = bounds_of.get(key)
             if bounds is None:
-                bounds = bounds_of[key] = _bounds(rows[key]) or False
-            if not bounds:
-                return self._summed(coeffs, base)
+                bounds = bounds_of[key] = _bounds(rows[key])
             row_low, row_top = bounds
-            if row_low is None or not all(t):
+            if row_low is None or not c:
                 continue
-            ids = tuple(map(id, t))
-            off = row_low + sum(map(lowest, ids))
-            terms.append((key, ids, row_low, off))
+            c_low, c_top = extent(c)
+            off = row_low + c_low
+            terms.append((key, c, c_low, off))
             if low is None or off < low:
                 low = off
             if row_top > top_row:
                 top_row = row_top
+            if c_top > top:
+                top = c_top
         if not terms:
             return dict(base)
-        top = max(sum(map(abs, p.values()))
-                  for f in factors.values() for p in (f.num, f.den))
-        width = max(map(len, coeffs.values()))
-        need = ((len(terms) + 1) * top ** width * top_row).bit_length() + 1
-        if need > self.k:
-            self.k = need
+        packing = Packing((len(terms) + 1) * top * top_row)
+        if packing.k > self.packing.k:
+            self.packing = packing
             self._packed.clear()
-        k = self.k
-        nums = {i: _pack(f.num, k, lows[i]) for i, f in factors.items()}
-        dens = {i: _pack(f.den, k, 0) for i, f in factors.items()
-                if f.den is not _ONE_COEFFS}
-        acc = {j: _pack(c.num, k, low) for j, c in base.items()}
+        packing = self.packing
+        k = packing.k
+        numerator, denominator = packing.numerator, packing.denominator
+        acc: dict = {}
         groups: dict = {}  # packed denominators -> their column sums
-        packed = self._packed
-        packed_num = nums.__getitem__
-        for key, ids, row_low, off in terms:
-            entries = packed.get(key)
-            if entries is None:
-                entries = packed[key] = {j: _pack(c.num, k, row_low)
-                                         for j, c in rows[key].items()}
-            a = prod(map(packed_num, ids)) << (k * (off - low))
-            sums = acc
+        if base:
+            nums = packing.numerators(base, low)
+            dens = packing.denominators(base)
             if dens:
-                group = tuple([dens[i] for i in ids if i in dens])
-                if group:
-                    sums = groups.get(group)
-                    if sums is None:
-                        sums = groups[group] = {}
-            get = sums.get
-            for j, v in entries.items():
-                sums[j] = get(j, 0) + a * v
-        out = {j: _scalar(_unpack(v, k, low), _ONE_COEFFS)
-               for j, v in acc.items() if v}
-        for group, sums in groups.items():
-            den = _unpack(prod(group), k, 0)
-            for j, v in sums.items():
-                if v:
-                    add_term(out, j, _canon(_unpack(v, k, low), den))
+                for j, v in nums.items():
+                    _sums(groups, acc, 1, dens.get(j, 1))[j] = v
+            else:
+                acc = nums
+        packed = self._packed
+        for key, c, c_low, off in terms:
+            entry = packed.get(key)
+            if entry is None:
+                row = rows[key]
+                entry = packed[key] = (
+                    packing.numerators(row, bounds_of[key][0]),
+                    packing.denominators(row))
+            nums, dens = entry
+            a = numerator(c, c_low) << (k * (off - low))
+            d = denominator(c)
+            if dens:
+                for j, v in nums.items():
+                    sums = _sums(groups, acc, d, dens.get(j, 1))
+                    sums[j] = sums.get(j, 0) + a * v
+            else:
+                sums = acc if d == 1 else _sums(groups, acc, d, 1)
+                get = sums.get
+                for j, v in nums.items():
+                    sums[j] = get(j, 0) + a * v
+        out = packing.scalars(acc, low)
+        for (d, e), sums in groups.items():
+            for j, c in packing.scalars(sums, low, d * e).items():
+                add_term(out, j, c)
         return out
 
-    def _summed(self, coeffs: dict, base: dict) -> dict:
-        """The combination summed in Q(q), term by term."""
-        out = dict(base)
-        for key, t in coeffs.items():
-            c = reduce(mul, t)
-            if c:
-                for j, v in self.rows[key].items():
-                    add_term(out, j, c * v)
-        return out
+    def _summed(self, coeffs: dict) -> dict:
+        """The combination of rows that share no column, formed in Q(q):
+        each entry is one product, and a nonzero one."""
+        rows = self.rows
+        return {j: v if c is ONE else c * v
+                for key, c in coeffs.items() if c
+                for j, v in rows[key].items()}
+
+
+def _sums(groups: dict, acc: dict, d: int, e: int) -> dict:
+    """The column sums of the products over the packed denominators d and
+    e (1: none); the products over d e, whichever factor carries which."""
+    if d == 1 and e == 1:
+        return acc
+    key = (d, e) if d <= e else (e, d)
+    sums = groups.get(key)
+    if sums is None:
+        sums = groups[key] = {}
+    return sums
 
 
 def _disjoint(rows: list) -> bool:
@@ -227,16 +288,23 @@ def _disjoint(rows: list) -> bool:
     return len(set().union(*rows)) == sum(map(len, rows))
 
 
+def extent(c: "QScalar") -> tuple:
+    """(lowest exponent of the numerator, largest L1 norm of numerator and
+    denominator) of a nonzero scalar: what a packing of it must cover."""
+    num, den = c.num, c.den
+    top = sum(map(abs, num.values()))
+    if den is not _ONE_COEFFS:
+        top = max(top, sum(map(abs, den.values())))
+    return min(num), top
+
+
 def _bounds(row: dict):
-    """(lowest exponent or None, largest entry L1 norm) of a row of Laurent
-    polynomials; None if an entry has a denominator."""
+    """(lowest numerator exponent or None, largest ``extent`` norm) of a
+    row."""
     low, top = None, 0
     for c in row.values():
-        if c.den is not _ONE_COEFFS:
-            return None
-        num = c.num
-        if num:
-            e, norm = min(num), sum(map(abs, num.values()))
+        if c:
+            e, norm = extent(c)
             if low is None or e < low:
                 low = e
             if norm > top:
@@ -252,8 +320,7 @@ def vanishes(left, right) -> bool:
     is packed once.
     """
     packed = PackedRows(right)
-    return not any(packed.combine({k: (c,) for k, c in a.items()}, {})
-                   for a in left)
+    return not any(packed.combine(a, {}) for a in left)
 
 
 def _pack(p: dict, k: int, low: int) -> int:

@@ -18,8 +18,8 @@ from qdiag.permutations import (_arrangements, _weights, all_perms, apply_gen,
                                 reduced_word, s, standardize)
 from qdiag.pplactic import verify_conjecture
 from qdiag.qma import diag_relation_kernel
-from qdiag.scalars import (ONE, Q, ZERO, add_term, omega, q_int, q_power,
-                           qs)
+from qdiag.scalars import (ONE, Q, QScalar, ZERO, add_term, omega, q_int,
+                           q_power, qs)
 
 
 def rand_elt(rng, r):
@@ -109,30 +109,66 @@ def test_product_matches_generator_walk():
                 assert x * y == walk_product(x, y)
 
 
-def test_product_matches_structure_constant_sum():
+def structure_constants(p, rho):
+    """T_p T_rho by Q(q) steps: ``_mul_gen`` along the reduced word of rho."""
+    w = omega()
+    terms = {p: ONE}
+    for i in reduced_word(rho):
+        terms = hecke._mul_gen(terms, i, w)
+    return terms
+
+
+def test_product_matches_structure_constant_sum(monkeypatch):
     # the oracle: one add_term of c * d * s per structure constant s of
-    # T_p T_rho, for every pair of terms c T_p of x and d T_rho of y
+    # T_p T_rho, each built by Q(q) generator steps, for every pair of
+    # terms c T_p of x and d T_rho of y
     rng = random.Random(53)
     e2, e11 = idempotents_r2()
-    by_rank = {2: [e2, e11, e2 - e11], 3: list(idempotents_r3()), 4: []}
-    by_rank[3] += [rand_elt(rng, 3), rand_rational_elt(rng, 3, 5)]
-    for _ in range(4):
-        by_rank[4] += [rand_elt(rng, 4), rand_rational_elt(rng, 4, 6)]
+    huge = QScalar({-30: 1 << 70, 25: -(1 << 71) + 3, 0: 5})
+    by_rank = {1: [HeckeElt.one(1).scale(q_int(2)),
+                   HeckeElt(1, {(1,): huge / (Q + qs(2))})],
+               2: [e2, e11, e2 - e11], 3: list(idempotents_r3()), 4: [], 5: []}
+    by_rank[3] += [rand_elt(rng, 3), rand_rational_elt(rng, 3, 5),
+                   rand_rational_elt(rng, 3, 1)]
+    for _ in range(3):
+        by_rank[4] += [rand_elt(rng, 4), rand_rational_elt(rng, 4, 6),
+                       rand_rational_elt(rng, 4, 2)]
+    by_rank[4].append(HeckeElt(4, {(2, 1, 4, 3): huge,
+                                   (4, 3, 2, 1): ONE / q_int(3)}))
+    for k in (1, 3, 9):
+        by_rank[5].append(rand_rational_elt(rng, 5, k))
+    by_rank[5].append(HeckeElt(5, {(5, 4, 3, 2, 1): huge * omega()}))
+    sides, widths = set(), []
+    packing = hecke.Packing
+
+    def spied(bound):
+        made = packing(bound)
+        widths.append(made.k)
+        return made
+
+    monkeypatch.setattr(hecke, "Packing", spied)
     for r, xs in by_rank.items():
+        xs.append(HeckeElt(r))
         for x in xs:
             for y in xs:
                 want: dict = {}
                 for p, c in x.terms.items():
                     for rho, d in y.terms.items():
-                        for sigma, s in hecke._structure_constants(
-                                p, rho).items():
+                        for sigma, s in structure_constants(p, rho).items():
                             add_term(want, sigma, c * d * s)
                 assert (x * y).terms == want
+                if x and y:
+                    sides.add((len(x.terms) < len(y.terms),
+                               len(y.terms) < len(x.terms)))
+    # the left walk, the right walk with more terms and with equal counts
+    assert sides == {(True, False), (False, True), (False, False)}
     # the idempotents carry the denominators [2], [3] and c3, and products
     # of orthogonal ones cancel in every coefficient
     e3, ep, em, e111 = idempotents_r3()
     assert not e3 * ep and not ep * em and not em * e111
     assert e3 * e3 == e3 and ep * ep == ep
+    # a coefficient past 2^70 needs a packing wider than 64 bits
+    assert max(widths) > 64
 
 
 def test_reduced_word_independence():
@@ -302,6 +338,16 @@ def test_composition_matrix_matches_folded_projection_rows():
                 folded_projection_rows(lam), lam
 
 
+def test_projection_rows_match_generator_steps():
+    # the oracle of M_lambda at 1^r, which the folded rows above read: row
+    # alpha of P is T_(alpha^-1) T_alpha, built here by Q(q) steps
+    for r in range(1, 6):
+        perms = all_perms(r)
+        for alpha, row in zip(perms, projection_matrix(r).rows):
+            assert {perms[j]: c for j, c in row.items()} == \
+                structure_constants(inverse(alpha), alpha), alpha
+
+
 def test_rank_bound_before_arrangements(monkeypatch):
     def refuse(*args):
         raise AssertionError("arrangements enumerated before the rank bound")
@@ -313,15 +359,19 @@ def test_rank_bound_before_arrangements(monkeypatch):
         projection_matrix(7)
 
 
-@pytest.mark.parametrize("r, walked", [(5, 27), (6, 58)])
-def test_conjecture_walks_only_its_rows(r, walked):
-    # the 2-letter compositions of r share their products T_(b^-1) T_b
-    # wherever their arrangements standardize to the same b
-    hecke._structure_constants.cache_clear()
+@pytest.mark.parametrize("r, walked", [(5, 31), (6, 63)])
+def test_conjecture_walks_only_its_rows(r, walked, monkeypatch):
+    # each row of M_lambda is one walk, and the compositions (r), (r-1, 1),
+    # ..., (1, r-1) have C(r, a) rows each: 1 + 5 + 10 + 10 + 5 = 31 at
+    # r = 5 and 63 at r = 6
+    walks = []
+    real = hecke._walk
+    monkeypatch.setattr(hecke, "_walk",
+                        lambda *args: walks.append(args) or real(*args))
     hecke.weight_kernel.cache_clear()
     pplactic._composition_verdict.cache_clear()
     assert verify_conjecture(2, r)["verdict"] == "PASS"
-    assert hecke._structure_constants.cache_info().currsize == walked
+    assert len(walks) == walked
 
 
 def test_zero_parts_strip_on_both_routes():

@@ -280,22 +280,19 @@ def _sum_term_by_term(terms, base=()):
     # the oracle: one ordinary product and one add_term per term
     sums = dict(base)
     for key, products in terms.items():
-        for t in products:
-            product = ONE
-            for x in t:
-                product = product * x
-            add_term(sums, key, product)
+        for c, entry in products:
+            add_term(sums, key, c * entry)
     return sums
 
 
 def _combined(terms, base=()):
-    """PackedRows.combine of {key: [product, ...]}: the last scalar of each
-    product is the entry of a row {key: entry}, the others its coefficient."""
+    """PackedRows.combine of {key: [(coefficient, entry), ...]}: each entry
+    is that of a row {key: entry}, with its coefficient."""
     rows, coeffs = {}, {}
     for key, products in terms.items():
-        for n, t in enumerate(products):
-            rows[key, n] = {key: t[-1]}
-            coeffs[key, n] = t[:-1]
+        for n, (c, entry) in enumerate(products):
+            rows[key, n] = {key: entry}
+            coeffs[key, n] = c
     return PackedRows(rows).combine(coeffs, dict(base))
 
 
@@ -305,13 +302,6 @@ def test_combine_matches_term_by_term_sum():
     def laurent():
         return qs(rng.randint(-3, 3)) * q_power(rng.randint(-2, 2)) + \
             qs(rng.randint(-2, 2)) * q_power(rng.randint(-2, 2))
-
-    def entry():
-        # a row entry: 1 or a nonzero Laurent polynomial
-        while True:
-            x = rng.choice((ONE, laurent()))
-            if x:
-                return x
 
     def huge():
         # coefficients past 2^70 and an exponent span past 60 force a
@@ -331,51 +321,42 @@ def test_combine_matches_term_by_term_sum():
     # cover the denominators too
     huge_dens = [QScalar({0: rng.randint(-(1 << 72), 1 << 72),
                           1: rng.randint(1, 3) << 70}) for _ in range(3)]
+
+    def scalar(kind, dens):
+        if kind == 0:    # denominator 1
+            return laurent()
+        if kind == 1:    # a denominator shared with other terms
+            return laurent() / rng.choice(dens)
+        if kind == 2:    # an equal denominator in a distinct dict
+            return same_den(laurent() / rng.choice(dens))
+        if kind == 3:    # unequal denominators
+            return rand_scalar(rng)
+        if kind == 4:    # a zero
+            return ZERO
+        if kind == 5:
+            return huge()
+        # a small numerator over a huge denominator
+        return laurent() / rng.choice(huge_dens)
+
     kinds = set()
-    for trial in range(96):
+    for trial in range(160):
         dens = rng.sample(shared, k=rng.randint(1, 3))
+        # every fourth call has Laurent row entries only, the others mix
+        entry_kinds = (0,) if trial % 4 == 0 else range(7)
         terms = {}
         for key in range(rng.randint(1, 5)):
             products = []
             for _ in range(rng.randint(1, 6)):
-                # every fourth call has one size of coefficient, the others mix
-                size = rng.choice((2, 3)) if trial % 4 else 2 + trial % 8 // 4
-                kind = rng.randrange(7)
-                kinds.add(kind)
-                if kind == 0:    # denominator 1 throughout
-                    t = [laurent() for _ in range(size)]
-                elif kind == 1:  # a denominator shared with other terms
-                    t = [laurent() / rng.choice(dens)] + \
-                        [laurent() for _ in range(size - 1)]
-                elif kind == 2:  # equal denominators in distinct dicts
-                    t = [same_den(laurent() / rng.choice(dens))
-                         for _ in range(size)]
-                elif kind == 3:  # unequal denominators
-                    t = [rand_scalar(rng) for _ in range(size)]
-                elif kind == 4:  # a zero factor
-                    t = [laurent() / rng.choice(dens) for _ in range(size)]
-                    t[rng.randrange(size)] = ZERO
-                elif kind == 5:
-                    t = [huge()] + [laurent() for _ in range(size - 1)]
-                else:            # a small numerator over a huge denominator
-                    t = [laurent() / rng.choice(huge_dens)] + \
-                        [laurent() for _ in range(size - 1)]
-                rng.shuffle(t)
-                products.append(tuple(t) + (entry(),))
+                kind, entry_kind = rng.randrange(7), rng.choice(entry_kinds)
+                kinds.add((kind, entry_kind))
+                entry = scalar(entry_kind, dens) or ONE  # a row holds no 0
+                products.append((scalar(kind, dens), entry))
             # a sum that cancels: the key must be dropped
             if rng.random() < 0.3:
-                products += [(-t[0],) + t[1:] for t in products]
+                products += [(-c, entry) for c, entry in products]
             terms[key] = products
-        base = {key: laurent() for key in range(rng.randint(0, 6))}
-        if trial % 8 == 7:
-            # a row entry or a base entry with a denominator: the whole
-            # combination is summed in Q(q)
-            key = rng.choice(list(terms))
-            if trial % 16 == 7:
-                t = terms[key][0]
-                terms[key][0] = t[:-1] + (rand_scalar(rng, nonzero=True),)
-            else:
-                base[key] = rand_scalar(rng, nonzero=True)
+        base = {key: scalar(rng.choice(entry_kinds), dens)
+                for key in range(rng.randint(0, 6))}
         base = {key: x for key, x in base.items() if x}
         want = _sum_term_by_term(terms, base)
         got = _combined(terms, base)
@@ -383,37 +364,40 @@ def test_combine_matches_term_by_term_sum():
         for x in got.values():
             assert x
             assert_canonical(x)
-    assert kinds == set(range(7))
-    # every denominator 1 and one size: each key is one packed sum
-    for size in (2, 3):
-        terms = {key: [tuple(laurent() for _ in range(size)) + (entry(),)
-                       for _ in range(rng.randint(1, 6))]
-                 for key in range(6)}
-        terms[6] = terms[0] + [(-t[0],) + t[1:] for t in terms[0]]
-        assert _combined(terms) == _sum_term_by_term(terms)
-        assert 6 not in _combined(terms)
+    assert kinds == {(i, j) for i in range(7) for j in range(7)}
+    # every denominator 1: each key is one packed sum
+    terms = {key: [(laurent(), laurent() or ONE)
+                   for _ in range(rng.randint(1, 6))] for key in range(6)}
+    terms[6] = terms[0] + [(-c, entry) for c, entry in terms[0]]
+    assert _combined(terms) == _sum_term_by_term(terms)
+    assert 6 not in _combined(terms)
     # the widest packing really is past 64 bits
     x = QScalar({-30: 1 << 70, 30: 1})
     assert _combined({0: [(x, x), (x, -x), (x, q_power(1))]}) == {0: x * Q}
-    assert _combined({0: [(x, x, ONE), (x, -x, ONE), (x, Q, ONE)]}) == \
-        {0: x * Q}
-    # three factors whose product reaches the cube of their L1 norm
+    # a product that reaches the product of the two L1 norms
     y = QScalar({0: 1 << 40, 1: 1 << 40, 2: 1 << 40})
-    assert _combined({0: [(y, y, y), (y, y, -Q)]}) == \
-        {0: y * y * y - y * y * Q}
-    assert _combined({0: [(y, y, y, ONE), (y, y, -Q, ONE)]}) == \
+    assert _combined({0: [(y * y, y), (y, -y * Q)]}) == \
         {0: y * y * y - y * y * Q}
     # one term is the ordinary product; empty, zero and cancelling sums drop
     a, b = ONE / q_int(2), Q / (Q + qs(2))
-    assert _combined({"k": [(a, b, ONE)]}) == {"k": a * b}
+    assert _combined({"k": [(a, b)]}) == {"k": a * b}
     assert _combined({}) == {}
-    assert _combined({0: [(ZERO, a, ONE), (b, ZERO, ONE)],
-                      1: [(a, ZERO, ONE)]}) == {}
-    assert _combined({0: [(a, b, ONE), (-a, b, ONE)], 1: [(a, b, a, ONE)]}) \
-        == {1: a * b * a}
-    # a row entry with a denominator is multiplied in Q(q)
+    assert _combined({0: [(ZERO, a), (ZERO, b)], 1: [(ZERO, a)]}) == {}
+    assert _combined({0: [(a, b), (-a, b)], 1: [(a * b, a)]}) == \
+        {1: a * b * a}
+    # row and base entries with denominators: unequal, equal in distinct
+    # dicts, and past 2^70, each group summed against the others
+    h = huge_dens[0]
+    for entries in ([a, b, ONE / h], [a, same_den(a), same_den(a)],
+                    [ONE / h, same_den(ONE / h), Q / h],
+                    [b, ONE / (Q + qs(2)), qs(Fraction(1, 3))]):
+        terms = {0: [(Q, entries[0]), (a, entries[1])],
+                 1: [(-ONE, entries[2]), (b, entries[0])]}
+        for base in ({}, {0: entries[1]}, {0: ONE / h, 1: -entries[2]}):
+            assert _combined(terms, base) == _sum_term_by_term(terms, base)
     assert _combined({0: [(Q, a), (ONE, b)]}, {0: ONE}) == {0: Q * a + b + ONE}
     assert _combined({0: [(Q, a), (-Q, a)]}, {1: b}) == {1: b}
+    assert _combined({0: [(a, b), (b, a)]}, {0: -(a * b + a * b)}) == {}
 
 
 def test_random_check_scalar_matches_sum_of_products():
@@ -477,7 +461,7 @@ def _residual_by(rows, coeffs, target):
     """target - sum_key coeffs[key] rows[key] by ``PackedRows.combine``;
     rows is a PackedRows or the rows to pack."""
     packed = rows if isinstance(rows, PackedRows) else PackedRows(rows)
-    return packed.combine({key: (-a,) for key, a in coeffs.items()}, target)
+    return packed.combine({key: -a for key, a in coeffs.items()}, target)
 
 
 def test_packed_residual_matches_exact_sums():

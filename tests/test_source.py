@@ -102,17 +102,18 @@ def test_conjecture_path_stays_off_the_frt_route():
 
 
 def test_packed_rows_is_the_one_packing():
-    # every sum of products goes through scalars.PackedRows.combine: the
-    # packing helpers are named inside that class alone, and the product
-    # modules import it
+    # every packed sum goes through scalars.Packing, the one packer: the
+    # packing helpers are named inside that class alone, the Hecke walk
+    # imports it, and the other product modules import PackedRows, its
+    # sum of products
     from qdiag import scalars
     assert not hasattr(scalars, "gather") and not hasattr(scalars, "_Packing")
     assert callable(scalars._pack) and callable(scalars._unpack)
-    outside, importers = [], set()
+    outside, importers = [], {"Packing": set(), "PackedRows": set()}
     for path in SOURCES:
         tree = ast.parse(path.read_text())
         inside = {id(node) for top in tree.body
-                  if isinstance(top, ast.ClassDef) and top.name == "PackedRows"
+                  if isinstance(top, ast.ClassDef) and top.name == "Packing"
                   for node in ast.walk(top)}
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
@@ -121,14 +122,16 @@ def test_packed_rows_is_the_one_packing():
                 names = [node.attr]
             elif isinstance(node, ast.ImportFrom):
                 names = [alias.name for alias in node.names]
-                if "PackedRows" in names:
-                    importers.add(path.name)
+                for name, modules in importers.items():
+                    if name in names:
+                        modules.add(path.name)
             else:
                 continue
             if {"_pack", "_unpack"} & set(names) and id(node) not in inside:
                 outside.append(f"{path.name}:{node.lineno}")
     assert not outside, outside
-    assert {"hecke.py", "linalg.py", "rmatrix.py"} <= importers, importers
+    assert "hecke.py" in importers["Packing"], importers
+    assert {"linalg.py", "rmatrix.py"} <= importers["PackedRows"], importers
 
 
 def test_reports_do_not_depend_on_assert():
