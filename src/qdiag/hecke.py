@@ -385,7 +385,7 @@ def theta() -> HeckeElt:
 
 def projection_matrix(r: int) -> QMatrix:
     """Matrix of p on the diagonal space: row alpha, column sigma, lex order."""
-    return _composition_matrix((1,) * r)
+    return _unpacked(_composition_matrix((1,) * r))
 
 
 def _minimal_coset_rep(p, blocks: list, starts: list):
@@ -402,14 +402,16 @@ def _minimal_coset_rep(p, blocks: list, starts: list):
     return tuple(d)
 
 
-def _composition_matrix(lam: tuple) -> QMatrix:
-    """M_lambda, columns d in lex order, for a composition with no zero part.
+def _composition_matrix(lam: tuple, top: int = 1) -> tuple:
+    """(packing, n, ncols, rows): M_lambda as the walk leaves it, columns d
+    in lex order, for a composition with no zero part.
 
-    Row A walks T_(beta^-1) T_beta from {beta^-1: 1} along the reduced word
-    of beta, packed: the walk's L1 norm stays at most 3^l(beta), and the
-    fold only shifts and sums its terms, so that bound fixes the row's
-    packing.  Each entry is unpacked once, at q^-l(beta), the power of q the
-    walk carries.
+    rows[A] = {column: q^n M_lambda[A, d] at q = 2^k}, n the longest
+    l(beta): row A walks T_(beta^-1) T_beta along the reduced word of beta,
+    and the fold only shifts and sums its terms, so its L1 norm stays at
+    most 3^n.  2^(k-1) is above top 3^n: every entry reads back exactly,
+    and so does every combination of the rows by a row of integer
+    polynomials of L1 norm at most top (G_lambda in ``pplactic``).
     """
     if 0 in lam:
         raise ValueError(f"composition {lam} has a zero part")
@@ -418,17 +420,17 @@ def _composition_matrix(lam: tuple) -> QMatrix:
     index, lengths, right = steps.index, steps.lengths, steps.right
     blocks = [b for b, k in enumerate(lam) for _ in range(k)]
     starts = [1 + sum(lam[:b]) for b in range(len(lam))]
+    betas = [index[standardize(a)] for a in _arrangements(lam)]
+    n = max(lengths[j] for j in betas)
+    packing = Packing(top * 3 ** n)
+    k = packing.k
     reps: dict = {}  # index -> (d, length of the index minus that of d)
     rows = []
-    for a in _arrangements(lam):
-        beta = standardize(a)
-        j = index[beta]
-        n = lengths[j]
-        packing = Packing(3 ** n)
-        k = packing.k
+    for j in betas:
         folded: dict = {}
-        walked = _walk({index[inverse(beta)]: 1}, steps.words[j], right, k)
-        for p, v in walked.items():
+        # from q^(n - l(beta)) T_(beta^-1): the walk's q^l(beta) makes q^n
+        start = {index[inverse(steps.perms[j])]: 1 << k * (n - lengths[j])}
+        for p, v in _walk(start, steps.words[j], right, k).items():
             if not v:
                 continue
             rep = reps.get(p)
@@ -437,10 +439,16 @@ def _composition_matrix(lam: tuple) -> QMatrix:
                 rep = reps[p] = (d, lengths[p] - lengths[index[d]])
             d, shift = rep
             folded[d] = folded.get(d, 0) + (v << (k * shift))
-        rows.append(packing.scalars(folded, -n))
+        rows.append(folded)
     col = {d: j for j, d in enumerate(sorted({d for d, _ in reps.values()}))}
-    return QMatrix(len(col), ({col[d]: c for d, c in row.items()}
-                              for row in rows))
+    return packing, n, len(col), [{col[d]: v for d, v in row.items() if v}
+                                  for row in rows]
+
+
+def _unpacked(packed: tuple) -> QMatrix:
+    """The QMatrix of packed rows (packing, n, ncols, rows), read at q^-n."""
+    packing, n, ncols, rows = packed
+    return QMatrix(ncols, (packing.scalars(row, -n) for row in rows))
 
 
 @lru_cache(maxsize=None)
@@ -452,7 +460,7 @@ def weight_kernel(lam: tuple) -> SubspaceBasis:
     read over the arrangements of any weight of composition lambda, in the
     same order, it is a relation at that weight.
     """
-    return kernel(_composition_matrix(lam).transpose())
+    return kernel(_unpacked(_composition_matrix(lam)).transpose())
 
 
 def diag_kernel_of_p(r: int) -> SubspaceBasis:

@@ -1,11 +1,11 @@
 """Exact sparse linear algebra over Q(q).
 
 Vectors are dicts {column index: nonzero QScalar}.  A ``QMatrix`` is
-nothing but its column count and one such vector per row: a product, a
-kernel and the rank certificate read its rows as they are.  Subspaces are
-kept in reduced row echelon form with pivot entries 1; since scalar
-canonical forms are unique, two subspaces are equal iff their RREF data are
-identical, and that comparison is used everywhere downstream.
+nothing but its column count and one such vector per row: a product and a
+kernel read its rows as they are.  Subspaces are kept in reduced row
+echelon form with pivot entries 1; since scalar canonical forms are unique,
+two subspaces are equal iff their RREF data are identical, and that
+comparison is used everywhere downstream.
 
 Pivoting is deterministic: every row is pivoted on its leftmost nonzero
 column, with no magnitude pivoting.  ``SubspaceBasis.from_vectors`` consumes
@@ -33,7 +33,8 @@ once and combines its rows with the entries of each left row, and
 ``kernel`` checks m B = 0 by that product, which also names a failure.
 
 ``rank_mod_p`` is the one computation over a prime field: the rank of
-integer rows, which the rank certificate of ``pplactic`` reads.
+integer rows, here the rows of G_lambda and M_lambda packed at q = 2^k,
+which the rank certificate of ``pplactic`` reads.
 """
 
 from __future__ import annotations

@@ -22,14 +22,14 @@ composition; a report that prints coordinates names them by the
 arrangements of its weight.
 
 One cached verdict per composition lambda (``_composition_verdict``)
-decides ``conjecture``, and ``preplactic`` at 1^r.  It builds M_lambda once
-and tries a rank certificate first, with no elimination over Q(q): a literal
-zero test G_lambda M_lambda = 0 of the padded generator rows, made on
-Kronecker-packed integers (``scalars.vanishes``), then integer
-ranks of both at q = CERT_POINT mod CERT_PRIME that add up to the number of
-arrangements.  Elsewhere the ideal and the kernel of that M_lambda are
-compared as canonical RREF subspaces, and that kernel is handed back with
-the verdict; only this exact route reports FAIL, with a witness.
+decides ``conjecture``, and ``preplactic`` at 1^r.  It walks M_lambda once
+on integers at q = 2^k and tries a rank certificate on them first, with no
+Q(q) scalar of M_lambda: G_lambda M_lambda = 0 for the padded generator
+rows, by exact integer column sums, then ranks of both at q = 2^k mod
+CERT_PRIME that add up to the number of arrangements.  Elsewhere the ideal
+and the kernel of that M_lambda, unpacked, are compared as canonical RREF
+subspaces, and that kernel is handed back with the verdict; only this
+exact route reports FAIL, with a witness.
 ``diag-kernel`` and the tests cross-check the Hecke kernels
 against the FRT ones.
 
@@ -47,15 +47,15 @@ from functools import lru_cache
 from importlib import resources
 
 from .errors import MembershipFailure
-from .hecke import (_composition_matrix, _mul_gen, diag_kernel_of_p,
-                    idempotents_r3)
-from .linalg import QMatrix, SubspaceBasis, kernel, rank_mod_p
-from .permutations import (_arrangements, _tuple_sub, _weights, all_perms,
-                           weight)
+from .hecke import (_composition_matrix, _mul_gen, _unpacked,
+                    diag_kernel_of_p, idempotents_r3)
+from .linalg import SubspaceBasis, kernel, rank_mod_p
+from .permutations import (_arrangements, _check_rank, _tuple_sub, _weights,
+                           all_perms, weight)
 from .qma import FreeElt, block_quotient
 from .rmatrix import appendix_blocks, pi
-from .scalars import (ONE, ZERO, add_term, omega, parse_scalar, q_int,
-                      q_power, qs, value_mod, vanishes)
+from .scalars import (ONE, ZERO, add_term, extent, omega, parse_scalar,
+                      q_int, q_power, qs)
 
 __all__ = [
     "RelationInstance", "ppk_generators", "ideal_component",
@@ -63,10 +63,9 @@ __all__ = [
     "lemma_brute_check", "verify_conjecture",
 ]
 
-# The one specialization q -> CERT_POINT in F_CERT_PRIME of the rank
-# certificate: fixed, so a verdict never depends on a draw.
+# The prime of the rank certificate, which reads q = 2^k mod it: fixed, so
+# a verdict never depends on a draw.
 CERT_PRIME = 2_147_483_629
-CERT_POINT = 12_345
 
 
 class RelationInstance:
@@ -378,49 +377,63 @@ def lemma_brute_check(sign: int) -> dict:
     return report
 
 
-def _composition_certificate(lam: tuple, m: QMatrix):
+def _packed_matrix(lam: tuple) -> tuple:
+    """M_lambda packed for the largest L1 norm of a row of G_lambda; the
+    rank bound comes before any row of either is built."""
+    _check_rank(sum(lam))
+    top = max((sum(extent(c)[1] for c in g.values())
+               for g in _composition_generators(lam)), default=1)
+    return _composition_matrix(lam, top)
+
+
+def _composition_certificate(lam: tuple, m: tuple):
     """dim I_lambda, certified equal to dim ker M_lambda, or None.
 
-    The literal zero test G_lambda M_lambda = 0 (``scalars.vanishes``, with
-    each row of M_lambda packed once and no Q(q) product formed) puts
-    I_lambda in the left kernel of M_lambda, so dim I_lambda + rank
-    M_lambda <= N_lambda, the number of arrangements.  q -> CERT_POINT mod
-    CERT_PRIME is a ring map on Laurent polynomials that can only lower a
-    rank, so rank_p G + rank_p M = N_lambda makes every inequality an
+    m is M_lambda from ``_packed_matrix``.  G_lambda, the padded generator
+    rows (polynomials in q), is packed at m's k, so the integer column sums
+    of G_lambda M_lambda are exact, and their literal zero test puts
+    I_lambda in the left kernel of M_lambda: dim I_lambda + rank M_lambda
+    <= N_lambda, the number of arrangements.  The same integers are the
+    rows at q = 2^k times a power of q, and q -> 2^k mod CERT_PRIME is a
+    ring map on Laurent polynomials that keeps q a unit and can only lower
+    a rank, so rank_p G + rank_p M = N_lambda makes every inequality an
     equality: I_lambda is the kernel, of dimension rank_p G.  A nonzero
-    product entry, a rank shortfall or an entry that is not a Laurent
-    polynomial (``value_mod`` refuses it) gives None.
+    column sum or a rank shortfall gives None.
     """
-    gens = _composition_generators(lam)
-    if not vanishes(gens, m.rows):
+    packing, _, _, rows = m
+    gens = [packing.numerators(g, 0) for g in _composition_generators(lam)]
+    if any(_column_sums(g, rows) for g in gens):
         return None
-    try:
-        g_rows, m_rows = [[{j: value_mod(c, CERT_POINT, CERT_PRIME)
-                            for j, c in row.items()} for row in rows]
-                          for rows in (gens, m.rows)]
-    except ValueError:
-        return None
-    rank_g = rank_mod_p(g_rows, CERT_PRIME)
-    if rank_g + rank_mod_p(m_rows, CERT_PRIME) != m.nrows:
-        return None
-    return rank_g
+    rank_g = rank_mod_p(gens, CERT_PRIME)
+    return (rank_g if rank_g + rank_mod_p(rows, CERT_PRIME) == len(rows)
+            else None)
+
+
+def _column_sums(coeffs: dict, rows: list) -> dict:
+    """The nonzero column sums of sum_i coeffs[i] rows[i], on integers."""
+    sums: dict = {}
+    for i, a in coeffs.items():
+        for j, v in rows[i].items():
+            sums[j] = sums.get(j, 0) + a * v
+    return {j: v for j, v in sums.items() if v}
 
 
 @lru_cache(maxsize=None)
 def _composition_verdict(lam: tuple) -> tuple:
     """(dim ker M_lambda, dim I_lambda, witness or None, kernel or None).
 
-    M_lambda is built once, first (its rank bound comes before any ideal
-    row).  Where the certificate holds, no kernel is eliminated and the
-    last entry is None; elsewhere ``kernel`` of M_lambda decides and is
-    handed back, and a witness is a row of one space outside the other,
-    keyed by column.
+    M_lambda is walked once, at 2^(k-1) above the largest L1 norm of a row
+    of G_lambda times 3^n, rank bound first (``_packed_matrix``).  Where the
+    certificate holds on its integers, no Q(q) scalar of M_lambda is formed
+    and the last entry is None; elsewhere ``kernel`` of M_lambda, unpacked,
+    decides and is handed back, and a witness is a row of one space outside
+    the other, keyed by column.
     """
-    m = _composition_matrix(lam)
+    m = _packed_matrix(lam)
     dim = _composition_certificate(lam, m)
     if dim is not None:
         return dim, dim, None, None
-    ker = kernel(m.transpose())
+    ker = kernel(_unpacked(m).transpose())
     idl = ideal_component(lam)
     # unequal canonical subspaces: one is not inside the other
     witness = None if idl == ker else next(itertools.chain(

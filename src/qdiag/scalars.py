@@ -29,7 +29,7 @@ Sparse combinations have two primitives.  ``add_term`` scatters: it adds one
 scalar into a dict entry.  ``PackedRows.combine`` gathers: for sparse rows
 {column: scalar} held by key it returns base + sum_key coeffs[key]
 rows[key], one scalar per key.  That is the shape of every matrix and
-representation product, of every row reduction and of every zero test.
+representation product and of every row reduction.
 It packs (Kronecker substitution, ``Packing``, the one packer): each
 coefficient's numerator and each row entry's is read once at q = 2^k and
 divided by q^low for its own lowest exponent low, so each product is one
@@ -51,9 +51,8 @@ products over d and e, a coefficient's and an entry's (either may be 1),
 sum to (sum of their numerators)/(d e), and one canonicalization per
 nonzero column of a group gives the unique form that term-by-term addition
 would reach.  A combination with no base whose rows share no column sums
-nothing, so it is formed in Q(q), one product per entry.  ``vanishes``
-asks whether such combinations are zero.  The Hecke product walks on the
-same packing (``hecke``).
+nothing, so it is formed in Q(q), one product per entry.  Every Hecke
+walk, M_lambda's included, runs on the same packing (``hecke``).
 
 >>> rows = PackedRows({"a": {"x": omega(), "y": Q},
 ...                    "b": {"x": ONE / q_int(2)}})
@@ -83,7 +82,7 @@ from .errors import PoleAtPoint
 __all__ = [
     "QScalar", "ZERO", "ONE", "Q",
     "qs", "q_power", "q_int", "omega", "bar", "parse_scalar", "add_term",
-    "Packing", "PackedRows", "extent", "vanishes", "value_mod",
+    "Packing", "PackedRows", "extent",
 ]
 
 
@@ -310,17 +309,6 @@ def _bounds(row: dict):
             if norm > top:
                 top = norm
     return low, top
-
-
-def vanishes(left, right) -> bool:
-    """Whether sum_k a[k] right[k] is the zero row for every row a of left.
-
-    ``right`` maps each key to a sparse row {column: scalar}.  Each row a
-    is one ``PackedRows.combine`` with an empty base, so each row of right
-    is packed once.
-    """
-    packed = PackedRows(right)
-    return not any(packed.combine(a, {}) for a in left)
 
 
 def _pack(p: dict, k: int, low: int) -> int:
@@ -711,17 +699,6 @@ def bar(c: QScalar) -> QScalar:
     """The field automorphism q -> q^-1."""
     return _canon({-e: v for e, v in c.num.items()},
                   {-e: v for e, v in c.den.items()})
-
-
-def value_mod(c: QScalar, a: int, p: int) -> int:
-    """c at q = a in F_p, for a Laurent polynomial c and a unit a mod p.
-
-    q -> a is a ring map from Z[q, q^-1] to F_p; a scalar with a denominator
-    other than 1 raises ValueError, since q = a may be one of its poles.
-    """
-    if c.den is not _ONE_COEFFS:
-        raise ValueError(f"{c} is not a Laurent polynomial")
-    return sum(v * pow(a, e, p) for e, v in c.num.items()) % p
 
 
 # -- text form -------------------------------------------------------------

@@ -7,12 +7,12 @@ import pytest
 
 from qdiag.checks import _basis_json
 from qdiag.errors import DimensionMismatch
-from qdiag.hecke import projection_matrix
+from qdiag.hecke import _composition_matrix, projection_matrix
 from qdiag.linalg import QMatrix, SubspaceBasis, kernel, rank_mod_p
-from qdiag.pplactic import CERT_POINT, CERT_PRIME
+from qdiag.pplactic import CERT_PRIME
 from qdiag.qma import block_quotient
 from qdiag.scalars import (ONE, Q, ZERO, PackedRows, QScalar, add_term, omega,
-                           q_int, q_power, qs, value_mod)
+                           q_int, q_power, qs)
 
 
 def vec(*pairs):
@@ -304,9 +304,10 @@ def test_json_dumps():
 
 
 def test_rank_mod_p_of_projection_matrix():
-    # P(3) has the one-dimensional kernel of the alternating combination
-    rows = [{j: value_mod(c, CERT_POINT, CERT_PRIME) for j, c in row.items()}
-            for row in projection_matrix(3).rows]
+    # P(3) has the one-dimensional kernel of the alternating combination;
+    # its packed rows are its rows at q = 2^k, each times q^3
+    _, n, ncols, rows = _composition_matrix((1, 1, 1))
+    assert (n, ncols, len(rows)) == (3, 6, 6)
     assert rank_mod_p(rows, CERT_PRIME) == 5
 
 

@@ -16,8 +16,8 @@ from qdiag.linalg import SubspaceBasis
 from qdiag.pplactic import (hecke_side_kernel, ideal_component,
                             lemma_brute_check, ppk_generators,
                             preplactic_ideal_component, verify_conjecture)
-from qdiag.scalars import (ONE, ZERO, add_term, omega, parse_scalar, q_int,
-                           q_power, qs, vanishes)
+from qdiag.scalars import (ONE, ZERO, Packing, add_term, omega,
+                           parse_scalar, q_int, q_power, qs)
 
 
 def hecke_product_action(coeffs, i, r):
@@ -369,7 +369,7 @@ def test_certificate_matches_exact_route(r):
     assert len(lams) == 2 ** (r - 1)
     for lam in lams:
         dim = pplactic._composition_certificate(
-            lam, hecke._composition_matrix(lam))
+            lam, pplactic._packed_matrix(lam))
         assert dim is not None, lam
         ker = hecke.weight_kernel(lam)
         idl = ideal_component(lam)
@@ -378,35 +378,66 @@ def test_certificate_matches_exact_route(r):
         assert pplactic._composition_verdict(lam) == (dim, dim, None, None)
 
 
+def _perturbed(packed, row):
+    """Packed M_lambda with q^3 added to its entry (row, 0)."""
+    packing, n, ncols, rows = packed
+    rows = [dict(entries) for entries in rows]
+    rows[row][0] = rows[row].get(0, 0) + (1 << packing.k * (n + 3))
+    return packing, n, ncols, rows
+
+
+def _both_products(gens, m):
+    """G M by the integer column sums of packed M, read back, and over
+    Q(q) by the product with M unpacked."""
+    packing, n, _, rows = m
+    sums = [packing.scalars(pplactic._column_sums(packing.numerators(g, 0),
+                                                  rows), -n) for g in gens]
+    return sums, (linalg.QMatrix(len(rows), gens) * hecke._unpacked(m)).rows
+
+
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
 def test_packed_zero_test_agrees_with_the_product(r):
     # G M = 0 at every composition, on both routes; q^3 added to one entry
-    # of M that a generator row reads makes both refuse it
+    # of M that a generator row reads makes both nonzero, and the
+    # certificate refuse it
     for lam in compositions(r):
-        m = hecke._composition_matrix(lam)
+        packed = pplactic._packed_matrix(lam)
         gens = pplactic._composition_generators(lam)
-        assert vanishes(gens, m.rows) is True, lam
-        assert (linalg.QMatrix(m.nrows, gens) * m).is_zero(), lam
+        sums, product = _both_products(gens, packed)
+        assert sums == product and not any(product), lam
+        assert pplactic._composition_certificate(lam, packed) is not None
         if not gens:
             continue
-        k = min(min(g) for g in gens)
-        rows = list(m.rows)
-        rows[k] = dict(rows[k])
-        rows[k][0] = rows[k].get(0, ZERO) + q_power(3)
-        perturbed = linalg.QMatrix(m.ncols, rows)
-        assert vanishes(gens, perturbed.rows) is False, lam
-        assert not (linalg.QMatrix(m.nrows, gens) * perturbed).is_zero(), lam
+        perturbed = _perturbed(packed, min(map(min, gens)))
+        sums, product = _both_products(gens, perturbed)
+        assert sums == product and any(product), lam
+        assert pplactic._composition_certificate(lam, perturbed) is None
+
+
+def test_certified_verdict_forms_no_scalar_of_m(monkeypatch, fresh_verdicts):
+    # a certified verdict reads the walk's integers and reads none back;
+    # a perturbed M_lambda still reaches the exact route, which unpacks it
+    def refuse(*args):
+        raise AssertionError("a Q(q) scalar of M_lambda was formed")
+
+    monkeypatch.setattr(Packing, "scalars", refuse)
+    lams = [lam for r in range(1, 6) for lam in compositions(r)]
+    for lam in lams + [(1,) * 6]:
+        assert pplactic._composition_verdict(lam)[3] is None, lam
+    _perturb_at(monkeypatch, (2, 1, 1))
+    pplactic._composition_verdict.cache_clear()
+    with pytest.raises(AssertionError, match="scalar of M_lambda"):
+        pplactic._composition_verdict((2, 1, 1))
 
 
 def _perturb_at(monkeypatch, target, row=0):
-    """M_target, on both routes, with q^3 added to its entry (row, 0)."""
+    """M_target, packed on both routes, with q^3 added to its entry
+    (row, 0)."""
     real = hecke._composition_matrix
 
-    def perturbed(lam):
-        m = real(lam)
-        if lam == target:
-            m.rows[row][0] = m.get(row, 0) + q_power(3)
-        return m
+    def perturbed(lam, top=1):
+        m = real(lam, top)
+        return _perturbed(m, row) if lam == target else m
 
     monkeypatch.setattr(hecke, "_composition_matrix", perturbed)
     monkeypatch.setattr(pplactic, "_composition_matrix", perturbed)
@@ -418,11 +449,11 @@ def test_perturbed_matrix_fails_on_the_exact_route(monkeypatch,
     # q^3 added to one entry of one M_lambda: G M != 0 there, so the
     # certificate refuses it, and the exact route reports the FAIL
     target = (2, 1, 1)
-    perturbed = _perturb_at(monkeypatch, target)
+    _perturb_at(monkeypatch, target)
     assert pplactic._composition_certificate(
-        target, perturbed(target)) is None
+        target, pplactic._packed_matrix(target)) is None
     assert pplactic._composition_certificate(
-        (1, 2, 1), perturbed((1, 2, 1))) is not None
+        (1, 2, 1), pplactic._packed_matrix((1, 2, 1))) is not None
     block = _only_failed_block(verify_conjecture(3, 4), target)
     # the witness is an ideal row that the perturbed kernel misses
     index = {"".join(map(str, a)): i
@@ -433,16 +464,19 @@ def test_perturbed_matrix_fails_on_the_exact_route(monkeypatch,
 
 
 def test_rank_shortfall_falls_back(monkeypatch, fresh_verdicts):
-    # at q = 1, omega is 0 and M_lambda has rank 1, so the ranks fall short
-    # wherever lambda has more than one arrangement; the exact route then
-    # gives the certified report, and a rank count gives no FAIL
+    # a rank count one short wherever a matrix has more than one row: the
+    # ranks fall short wherever lambda has more than one arrangement; the
+    # exact route then gives the certified report, and a rank count gives
+    # no FAIL
     certified = verify_conjecture(3, 4)
     assert certified["verdict"] == "PASS"
     pplactic._composition_verdict.cache_clear()
-    monkeypatch.setattr(pplactic, "CERT_POINT", 1)
+    real_rank = pplactic.rank_mod_p
+    monkeypatch.setattr(pplactic, "rank_mod_p",
+                        lambda rows, p: real_rank(rows, p) - (len(rows) > 1))
     for lam in compositions(4):
         dim = pplactic._composition_certificate(
-            lam, hecke._composition_matrix(lam))
+            lam, pplactic._packed_matrix(lam))
         if len(_arrangements(lam)) > 1:
             assert dim is None, lam
         else:
@@ -451,7 +485,8 @@ def test_rank_shortfall_falls_back(monkeypatch, fresh_verdicts):
     real, built = hecke._composition_matrix, []
     for module in (hecke, pplactic):
         monkeypatch.setattr(module, "_composition_matrix",
-                            lambda lam: built.append(lam) or real(lam))
+                            lambda lam, top=1: built.append(lam)
+                            or real(lam, top))
     assert verify_conjecture(3, 4) == certified
     assert sorted(built) == sorted({tuple(k for k in wv if k)
                                     for wv in _weights(3, 4)})
@@ -469,7 +504,8 @@ def test_perturbed_matrix_fails_preplactic_on_the_exact_kernel(
     real_kernel, built, eliminated = linalg.kernel, [], []
     for module in (hecke, pplactic):
         monkeypatch.setattr(module, "_composition_matrix",
-                            lambda lam: built.append(lam) or perturbed(lam))
+                            lambda lam, top=1: built.append(lam)
+                            or perturbed(lam, top))
         monkeypatch.setattr(module, "kernel",
                             lambda m: eliminated.append(m) or real_kernel(m))
     report = run_check("preplactic", {"r": 4})
