@@ -8,47 +8,47 @@ so right multiplication by a generator is
 
 and the basis product T_p T_rho walks the reduced word of rho.  Every
 product here is such a walk, on packed integers (``scalars.Packing``): an
-element is {permutation index: c at q = 2^k}, each step looks up its
-target and descent in tables of S_r cached per r, and carries a factor q,
-so the target gets v << k and a descent keeps (v << 2k) - v.  A step at
-most triples the L1 norm (the sum of the absolute coefficients), so a walk
-along a word of length l keeps every coefficient at most 3^l times the
-norm it started from.  The general product x y is sum_rho d_rho x T_rho,
-packed for the bound |x|_1 sum_rho 3^l(rho) |d_rho|_1, or sum_p c_p T_p y
-walked from the left where x has fewer terms; a row of M_lambda below
-starts from one term, so 3^l(beta) bounds it.  Nothing is cached per pair
-of basis elements.  The tables list S_r, so products need r <= RANK_BOUND.
+element is {index: c at q = 2^k}, each step looks up its target and kind in
+a step table and carries a factor q, so the target gets v << k and a
+descent keeps (v << 2k) - v.  A step at most triples the L1 norm (the sum
+of the absolute coefficients), so a walk along a word of length l keeps
+every coefficient at most 3^l times the norm it started from.  The general
+product x y is sum_rho d_rho x T_rho, packed for the bound
+|x|_1 sum_rho 3^l(rho) |d_rho|_1, or sum_p c_p T_p y walked from the left
+where x has fewer terms; its tables list S_r, so it needs r <= RANK_BOUND.
+A row of M_lambda below walks from one term, so 3^l(beta) bounds it.
+Nothing is cached per pair of basis elements.
 
 T^alpha denotes T_(alpha^-1); the double-coset projection of a diagonal
 element sum c_alpha T^alpha (x) T_alpha is p = sum c_alpha T_(alpha^-1) T_alpha.
 
 The matrices whose kernels the conjecture verdict compares are built here,
-one composition lambda of r at a time.  S_lambda is the Young subgroup of
-lambda; its blocks are the letter blocks of ``standardize`` and serve both as
-value blocks (right action) and as position blocks (left action).  For p in
-S_r let d(p) be the minimal element of S_lambda p S_lambda, and for the
-diagonal words A of weight lambda with beta_A = standardize(A) and
-T_(beta_A^-1) T_(beta_A) = sum over p of c_A(p) T_p put
+one composition lambda of r at a time, in the permutation module x H_r,
+x = sum over u in S_lambda of q^l(u) T_u, S_lambda the Young subgroup of
+lambda.  Its basis x T_e, e minimal in its coset S_lambda e, is named by
+the arrangements B of lambda, e_B = standardize(B)^-1 of length the number
+of inversions of B.  T_si on the right swaps the positions i and i+1 of B:
+where the letters differ, e_B s_i is e of the swapped word, a descent where
+they fall; where they are equal, e_B s_i = s e_B for an s in S_lambda, and
+x T_s = q x.  Row A walks x T_(beta^-1) T_beta = sum_B c_A(B) x T_(e_B) from
+A itself, beta = standardize(A); with d(p) minimal in S_lambda p S_lambda,
 
-    M_lambda[A, d] = sum over p with d(p) = d of q^(l(p) - l(d)) c_A(p),
+    M_lambda[A, d] = sum over B with d(e_B) = d of q^(l(e_B) - l(d)) c_A(B),
 
-walking only these N_lambda products.  At lambda = 1^r, d(p) = p and
+and sorting the letters of B inside each block of lambda_1, lambda_2, ...
+positions gives the arrangement of d(e_B).  At lambda = 1^r, d(p) = p and
 M_lambda is the r! x r! matrix P = ``projection_matrix(r)`` of p.
 
 The left kernel of M_lambda, over the arrangements of lambda, is the
 kernel of the FRT diagonal expansion at lambda.  Proof sketch: under the
 Schur functor the diagonal monomial x^A_A goes to y_A = x T_(beta^-1) T_beta x
-in xH_rx, where x = sum over u in S_lambda of q^l(u) T_u.  Write p = u d v with
-u, v in S_lambda and the lengths adding; then x T_p x = q^(l(p) - l(d)) x T_d x.
-Each x T_d x is a nonzero multiple pi_d of the Dipper-James basis element of
-xH_rx supported on S_lambda d S_lambda, so y_A has coordinate
-pi_d M_lambda[A, d] there, and scaling a column by a nonzero constant leaves
-the left kernel unchanged.  d(p) is read off the contingency table N[a][b],
-the number of positions in block a whose value lies in block b: for a in
-order and b in order, the next N[a][b] positions take the next N[a][b]
-unused values of block b.  A weight with zero parts has the kernel of its
-composition: an FRT block involves only its own letters, and rhat depends
-only on their order.
+in xH_rx.  Write p = u d v with u, v in S_lambda and the lengths adding;
+then x T_p x = q^(l(p) - l(d)) x T_d x.  Each x T_d x is a nonzero multiple
+pi_d of the Dipper-James basis element of xH_rx supported on
+S_lambda d S_lambda, so y_A has coordinate pi_d M_lambda[A, d] there, and
+scaling a column by a nonzero constant leaves the left kernel unchanged.
+A weight with zero parts has the kernel of its composition: an FRT block
+involves only its own letters, and rhat depends only on their order.
 
 The module also houses the minimal idempotents of H_2 and H_3.  The mixed pair
 e21+/e21- is entered coefficient by coefficient; the full symmetrizer and
@@ -172,11 +172,11 @@ def _mul_gen(terms: dict, i: int, w: QScalar) -> dict:
 
 class _Steps:
     """Step tables of S_r, each permutation named by its index in
-    ``all_perms(r)``: for each generator i, ``right[i]`` is the pair
-    (index of p s_i, whether p descends there) over the indices p, and
-    ``left[i]`` the same for s_i p.  ``words[p]`` is the reduced word of p,
-    ``left_words[p]`` the same word reversed, the order in which T_p acts
-    from the left, and ``lengths[p]`` its length."""
+    ``all_perms(r)``: ``right[i]`` pairs the index of p s_i with whether p
+    descends there (kind 1, else 0), and ``left[i]`` is the same for s_i p,
+    the table of ``_arrangement_steps`` at 1^r.  ``words[p]`` is the reduced
+    word of p, ``left_words[p]`` the same word reversed, the order in which
+    T_p acts from the left, and ``lengths[p]`` its length."""
 
     __slots__ = ("perms", "index", "right", "left", "words", "left_words",
                  "lengths")
@@ -184,22 +184,32 @@ class _Steps:
     def __init__(self, r: int):
         perms = self.perms = all_perms(r)
         index = self.index = {p: j for j, p in enumerate(perms)}
-        self.right, self.left = [None], [None]
-        for i in range(1, r):
-            self.right.append(([index[apply_gen(p, i)] for p in perms],
-                               [descends(p, i) for p in perms]))
-            self.left.append(([index[p[:i - 1] + (p[i], p[i - 1]) + p[i + 1:]]
-                               for p in perms],
-                              [p[i - 1] > p[i] for p in perms]))
+        self.right = [None] + [([index[apply_gen(p, i)] for p in perms],
+                                [descends(p, i) for p in perms])
+                               for i in range(1, r)]
+        self.left = _arrangement_steps((1,) * r)[1]
         self.words = [reduced_word(p) for p in perms]
         self.left_words = [word[::-1] for word in self.words]
         self.lengths = [len(word) for word in self.words]
 
 
+_steps = lru_cache(maxsize=None)(_Steps)  # the tables of S_r, once per r
+
+
 @lru_cache(maxsize=None)
-def _steps(r: int) -> _Steps:
-    """The step tables of S_r, built once per r."""
-    return _Steps(r)
+def _arrangement_steps(lam: tuple) -> tuple:
+    """(the arrangements of lambda, lex; table): ``table[i]`` pairs the
+    index after swapping positions i and i+1 with the step kind, 0 where
+    the letters rise, 1 where they fall and 2 where they are equal."""
+    words = _arrangements(lam)
+    index = {w: j for j, w in enumerate(words)}
+    table = [None]
+    for i in range(1, sum(lam)):
+        pairs = [(w[i - 1], w[i]) for w in words]
+        table.append(([index[w[:i - 1] + (b, a) + w[i + 1:]]
+                       for w, (a, b) in zip(words, pairs)],
+                      [0 if a < b else 1 if a > b else 2 for a, b in pairs]))
+    return words, table
 
 
 def _walk(state: dict, word, table: list, k: int) -> dict:
@@ -207,21 +217,22 @@ def _walk(state: dict, word, table: list, k: int) -> dict:
     a packed element s = {index: int} at q = 2^k, one generator of word at
     a time in the order given.
 
-    A step by T_si takes p to p si (or si p); where that is shorter, the
-    quadratic relation adds (q - q^-1) p.  The step carries a factor q, so
-    the target gets v << k and a descent keeps (v << 2k) - v, and no
-    exponent goes below the packing's.  A step at most triples the L1 norm
-    of s (the sum of its coefficients' absolute values)."""
+    A step by T_si takes p to p si (or si p) and carries a factor q, so
+    the target gets v << k.  Where p si is shorter (kind 1), the quadratic
+    relation adds (q - q^-1) p: p keeps (v << 2k) - v.  Where it is x T_s =
+    q x in x_lambda H_r (kind 2), the target p keeps (v << 2k) - (v << k)
+    more.  No exponent goes below the packing's, and a step at most triples
+    the L1 norm of s (the sum of its coefficients' absolute values)."""
     k2 = k + k
     for i in word:
-        targets, descents = table[i]
+        targets, kinds = table[i]
         out: dict = {}
         get = out.get
         for j, v in state.items():
             t = targets[j]
             out[t] = get(t, 0) + (v << k)
-            if descents[j]:
-                out[j] = get(j, 0) + (v << k2) - v
+            if kind := kinds[j]:
+                out[j] = get(j, 0) + (v << k2) - (v << k * (kind - 1))
         state = out
     return state
 
@@ -388,18 +399,14 @@ def projection_matrix(r: int) -> QMatrix:
     return _unpacked(_composition_matrix((1,) * r))
 
 
-def _minimal_coset_rep(p, blocks: list, starts: list):
-    """The minimal element d(p) of S_lambda p S_lambda (see the module doc)."""
-    table = [[0] * len(starts) for _ in starts]
-    for pos, v in enumerate(p):
-        table[blocks[pos]][blocks[v - 1]] += 1
-    nxt = list(starts)
-    d = []
-    for counts in table:
-        for b, k in enumerate(counts):
-            d.extend(range(nxt[b], nxt[b] + k))
-            nxt[b] += k
-    return tuple(d)
+def _fold(word, lam: tuple) -> tuple:
+    """(d, l(word) - l(d)), d the minimal element of the double coset of
+    e = standardize(word)^-1 for an arrangement of lambda (the module doc):
+    the letters sorted inside each block of positions are d's arrangement."""
+    letters = iter(word)
+    low = [v for size in lam
+           for v in sorted(next(letters) for _ in range(size))]
+    return inverse(standardize(low)), length(word) - length(low)
 
 
 def _composition_matrix(lam: tuple, top: int = 1) -> tuple:
@@ -407,40 +414,33 @@ def _composition_matrix(lam: tuple, top: int = 1) -> tuple:
     in lex order, for a composition with no zero part.
 
     rows[A] = {column: q^n M_lambda[A, d] at q = 2^k}, n the longest
-    l(beta): row A walks T_(beta^-1) T_beta along the reduced word of beta,
-    and the fold only shifts and sums its terms, so its L1 norm stays at
-    most 3^n.  2^(k-1) is above top 3^n: every entry reads back exactly,
-    and so does every combination of the rows by a row of integer
-    polynomials of L1 norm at most top (G_lambda in ``pplactic``).
+    l(beta): row A walks x T_(beta^-1) T_beta from the arrangement A along
+    the reduced word of beta (``_arrangement_steps``), and ``_fold`` only
+    shifts and sums its terms, so its L1 norm stays at most 3^n.  2^(k-1)
+    is above top 3^n: every entry reads back exactly, and so does every
+    combination of the rows by a row of integer polynomials of L1 norm at
+    most top (G_lambda in ``pplactic``).
     """
     if 0 in lam:
         raise ValueError(f"composition {lam} has a zero part")
     _check_rank(sum(lam))
-    steps = _steps(sum(lam))
-    index, lengths, right = steps.index, steps.lengths, steps.right
-    blocks = [b for b, k in enumerate(lam) for _ in range(k)]
-    starts = [1 + sum(lam[:b]) for b in range(len(lam))]
-    betas = [index[standardize(a)] for a in _arrangements(lam)]
-    n = max(lengths[j] for j in betas)
+    words, table = _arrangement_steps(lam)
+    betas = [reduced_word(standardize(a)) for a in words]
+    n = max(map(len, betas))
     packing = Packing(top * 3 ** n)
     k = packing.k
-    reps: dict = {}  # index -> (d, length of the index minus that of d)
+    folds = [_fold(w, lam) for w in words]
     rows = []
-    for j in betas:
+    for j, beta in enumerate(betas):
         folded: dict = {}
-        # from q^(n - l(beta)) T_(beta^-1): the walk's q^l(beta) makes q^n
-        start = {index[inverse(steps.perms[j])]: 1 << k * (n - lengths[j])}
-        for p, v in _walk(start, steps.words[j], right, k).items():
-            if not v:
-                continue
-            rep = reps.get(p)
-            if rep is None:
-                d = _minimal_coset_rep(steps.perms[p], blocks, starts)
-                rep = reps[p] = (d, lengths[p] - lengths[index[d]])
-            d, shift = rep
-            folded[d] = folded.get(d, 0) + (v << (k * shift))
+        # from q^(n - l(beta)) x T_(beta^-1): the walk's q^l(beta) makes q^n
+        start = {j: 1 << k * (n - len(beta))}
+        for b, v in _walk(start, beta, table, k).items():
+            if v:
+                d, shift = folds[b]
+                folded[d] = folded.get(d, 0) + (v << (k * shift))
         rows.append(folded)
-    col = {d: j for j, d in enumerate(sorted({d for d, _ in reps.values()}))}
+    col = {d: j for j, d in enumerate(sorted(set().union(*rows)))}
     return packing, n, len(col), [{col[d]: v for d, v in row.items() if v}
                                   for row in rows]
 

@@ -304,13 +304,29 @@ def compositions(r):
         yield tuple(lam + [part])
 
 
+def minimal_coset_rep(p, lam):
+    """The minimal element d(p) of S_lambda p S_lambda, read off the
+    contingency table N[a][b], the number of positions in block a whose
+    value lies in block b: for a in order and b in order, the next N[a][b]
+    positions take the next N[a][b] unused values of block b."""
+    blocks = [b for b, k in enumerate(lam) for _ in range(k)]
+    table = [[0] * len(lam) for _ in lam]
+    for pos, v in enumerate(p):
+        table[blocks[pos]][blocks[v - 1]] += 1
+    nxt = [1 + sum(lam[:b]) for b in range(len(lam))]
+    d = []
+    for counts in table:
+        for b, k in enumerate(counts):
+            d.extend(range(nxt[b], nxt[b] + k))
+            nxt[b] += k
+    return tuple(d)
+
+
 def folded_projection_rows(lam):
     """M_lambda from all r! rows of P, folded over the double cosets."""
     r = sum(lam)
     perms = all_perms(r)
     row_of = {standardize(a): k for k, a in enumerate(_arrangements(lam))}
-    blocks = [b for b, k in enumerate(lam) for _ in range(k)]
-    starts = [1 + sum(lam[:b]) for b in range(len(lam))]
     rows = [{} for _ in row_of]
     reps = set()
     for i, row in enumerate(projection_matrix(r).rows):
@@ -319,7 +335,7 @@ def folded_projection_rows(lam):
             continue
         for j, c in row.items():
             p = perms[j]
-            d = hecke._minimal_coset_rep(p, blocks, starts)
+            d = minimal_coset_rep(p, lam)
             reps.add(d)
             add_term(rows[k], d, c * q_power(length(p) - length(d)))
     col = {d: j for j, d in enumerate(sorted(reps))}
@@ -336,6 +352,50 @@ def test_composition_matrix_matches_folded_projection_rows():
         for lam in compositions(r):
             assert hecke._unpacked(hecke._composition_matrix(lam)) == \
                 folded_projection_rows(lam), lam
+
+
+def test_fold_matches_the_contingency_table_fold():
+    # the arrangement A stands for the right coset S_lambda p with
+    # p = inverse(standardize(A)); its fold is the H_r fold of p
+    for r in range(1, 7):
+        for lam in compositions(r):
+            for a in _arrangements(lam):
+                p = inverse(standardize(a))
+                d = minimal_coset_rep(p, lam)
+                assert hecke._fold(a, lam) == (d, length(p) - length(d)), a
+
+
+def test_arrangement_steps_at_one_are_the_position_swaps():
+    # at 1^r the arrangements are S_r and a step is s_i p, the left table
+    # of the Hecke product
+    for r in range(1, 7):
+        perms = all_perms(r)
+        index = {p: j for j, p in enumerate(perms)}
+        words, table = hecke._arrangement_steps((1,) * r)
+        assert words == perms
+        assert table == [None] + [
+            ([index[p[:i - 1] + (p[i], p[i - 1]) + p[i + 1:]] for p in perms],
+             [int(p[i - 1] > p[i]) for p in perms]) for i in range(1, r)]
+        assert hecke._steps(r).left is table
+
+
+def test_equal_letter_step_multiplies_by_q():
+    # x T_s1 = q x in x_(2) H_2, times the factor q of every step
+    words, table = hecke._arrangement_steps((2,))
+    assert words == [(1, 1)] and table == [None, ([0], [2])]
+    k = 5
+    for v in (1, 7, -3):
+        assert hecke._walk({0: v}, (1,), table, k) == {0: v << 2 * k}
+
+
+def test_verdict_builds_no_table_of_s_r():
+    # M_lambda is walked over its arrangements, never over S_r
+    hecke._steps.cache_clear()
+    pplactic._composition_verdict.cache_clear()
+    for r in range(1, 6):
+        for lam in compositions(r):
+            pplactic._composition_verdict(lam)
+    assert hecke._steps.cache_info().currsize == 0
 
 
 def test_projection_rows_match_generator_steps():

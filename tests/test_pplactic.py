@@ -414,6 +414,18 @@ def test_packed_zero_test_agrees_with_the_product(r):
         assert pplactic._composition_certificate(lam, perturbed) is None
 
 
+def test_packing_covers_the_generator_norm(monkeypatch):
+    # a G_lambda row of L1 norm far above 3^n widens M_lambda's packing,
+    # so the integer column sums of G M still read back exactly
+    lam, norm = (2, 1), 3 << 100
+    real = pplactic._composition_generators
+    monkeypatch.setattr(pplactic, "_composition_generators",
+                        lambda mu: [{0: qs(norm)}] if mu == lam else real(mu))
+    packing, n, _, _ = pplactic._packed_matrix(lam)
+    assert 2 ** (packing.k - 1) > norm * 3 ** n
+    assert pplactic._packed_matrix((1, 2))[0].k < 100
+
+
 def test_certified_verdict_forms_no_scalar_of_m(monkeypatch, fresh_verdicts):
     # a certified verdict reads the walk's integers and reads none back;
     # a perturbed M_lambda still reaches the exact route, which unpacks it
