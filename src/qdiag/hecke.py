@@ -1,22 +1,23 @@
 """The Hecke algebra H_r(q) in the natural basis T_sigma.
 
 Each generator satisfies the quadratic relation T_si^2 = 1 + (q - q^-1) T_si,
-so right multiplication by a generator is
+so left multiplication by a generator is
 
-    T_sigma . T_si = T_(sigma.si)                      if the length goes up,
-    T_sigma . T_si = T_(sigma.si) + (q - q^-1) T_sigma otherwise,
+    T_si . T_sigma = T_(si.sigma)                      if the length goes up,
+    T_si . T_sigma = T_(si.sigma) + (q - q^-1) T_sigma otherwise,
 
-and the basis product T_p T_rho walks the reduced word of rho.  Every
-product here is such a walk, on packed integers (``scalars.Packing``): an
-element is {index: c at q = 2^k}, each step looks up its target and kind in
-a step table and carries a factor q, so the target gets v << k and a
-descent keeps (v << 2k) - v.  A step at most triples the L1 norm (the sum
-of the absolute coefficients), so a walk along a word of length l keeps
-every coefficient at most 3^l times the norm it started from.  The general
-product x y is sum_rho d_rho x T_rho, packed for the bound
-|x|_1 sum_rho 3^l(rho) |d_rho|_1, or sum_p c_p T_p y walked from the left
-where x has fewer terms; its tables list S_r, so it needs r <= RANK_BOUND.
-A row of M_lambda below walks from one term, so 3^l(beta) bounds it.
+and the basis product T_p T_rho walks the reduced word of p, last letter
+first.  Every product here is such a walk, on packed integers
+(``scalars.Packing``): an element is {index: c at q = 2^k}, each step
+looks up its target and kind in a step table and carries a factor q, so
+the target gets v << k and a descent keeps (v << 2k) - v.  A step at most
+triples the L1 norm (the sum of the absolute coefficients), so a walk
+along a word of length l keeps every coefficient at most 3^l times the
+norm it started from.  The general product x y is sum_p c_p T_p y, packed
+for the bound |y|_1 sum_p 3^l(p) |c_p|_1, or iota(iota(y) iota(x)) where x
+has more terms, iota: T_w -> T_(w^-1); its table lists S_r, the
+arrangements of 1^r, so it needs r <= RANK_BOUND.  A row of M_lambda below
+walks from one term, so 3^l(beta) bounds it.
 Nothing is cached per pair of basis elements.
 
 T^alpha denotes T_(alpha^-1); the double-coset projection of a diagonal
@@ -170,37 +171,12 @@ def _mul_gen(terms: dict, i: int, w: QScalar) -> dict:
     return out
 
 
-class _Steps:
-    """Step tables of S_r, each permutation named by its index in
-    ``all_perms(r)``: ``right[i]`` pairs the index of p s_i with whether p
-    descends there (kind 1, else 0), and ``left[i]`` is the same for s_i p,
-    the table of ``_arrangement_steps`` at 1^r.  ``words[p]`` is the reduced
-    word of p, ``left_words[p]`` the same word reversed, the order in which
-    T_p acts from the left, and ``lengths[p]`` its length."""
-
-    __slots__ = ("perms", "index", "right", "left", "words", "left_words",
-                 "lengths")
-
-    def __init__(self, r: int):
-        perms = self.perms = all_perms(r)
-        index = self.index = {p: j for j, p in enumerate(perms)}
-        self.right = [None] + [([index[apply_gen(p, i)] for p in perms],
-                                [descends(p, i) for p in perms])
-                               for i in range(1, r)]
-        self.left = _arrangement_steps((1,) * r)[1]
-        self.words = [reduced_word(p) for p in perms]
-        self.left_words = [word[::-1] for word in self.words]
-        self.lengths = [len(word) for word in self.words]
-
-
-_steps = lru_cache(maxsize=None)(_Steps)  # the tables of S_r, once per r
-
-
 @lru_cache(maxsize=None)
 def _arrangement_steps(lam: tuple) -> tuple:
-    """(the arrangements of lambda, lex; table): ``table[i]`` pairs the
-    index after swapping positions i and i+1 with the step kind, 0 where
-    the letters rise, 1 where they fall and 2 where they are equal."""
+    """(the arrangements of lambda, lex; their index; table): ``table[i]``
+    pairs the index after swapping positions i and i+1 with the step kind,
+    0 where the letters rise, 1 where they fall and 2 where they are equal.
+    At 1^r it is S_r, and the swap is s_i p, a step of the H_r product."""
     words = _arrangements(lam)
     index = {w: j for j, w in enumerate(words)}
     table = [None]
@@ -209,18 +185,20 @@ def _arrangement_steps(lam: tuple) -> tuple:
         table.append(([index[w[:i - 1] + (b, a) + w[i + 1:]]
                        for w, (a, b) in zip(words, pairs)],
                       [0 if a < b else 1 if a > b else 2 for a, b in pairs]))
-    return words, table
+    return words, index, table
 
 
 def _walk(state: dict, word, table: list, k: int) -> dict:
-    """q^len(word) s T_word, or q^len(word) T_word s by the left tables, for
-    a packed element s = {index: int} at q = 2^k, one generator of word at
-    a time in the order given.
+    """q^len(word) s T_word in x_lambda H_r, for a packed element
+    s = {index: int} at q = 2^k over the arrangements of lambda, one
+    generator of word at a time in the order given.  At 1^r, reading the
+    arrangement p as T_p (iota of T_(p^-1)), it is q^len(word) T_w s, w the
+    word reversed: the product from the left.
 
-    A step by T_si takes p to p si (or si p) and carries a factor q, so
-    the target gets v << k.  Where p si is shorter (kind 1), the quadratic
-    relation adds (q - q^-1) p: p keeps (v << 2k) - v.  Where it is x T_s =
-    q x in x_lambda H_r (kind 2), the target p keeps (v << 2k) - (v << k)
+    A step by T_si swaps the positions i and i+1 of p and carries a factor
+    q, so the target gets v << k.  Where the letters fall (kind 1), the
+    quadratic relation adds (q - q^-1) p: p keeps (v << 2k) - v.  Where
+    they are equal (kind 2), x T_s = q x: p keeps (v << 2k) - (v << k)
     more.  No exponent goes below the packing's, and a step at most triples
     the L1 norm of s (the sum of its coefficients' absolute values)."""
     k2 = k + k
@@ -237,49 +215,52 @@ def _walk(state: dict, word, table: list, k: int) -> dict:
     return state
 
 
+def _inverted(terms: dict) -> dict:
+    """iota: T_w -> T_(w^-1), the anti-automorphism of H_r, on a term dict."""
+    return {inverse(p): c for p, c in terms.items()}
+
+
 def _product(x: dict, y: dict, r: int) -> dict:
     """The product of two term dicts of H_r, as packed generator walks.
 
-    It is sum_rho d_rho x T_rho: x walks the reduced word of each rho of
-    y.  Where x has fewer terms, it is sum_p c_p T_p y instead: y walks the
-    reduced word of each p of x from the left.  Each side is split by
-    denominator, and every pair of groups is one packed sum.  The walked
-    side s is packed over its lowest exponent; each walk gives
-    q^l(rho) s T_rho, whose L1 norm is at most 3^l(rho) |s|_1, and its
-    product with d_rho is shifted to the lowest exponent of the pair.  So
-    |s|_1 sum_rho 3^l(rho) |d_rho|_1 bounds every coefficient of a sum,
-    and the packing is made for that bound over the whole product, with
-    each L1 norm the larger of numerator's and denominator's, which also
-    covers the product of two denominators.  Each entry of each pair is
-    unpacked and canonicalized once.
+    Where x has at most as many terms as y, it is sum_p c_p T_p y: y walks
+    from the left (``_walk`` over the arrangements of 1^r) along the
+    reduced word of each p of x, reversed.  Otherwise it is
+    iota(iota(y) iota(x)), so the side with more terms is the one walked.
+    Each side is split by denominator, and every pair of groups is one
+    packed sum.  The walked side s is packed over its lowest exponent; each
+    walk gives q^l(p) T_p s, whose L1 norm is at most 3^l(p) |s|_1, and its
+    product with c_p is shifted to the lowest exponent of the pair.  So
+    |s|_1 sum_p 3^l(p) |c_p|_1 bounds every coefficient of a sum, and the
+    packing is made for that bound over the whole product, with each L1
+    norm the larger of numerator's and denominator's, which also covers the
+    product of two denominators.  Each entry of each pair is unpacked and
+    canonicalized once.  The table lists S_r, so r <= RANK_BOUND.
     """
-    steps = _steps(r)
-    index, lengths = steps.index, steps.lengths
-    if len(x) < len(y):
-        walked, coeffs, table, words = y, x, steps.left, steps.left_words
-    else:
-        walked, coeffs, table, words = x, y, steps.right, steps.words
-    walked = [(index[p], c, *extent(c)) for p, c in walked.items()]
-    coeffs = [(index[p], c, *extent(c)) for p, c in coeffs.items()]
+    _check_rank(r)
+    if len(x) > len(y):
+        return _inverted(_product(_inverted(y), _inverted(x), r))
+    perms, index, table = _arrangement_steps((1,) * r)
+    walked = [(index[p], c, *extent(c)) for p, c in y.items()]
+    coeffs = [(reduced_word(p)[::-1], c, *extent(c)) for p, c in x.items()]
     packing = Packing(sum(top for *_, top in walked)
-                      * sum(3 ** lengths[i] * top for i, _, _, top in coeffs))
+                      * sum(3 ** len(w) * top for w, _, _, top in coeffs))
     k = packing.k
-    groups = []  # (denominator, lowest exponent, [(word, packed d_rho)])
+    groups = []  # (denominator, lowest exponent, [(word, packed c_p)])
     for over, part in _by_denominator(coeffs, packing).items():
-        base = min(c_low - lengths[i] for i, _, c_low in part)
+        base = min(c_low - len(w) for w, _, c_low in part)
         groups.append((over, base, [
-            (words[i], packing.numerator(c, c_low) << (
-                k * (c_low - lengths[i] - base))) for i, c, c_low in part]))
+            (w, packing.numerator(c, c_low) << (k * (c_low - len(w) - base)))
+            for w, c, c_low in part]))
     out: dict = {}
-    perms = steps.perms
     for over, part in _by_denominator(walked, packing).items():
         low = min(c_low for _, _, c_low in part)
         start = {i: packing.numerator(c, low) for i, c, _ in part}
         for over_c, base, terms in groups:
             sums: dict = {}
             get = sums.get
-            for word, a in terms:
-                for j, v in _walk(start, word, table, k).items():
+            for w, a in terms:
+                for j, v in _walk(start, w, table, k).items():
                     sums[j] = get(j, 0) + a * v
             for j, c in packing.scalars(sums, low + base,
                                         over * over_c).items():
@@ -288,11 +269,12 @@ def _product(x: dict, y: dict, r: int) -> dict:
 
 
 def _by_denominator(terms: list, packing: Packing) -> dict:
-    """Terms (index, scalar, lowest exponent, norm) grouped by packed
-    denominator: {denominator: [(index, scalar, lowest exponent)]}."""
+    """Terms (key, scalar, lowest exponent, norm) grouped by packed
+    denominator: {denominator: [(key, scalar, lowest exponent)]}; the key
+    is an index of the walked side or a word of the other."""
     groups: dict = {}
-    for i, c, low, _ in terms:
-        groups.setdefault(packing.denominator(c), []).append((i, c, low))
+    for key, c, low, _ in terms:
+        groups.setdefault(packing.denominator(c), []).append((key, c, low))
     return groups
 
 
@@ -311,11 +293,11 @@ def project_p(r: int, coeffs: dict) -> HeckeElt:
 
     The images are the rows of ``projection_matrix(r)``.
     """
-    perms = all_perms(r)
     rows = projection_matrix(r).rows
+    perms, index, _ = _arrangement_steps((1,) * r)
     out: dict = {}
     for p, c in coeffs.items():
-        for j, v in rows[perms.index(p)].items():
+        for j, v in rows[index[p]].items():
             add_term(out, perms[j], c * v)
     return HeckeElt(r, out)
 
@@ -424,7 +406,7 @@ def _composition_matrix(lam: tuple, top: int = 1) -> tuple:
     if 0 in lam:
         raise ValueError(f"composition {lam} has a zero part")
     _check_rank(sum(lam))
-    words, table = _arrangement_steps(lam)
+    words, _, table = _arrangement_steps(lam)
     betas = [reduced_word(standardize(a)) for a in words]
     n = max(map(len, betas))
     packing = Packing(top * 3 ** n)

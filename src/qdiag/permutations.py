@@ -134,9 +134,9 @@ def _check_rank(r: int):
 
 
 def all_perms(r: int) -> list:
-    """All permutations of S_r in lexicographic word order."""
+    """All permutations of S_r, lex: the arrangements of 1^r, a new list."""
     _check_rank(r)
-    return [tuple(p) for p in itertools.permutations(range(1, r + 1))]
+    return list(_composition_arrangements((1,) * r))
 
 
 def multi_indices(d: int, r: int) -> list:
@@ -168,11 +168,12 @@ def weight_blocks(d: int, r: int) -> dict:
 
 @lru_cache(maxsize=None)
 def _composition_arrangements(lam: tuple) -> list:
-    """The lex arrangements of a composition with no zero part."""
-    letters = []
-    for v, k in enumerate(lam, start=1):
-        letters.extend([v] * k)
-    return sorted(set(itertools.permutations(letters)))
+    """The lex arrangements of a composition: each letter v that occurs, in
+    order, followed by the arrangements of lambda with one v removed (the
+    empty word alone where no letter is left)."""
+    return [(v,) + word for v, k in enumerate(lam, start=1) if k
+            for word in _composition_arrangements(
+                lam[:v - 1] + (k - 1,) + lam[v:])] or [()]
 
 
 def _arrangements(w: tuple) -> list:

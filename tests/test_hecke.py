@@ -109,6 +109,35 @@ def test_product_matches_generator_walk():
                 assert x * y == walk_product(x, y)
 
 
+def iota(x):
+    """T_w -> T_(w^-1) on an element."""
+    return HeckeElt(x.r, {inverse(p): c for p, c in x.terms.items()})
+
+
+def test_inversion_is_an_anti_automorphism():
+    # the product walks from the left where x has at most y's terms and is
+    # iota(iota(y) iota(x)) otherwise: pairs of fewer, as many and more
+    # terms run both branches
+    rng = random.Random(41)
+    by_rank = {3: list(idempotents_r3())}
+    for r in range(1, 6):
+        xs = by_rank.setdefault(r, [])
+        n = len(all_perms(r))
+        for k in sorted({1, min(2, n), min(5, n)}):
+            xs += [rand_rational_elt(rng, r, k) for _ in range(2)]
+        if r >= 3:
+            xs.append(rand_elt(rng, r))
+    sides = set()
+    for xs in by_rank.values():
+        for x in xs:
+            assert iota(iota(x)) == x
+            for y in xs:
+                assert iota(x * y) == iota(y) * iota(x)
+                sides.add((len(x.terms) > len(y.terms))
+                          - (len(x.terms) < len(y.terms)))
+    assert sides == {-1, 0, 1}
+
+
 def structure_constants(p, rho):
     """T_p T_rho by Q(q) steps: ``_mul_gen`` along the reduced word of rho."""
     w = omega()
@@ -371,31 +400,39 @@ def test_arrangement_steps_at_one_are_the_position_swaps():
     for r in range(1, 7):
         perms = all_perms(r)
         index = {p: j for j, p in enumerate(perms)}
-        words, table = hecke._arrangement_steps((1,) * r)
-        assert words == perms
+        words, found, table = hecke._arrangement_steps((1,) * r)
+        assert words == perms and found == index
         assert table == [None] + [
             ([index[p[:i - 1] + (p[i], p[i - 1]) + p[i + 1:]] for p in perms],
              [int(p[i - 1] > p[i]) for p in perms]) for i in range(1, r)]
-        assert hecke._steps(r).left is table
 
 
 def test_equal_letter_step_multiplies_by_q():
     # x T_s1 = q x in x_(2) H_2, times the factor q of every step
-    words, table = hecke._arrangement_steps((2,))
-    assert words == [(1, 1)] and table == [None, ([0], [2])]
+    words, index, table = hecke._arrangement_steps((2,))
+    assert words == [(1, 1)] and index == {(1, 1): 0}
+    assert table == [None, ([0], [2])]
     k = 5
     for v in (1, 7, -3):
         assert hecke._walk({0: v}, (1,), table, k) == {0: v << 2 * k}
 
 
 def test_verdict_builds_no_table_of_s_r():
-    # M_lambda is walked over its arrangements, never over S_r
-    hecke._steps.cache_clear()
+    # M_lambda is walked over its arrangements, never over S_r: the verdict
+    # at lambda adds one step table, and a second lookup of lambda's hits it
+    steps = hecke._arrangement_steps
+    steps.cache_clear()
     pplactic._composition_verdict.cache_clear()
     for r in range(1, 6):
         for lam in compositions(r):
+            if lam == (1,) * r:
+                continue
+            size = steps.cache_info().currsize
             pplactic._composition_verdict(lam)
-    assert hecke._steps.cache_info().currsize == 0
+            info = steps.cache_info()
+            assert info.currsize == size + 1, lam
+            steps(lam)
+            assert steps.cache_info().misses == info.misses, lam
 
 
 def test_projection_rows_match_generator_steps():

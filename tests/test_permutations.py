@@ -4,8 +4,10 @@ import itertools
 
 import pytest
 
+from qdiag import permutations
 from qdiag.errors import BoundExceeded, SizeMismatch
-from qdiag.permutations import (WEIGHT_BOUND, _arrangements, _weights,
+from qdiag.permutations import (WEIGHT_BOUND, _arrangements,
+                                _composition_arrangements, _weights,
                                 all_perms, apply_gen, compose, descends,
                                 identity, inverse, length, multi_indices,
                                 perm_of_word, perm_str, reduced_word, s,
@@ -130,3 +132,28 @@ def test_arrangements_match_the_sorting_definition():
     assert _arrangements(tuple(wide)) == _arrangements_by_sorting(wide)
     # each call returns a new list
     assert _arrangements((1, 1)) is not _arrangements((1, 1))
+
+
+def test_composition_arrangements_match_the_sorting_definition():
+    # every composition of r <= 7 is a weight with no zero part
+    for r in range(1, 8):
+        for n in range(1, r + 1):
+            for lam in _weights(n, r):
+                if 0 not in lam:
+                    assert _composition_arrangements(lam) == \
+                        _arrangements_by_sorting(lam), lam
+    # S_r is the arrangements of 1^r, in a new list
+    assert all_perms(6) == _arrangements_by_sorting((1,) * 6)
+    assert all_perms(6) is not _composition_arrangements((1,) * 6)
+
+
+def test_arrangements_are_listed_without_permutations(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("arrangements listed through r! permutations")
+
+    monkeypatch.setattr(permutations.itertools, "permutations", refuse)
+    _composition_arrangements.cache_clear()
+    for lam, count in (((6, 6), 924), ((1,) * 7, 5040)):
+        words = _composition_arrangements(lam)
+        assert len(words) == count and words == sorted(set(words)), lam
+        assert all(weight(w, len(lam)) == lam for w in words), lam
