@@ -362,7 +362,7 @@ def check_preplactic(params) -> dict:
     if ker is None:
         ker = concat
     detail = {"r": r, "dim_kernel": ker.dim,
-              "diag_dimension": len(all_perms(r))}
+              "diag_dimension": ker.ambient}
     variants = {}
     which_equal = []
     # concat decides the verdict; the action closure is only recorded

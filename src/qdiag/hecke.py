@@ -14,8 +14,7 @@ the target gets v << k and a descent keeps (v << 2k) - v.  A step at most
 triples the L1 norm (the sum of the absolute coefficients), so a walk
 along a word of length l keeps every coefficient at most 3^l times the
 norm it started from.  The general product x y is sum_p c_p T_p y, packed
-for the bound |y|_1 sum_p 3^l(p) |c_p|_1, or iota(iota(y) iota(x)) where x
-has more terms, iota: T_w -> T_(w^-1); its table lists S_r, the
+for the bound |y|_1 sum_p 3^l(p) |c_p|_1; its table lists S_r, the
 arrangements of 1^r, so it needs r <= RANK_BOUND.  A row of M_lambda below
 walks from one term, so 3^l(beta) bounds it.
 Nothing is cached per pair of basis elements.
@@ -161,16 +160,6 @@ class HeckeElt:
         return f"HeckeElt({self})"
 
 
-def _mul_gen(terms: dict, i: int, w: QScalar) -> dict:
-    """p -> p.si, plus w p where p descends at i: T_si on the right at omega."""
-    out: dict = {}
-    for p, c in terms.items():
-        add_term(out, apply_gen(p, i), c)
-        if descends(p, i):
-            add_term(out, p, c * w)
-    return out
-
-
 @lru_cache(maxsize=None)
 def _arrangement_steps(lam: tuple) -> tuple:
     """(the arrangements of lambda, lex; their index; table): ``table[i]``
@@ -215,18 +204,11 @@ def _walk(state: dict, word, table: list, k: int) -> dict:
     return state
 
 
-def _inverted(terms: dict) -> dict:
-    """iota: T_w -> T_(w^-1), the anti-automorphism of H_r, on a term dict."""
-    return {inverse(p): c for p, c in terms.items()}
-
-
 def _product(x: dict, y: dict, r: int) -> dict:
     """The product of two term dicts of H_r, as packed generator walks.
 
-    Where x has at most as many terms as y, it is sum_p c_p T_p y: y walks
-    from the left (``_walk`` over the arrangements of 1^r) along the
-    reduced word of each p of x, reversed.  Otherwise it is
-    iota(iota(y) iota(x)), so the side with more terms is the one walked.
+    It is sum_p c_p T_p y: y walks from the left (``_walk`` over the
+    arrangements of 1^r) along the reduced word of each p of x, reversed.
     Each side is split by denominator, and every pair of groups is one
     packed sum.  The walked side s is packed over its lowest exponent; each
     walk gives q^l(p) T_p s, whose L1 norm is at most 3^l(p) |s|_1, and its
@@ -238,8 +220,6 @@ def _product(x: dict, y: dict, r: int) -> dict:
     canonicalized once.  The table lists S_r, so r <= RANK_BOUND.
     """
     _check_rank(r)
-    if len(x) > len(y):
-        return _inverted(_product(_inverted(y), _inverted(x), r))
     perms, index, table = _arrangement_steps((1,) * r)
     walked = [(index[p], c, *extent(c)) for p, c in y.items()]
     coeffs = [(reduced_word(p)[::-1], c, *extent(c)) for p, c in x.items()]
@@ -289,16 +269,14 @@ def t_word(r: int, word) -> HeckeElt:
 
 
 def project_p(r: int, coeffs: dict) -> HeckeElt:
-    """p(sum c_alpha T~^alpha_alpha) = sum c_alpha T_(alpha^-1) T_alpha.
-
-    The images are the rows of ``projection_matrix(r)``.
+    """p(sum c_alpha T~^alpha_alpha) = sum c_alpha T_(alpha^-1) T_alpha,
+    one product per term; T_(alpha^-1) T_alpha is row alpha of
+    ``projection_matrix(r)``, which is not built here.
     """
-    rows = projection_matrix(r).rows
-    perms, index, _ = _arrangement_steps((1,) * r)
     out: dict = {}
-    for p, c in coeffs.items():
-        for j, v in rows[index[p]].items():
-            add_term(out, perms[j], c * v)
+    for alpha, c in coeffs.items():
+        for p, v in _product({inverse(alpha): ONE}, {alpha: c}, r).items():
+            add_term(out, p, v)
     return HeckeElt(r, out)
 
 

@@ -47,11 +47,11 @@ from functools import lru_cache
 from importlib import resources
 
 from .errors import MembershipFailure
-from .hecke import (_composition_matrix, _mul_gen, _unpacked,
+from .hecke import (_arrangement_steps, _composition_matrix, _unpacked,
                     diag_kernel_of_p, idempotents_r3)
 from .linalg import SubspaceBasis, kernel, rank_mod_p
 from .permutations import (_arrangements, _check_rank, _tuple_sub, _weights,
-                           all_perms, weight)
+                           inverse, weight)
 from .qma import FreeElt, block_quotient
 from .rmatrix import appendix_blocks, pi
 from .scalars import (ONE, ZERO, add_term, extent, omega, parse_scalar,
@@ -159,11 +159,17 @@ def preplactic_ideal_component(r: int) -> SubspaceBasis:
     alpha descends at i.  The anti-involution T_w -> T_(w^-1) maps it to the
     left factor T_si T_(alpha^-1), so the left coefficient at T_(beta^-1)
     equals the right one at T_beta, and the compressed action of T_si is
-    alpha -> alpha.si, plus omega^2 alpha on a descent.
+    alpha -> alpha.si, plus omega^2 alpha on a descent.  alpha.si swaps the
+    positions i and i+1 of alpha^-1, so the action is the step table of 1^r
+    (``_arrangement_steps``) read through inversion, and alpha descends
+    where alpha^-1 falls.
     """
-    perms = all_perms(r)
+    _check_rank(r)
+    words, index, table = _arrangement_steps((1,) * r)
+    inv = [index[inverse(w)] for w in words]
+    steps = [[(inv[targets[a]], kinds[a] == 1) for a in inv]
+             for targets, kinds in table[1:]]
     base = ideal_component((1,) * r)
-    index = {p: i for i, p in enumerate(perms)}
     w2 = omega() ** 2
     # Semi-naive closure: each round maps only the rows whose pivot is new.
     # Those rows and the old span span the new span, so the images of the
@@ -172,11 +178,15 @@ def preplactic_ideal_component(r: int) -> SubspaceBasis:
     while True:
         new_rows = list(span.rows)
         for row in fresh:
-            coeffs = {perms[i]: c for i, c in row.items()}
-            for i in range(1, r):
-                image = _mul_gen(coeffs, i, w2)
-                new_rows.append({index[p]: c for p, c in image.items()})
-        bigger = SubspaceBasis.from_vectors(new_rows, len(perms))
+            for step in steps:
+                image: dict = {}
+                for j, c in row.items():
+                    target, falls = step[j]
+                    add_term(image, target, c)
+                    if falls:
+                        add_term(image, j, c * w2)
+                new_rows.append(image)
+        bigger = SubspaceBasis.from_vectors(new_rows, len(words))
         if bigger.dim == span.dim:
             return bigger
         old = set(span.pivots)

@@ -69,6 +69,17 @@ def test_associativity_random():
             assert (x * y) * z == x * (y * z)
 
 
+def mul_gen(terms, i, w):
+    """p -> p.si, plus w p where p descends at i: T_si on the right at
+    omega = w, on a term dict, by Q(q) steps over permutation tuples."""
+    out: dict = {}
+    for p, c in terms.items():
+        add_term(out, apply_gen(p, i), c)
+        if descends(p, i):
+            add_term(out, p, c * w)
+    return out
+
+
 def walk_product(x, y):
     """x * y by the generator walk: x T_rho along the reduced word of rho."""
     w = omega()
@@ -76,12 +87,7 @@ def walk_product(x, y):
     for rho, c in y.terms.items():
         terms = x.terms
         for i in reduced_word(rho):
-            step: dict = {}
-            for p, cc in terms.items():
-                add_term(step, apply_gen(p, i), cc)
-                if descends(p, i):
-                    add_term(step, p, cc * w)
-            terms = step
+            terms = mul_gen(terms, i, w)
         for p, cc in terms.items():
             add_term(out, p, c * cc)
     return HeckeElt(x.r, out)
@@ -109,15 +115,36 @@ def test_product_matches_generator_walk():
                 assert x * y == walk_product(x, y)
 
 
+def test_products_call_no_inverse(monkeypatch):
+    # every product walks its right factor: no term dict is mapped through
+    # T_w -> T_(w^-1), whichever side has more terms
+    rng = random.Random(43)
+    pairs = []
+    for r in (3, 4, 5):
+        for kx, ky in ((1, 4), (3, 3), (6, 2)):
+            y = rand_rational_elt(rng, r, ky)
+            pairs += [(rand_rational_elt(rng, r, kx), y),
+                      (rand_elt(rng, r), y)]
+    want = [walk_product(x, y) for x, y in pairs]
+
+    def refuse(p):
+        raise AssertionError("a product called inverse")
+
+    monkeypatch.setattr(hecke, "inverse", refuse)
+    sides = set()
+    for (x, y), xy in zip(pairs, want):
+        assert x * y == xy
+        sides.add((len(x.terms) > len(y.terms))
+                  - (len(x.terms) < len(y.terms)))
+    assert sides == {-1, 0, 1}
+
+
 def iota(x):
     """T_w -> T_(w^-1) on an element."""
     return HeckeElt(x.r, {inverse(p): c for p, c in x.terms.items()})
 
 
 def test_inversion_is_an_anti_automorphism():
-    # the product walks from the left where x has at most y's terms and is
-    # iota(iota(y) iota(x)) otherwise: pairs of fewer, as many and more
-    # terms run both branches
     rng = random.Random(41)
     by_rank = {3: list(idempotents_r3())}
     for r in range(1, 6):
@@ -139,11 +166,11 @@ def test_inversion_is_an_anti_automorphism():
 
 
 def structure_constants(p, rho):
-    """T_p T_rho by Q(q) steps: ``_mul_gen`` along the reduced word of rho."""
+    """T_p T_rho by Q(q) steps: ``mul_gen`` along the reduced word of rho."""
     w = omega()
     terms = {p: ONE}
     for i in reduced_word(rho):
-        terms = hecke._mul_gen(terms, i, w)
+        terms = mul_gen(terms, i, w)
     return terms
 
 
@@ -189,7 +216,7 @@ def test_product_matches_structure_constant_sum(monkeypatch):
                 if x and y:
                     sides.add((len(x.terms) < len(y.terms),
                                len(y.terms) < len(x.terms)))
-    # the left walk, the right walk with more terms and with equal counts
+    # x with fewer, more and as many terms as y
     assert sides == {(True, False), (False, True), (False, False)}
     # the idempotents carry the denominators [2], [3] and c3, and products
     # of orthogonal ones cancel in every coefficient
@@ -230,13 +257,28 @@ def test_projection_examples():
         HeckeElt.one(3) + t(s(3, 1)).scale(omega())
     gen = {(1, 3, 2): ONE, (3, 1, 2): -ONE, (2, 1, 3): -ONE, (2, 3, 1): ONE}
     assert not project_p(3, gen)
-    # the rows of projection_matrix against T_(alpha^-1) T_alpha directly
-    coeffs = {p: qs(k + 1) * q_power(k % 3 - 1)
-              for k, p in enumerate(all_perms(4))}
-    direct = HeckeElt(4)
-    for alpha, c in coeffs.items():
-        direct = direct + (t(inverse(alpha)) * t(alpha)).scale(c)
-    assert project_p(4, coeffs) == direct
+    # the products T_(alpha^-1) T_alpha against the rows of projection_matrix,
+    # which walk x_(1^4) H_4
+    perms = all_perms(4)
+    coeffs = {p: qs(k + 1) * q_power(k % 3 - 1) for k, p in enumerate(perms)}
+    rows: dict = {}
+    for alpha, row in zip(perms, projection_matrix(4).rows):
+        for j, v in row.items():
+            add_term(rows, perms[j], coeffs[alpha] * v)
+    assert project_p(4, coeffs) == HeckeElt(4, rows)
+
+
+def test_project_p_builds_no_projection_matrix(monkeypatch):
+    perms = all_perms(6)
+    w0 = perms[-1]
+    row = projection_matrix(6).rows[-1]
+
+    def refuse(*args):
+        raise AssertionError("project_p built P")
+
+    monkeypatch.setattr(hecke, "_composition_matrix", refuse)
+    assert project_p(6, {w0: ONE}) == \
+        HeckeElt(6, {perms[j]: c for j, c in row.items()})
 
 
 def test_rank2_idempotents():

@@ -9,7 +9,7 @@ import pytest
 from qdiag import hecke, linalg, pplactic
 from qdiag.checks import run_check
 from qdiag.errors import BoundExceeded, MembershipFailure
-from qdiag.hecke import _mul_gen, project_p, t
+from qdiag.hecke import project_p, t
 from qdiag.permutations import (_arrangements, _weights, all_perms, inverse,
                                 s, weight)
 from qdiag.linalg import SubspaceBasis
@@ -18,6 +18,7 @@ from qdiag.pplactic import (hecke_side_kernel, ideal_component,
                             preplactic_ideal_component, verify_conjecture)
 from qdiag.scalars import (ONE, ZERO, Packing, add_term, omega,
                            parse_scalar, q_int, q_power, qs)
+from test_hecke import mul_gen
 
 
 def hecke_product_action(coeffs, i, r):
@@ -191,7 +192,7 @@ def test_semi_naive_closure_matches_naive(r):
         for row in span.rows:
             coeffs = {perms[i]: c for i, c in row.items()}
             for i in range(1, r):
-                image = _mul_gen(coeffs, i, omega() ** 2)
+                image = mul_gen(coeffs, i, omega() ** 2)
                 rows.append({index[p]: c for p, c in image.items()})
         bigger = SubspaceBasis.from_vectors(rows, len(perms))
         if bigger.dim == span.dim:
@@ -205,7 +206,7 @@ def test_semi_naive_closure_matches_naive(r):
 def test_closed_form_action_matches_hecke_products(r):
     for alpha in all_perms(r):
         for i in range(1, r):
-            assert _mul_gen({alpha: ONE}, i, omega() ** 2) == \
+            assert mul_gen({alpha: ONE}, i, omega() ** 2) == \
                 hecke_product_action({alpha: ONE}, i, r)
 
 
