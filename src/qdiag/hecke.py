@@ -14,7 +14,9 @@ the target gets v << k and a descent keeps (v << 2k) - v.  A step at most
 triples the L1 norm (the sum of the absolute coefficients), so a walk
 along a word of length l keeps every coefficient at most 3^l times the
 norm it started from.  The general product x y is sum_p c_p T_p y, packed
-for the bound |y|_1 sum_p 3^l(p) |c_p|_1; its table lists S_r, the
+for the bound |y|_1 sum_p 3^l(p) |c_p|_1 and read back by one
+``Packing.sum_products``, one accumulator per packed product of c_p's
+denominator and that of a part of y; its table lists S_r, the
 arrangements of 1^r, so it needs r <= RANK_BOUND.  A row of M_lambda below
 walks from one term, so 3^l(beta) bounds it.
 Nothing is cached per pair of basis elements.
@@ -209,53 +211,37 @@ def _product(x: dict, y: dict, r: int) -> dict:
 
     It is sum_p c_p T_p y: y walks from the left (``_walk`` over the
     arrangements of 1^r) along the reduced word of each p of x, reversed.
-    Each side is split by denominator, and every pair of groups is one
-    packed sum.  The walked side s is packed over its lowest exponent; each
-    walk gives q^l(p) T_p s, whose L1 norm is at most 3^l(p) |s|_1, and its
-    product with c_p is shifted to the lowest exponent of the pair.  So
-    |s|_1 sum_p 3^l(p) |c_p|_1 bounds every coefficient of a sum, and the
-    packing is made for that bound over the whole product, with each L1
-    norm the larger of numerator's and denominator's, which also covers the
-    product of two denominators.  Each entry of each pair is unpacked and
-    canonicalized once.  The table lists S_r, so r <= RANK_BOUND.
+    Zero terms on either side are skipped.  y is packed once over its
+    lowest exponent and split by denominator (``Packing.parts``); each walk
+    gives q^l(p) T_p s for a part s, whose L1 norm is at most 3^l(p) |s|_1,
+    and c_p is shifted to one base for all of x, the least lowest
+    exponent of c_p less l(p).  So
+    |y|_1 sum_p 3^l(p) |c_p|_1 bounds every coefficient of the sum, with
+    each L1 norm the larger of numerator's and denominator's, which also
+    bounds the product of two denominators, and the packing is made for
+    it.  One ``Packing.sum_products`` reads the whole product back.  The
+    table lists S_r, so r <= RANK_BOUND.
     """
     _check_rank(r)
     perms, index, table = _arrangement_steps((1,) * r)
-    walked = [(index[p], c, *extent(c)) for p, c in y.items()]
-    coeffs = [(reduced_word(p)[::-1], c, *extent(c)) for p, c in x.items()]
-    packing = Packing(sum(top for *_, top in walked)
-                      * sum(3 ** len(w) * top for w, _, _, top in coeffs))
+    y = {index[p]: c for p, c in y.items() if c}
+    coeffs = [(reduced_word(p)[::-1], c, *extent(c))
+              for p, c in x.items() if c]
+    if not y or not coeffs:
+        return {}
+    lows, tops = zip(*map(extent, y.values()))
+    packing = Packing(sum(tops) * sum(3 ** len(w) * top
+                                      for w, _, _, top in coeffs))
     k = packing.k
-    groups = []  # (denominator, lowest exponent, [(word, packed c_p)])
-    for over, part in _by_denominator(coeffs, packing).items():
-        base = min(c_low - len(w) for w, _, c_low in part)
-        groups.append((over, base, [
-            (w, packing.numerator(c, c_low) << (k * (c_low - len(w) - base)))
-            for w, c, c_low in part]))
-    out: dict = {}
-    for over, part in _by_denominator(walked, packing).items():
-        low = min(c_low for _, _, c_low in part)
-        start = {i: packing.numerator(c, low) for i, c, _ in part}
-        for over_c, base, terms in groups:
-            sums: dict = {}
-            get = sums.get
-            for w, a in terms:
-                for j, v in _walk(start, w, table, k).items():
-                    sums[j] = get(j, 0) + a * v
-            for j, c in packing.scalars(sums, low + base,
-                                        over * over_c).items():
-                add_term(out, perms[j], c)
-    return out
-
-
-def _by_denominator(terms: list, packing: Packing) -> dict:
-    """Terms (key, scalar, lowest exponent, norm) grouped by packed
-    denominator: {denominator: [(key, scalar, lowest exponent)]}; the key
-    is an index of the walked side or a word of the other."""
-    groups: dict = {}
-    for key, c, low, _ in terms:
-        groups.setdefault(packing.denominator(c), []).append((key, c, low))
-    return groups
+    low = min(lows)
+    base = min(c_low - len(w) for w, _, c_low, _ in coeffs)
+    parts = packing.parts(y, low).items()
+    numerator, denominator = packing.numerator, packing.denominator
+    out = packing.sum_products(
+        ((numerator(c, c_low) << (k * (c_low - len(w) - base)),
+          denominator(c) * e, _walk(part, w, table, k))
+         for w, c, c_low, _ in coeffs for e, part in parts), low + base)
+    return {perms[j]: c for j, c in out.items()}
 
 
 def t(p) -> HeckeElt:

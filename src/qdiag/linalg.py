@@ -24,7 +24,7 @@ The basis is kept fully reduced after every row, and reduction rests on
 that: a vector v reduces to v - sum_p v[p] R_p over the pivots p it holds,
 R_p the row of pivot p, which is zero if and only if v is in the span.
 ``scalars.PackedRows.combine`` forms that one residual exactly, on packed
-integers where every entry is a Laurent polynomial, for every vector that
+integers with one accumulator per packed denominator, for every vector that
 ``from_vectors``, ``reduce`` and ``contains`` meet; a basis keeps the
 packed rows it was built with.  An echelon form with a single
 back-substitution at the end would have to keep the basis fully reduced

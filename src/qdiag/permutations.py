@@ -193,8 +193,8 @@ def _arrangements(w: tuple) -> list:
 def _weights(n: int, r: int) -> list:
     """All weights of degree-r words over {1..n}, n >= 1, reverse lex.
 
-    A weight is r stars cut by n - 1 bars; the parts are the gaps between
-    the bar positions, and reversed lex order of the bars is reverse lex
+    A weight counts the r stars of one placement in n boxes, the star
+    positions nondecreasing; lex order of the positions is reverse lex
     order of the parts.
     """
     count = math.comb(n + r - 1, r)
@@ -202,10 +202,13 @@ def _weights(n: int, r: int) -> list:
         raise BoundExceeded(
             f"{count} weights of degree {r} over {n} letters exceed "
             f"{WEIGHT_BOUND}")
-    end = (n + r - 1,)
-    return [tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + end))
-            for bars in reversed(list(
-                itertools.combinations(range(n + r - 1), n - 1)))]
+    weights = []
+    for stars in itertools.combinations_with_replacement(range(n), r):
+        w = [0] * n
+        for i in stars:
+            w[i] += 1
+        weights.append(tuple(w))
+    return weights
 
 
 def perm_str(p: Perm) -> str:

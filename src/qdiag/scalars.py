@@ -44,15 +44,17 @@ the largest L1 norm top of a coefficient's numerator or denominator and
 top_row of an entry's; k keeps 2^(k-1) above that bound, which also bounds
 every product of two denominators.  So a column sum is zero if and only if
 its packed integer is, and equal packed denominators are equal
-polynomials.  Products whose coefficient and entry both have denominator 1
-share one accumulator with the base's Laurent entries, and no gcd runs for
-them.  The others are summed per group of equal packed denominators: the
-products over d and e, a coefficient's and an entry's (either may be 1),
-sum to (sum of their numerators)/(d e), and one canonicalization per
-nonzero column of a group gives the unique form that term-by-term addition
-would reach.  A combination with no base whose rows share no column sums
-nothing, so it is formed in Q(q), one product per entry.  Every Hecke
-walk, M_lambda's included, runs on the same packing (``hecke``).
+polynomials, products d e of a coefficient's and an entry's included.
+``Packing.sum_products`` keeps one accumulator per packed denominator d e
+(either factor may be 1, and the base counts with coefficient 1): the
+products over d e sum to (sum of their numerators)/(d e), so one read-back
+per nonzero column of an accumulator gives the unique form that
+term-by-term addition would reach, and no gcd runs for the accumulator of
+denominator 1.  The accumulators meet through ``add_term``.  A
+combination with no base whose rows share no column sums nothing, so it is
+formed in Q(q), one product per entry.  Every Hecke walk, M_lambda's
+included, runs on the same packing (``hecke``), and every Hecke product
+is read back by the same ``sum_products``.
 
 >>> rows = PackedRows({"a": {"x": omega(), "y": Q},
 ...                    "b": {"x": ONE / q_int(2)}})
@@ -107,9 +109,10 @@ def add_term(d: dict, key, c) -> None:
 class Packing:
     """Integer Laurent polynomials as integers at q = 2^k.
 
-    This is the one Kronecker packing.  ``numerators`` reads the numerators
-    of scalars, each divided by q^low, at q = 2^k, and ``denominators``
-    reads their denominators, ordinary polynomials, as they are.  Packing
+    This is the one Kronecker packing.  ``numerator`` (``numerators``, a
+    row's) reads numerators, divided by q^low, at q = 2^k, ``denominator``
+    a denominator, an ordinary polynomial, as it is, and ``parts`` a row
+    both ways, its numerators split by denominator.  Packing
     is a ring map from Z[q] to Z, so sums, products and shifts by whole
     digits (products with q) of packed integers pack the sums, products and
     q-multiples of the polynomials.  ``scalars`` reads integers back: the
@@ -142,11 +145,18 @@ class Packing:
         den = c.den
         return 1 if den is _ONE_COEFFS else _pack(den, self.k, 0)
 
-    def denominators(self, row: dict) -> dict:
-        """The packed denominators of the entries of a row that have one."""
+    def parts(self, row: dict, low: int) -> dict:
+        """The packed numerators of a row over q^low, split by packed
+        denominator: {denominator (1: none): {column: numerator}}."""
         k = self.k
-        return {j: _pack(c.den, k, 0) for j, c in row.items()
-                if c.den is not _ONE_COEFFS}
+        out: dict = {}
+        for j, c in row.items():
+            over = 1 if c.den is _ONE_COEFFS else _pack(c.den, k, 0)
+            part = out.get(over)
+            if part is None:
+                part = out[over] = {}
+            part[j] = _pack(c.num, k, low)
+        return out
 
     def scalars(self, sums: dict, low: int, over: int = 1) -> dict:
         """The nonzero sums read back, each over the packed denominator
@@ -159,15 +169,39 @@ class Packing:
         return {j: _canon(_unpack(v, k, low), den)
                 for j, v in sums.items() if v}
 
+    def sum_products(self, products, low: int) -> dict:
+        """The sum of products (a, over, row), each a times a packed row
+        {column: int} over the packed denominator over (1: none), read
+        back over q^low as a sparse row {column: nonzero scalar}: one
+        accumulator per denominator, each nonzero column of it read back and
+        canonicalized once, and the accumulators met through ``add_term``."""
+        groups: dict = {}
+        for a, over, row in products:
+            sums = groups.get(over)
+            if sums is None:
+                groups[over] = (dict(row) if a == 1 else
+                                {j: a * v for j, v in row.items()})
+                continue
+            get = sums.get
+            for j, v in row.items():
+                sums[j] = get(j, 0) + a * v
+        out, *rest = [self.scalars(sums, low, over)
+                      for over, sums in groups.items()] or [{}]
+        for part in rest:
+            for j, c in part.items():
+                add_term(out, j, c)
+        return out
+
 
 class PackedRows:
     """Sparse rows {column: scalar} for exact sums of their multiples.
 
     ``rows`` maps each key to a row, and the caller keeps them current:
     ``forget(key)`` after editing a row.  ``combine`` packs as the module
-    docstring describes: each entry of a row is packed once, its numerator
-    divided by q^low for the row's lowest exponent low, and each product is
-    shifted to align with the lowest exponent of its call.  With L1 norm
+    docstring describes: each row is packed once, split by denominator
+    (``Packing.parts``), its numerators divided by q^low for the row's
+    lowest exponent low, and each product is shifted to align with the
+    lowest exponent of its call.  With L1 norm
     ``top`` per coefficient numerator or denominator and ``top_row`` per row
     or base entry numerator or denominator, a coefficient of a column sum of
     n products is at most (n + 1) top top_row, base included, which also
@@ -184,7 +218,7 @@ class PackedRows:
         self.rows = rows
         self.packing = Packing(0)
         self._bounds: dict = {}  # key -> (lowest exponent or None, top)
-        self._packed: dict = {}  # key -> (numerators, denominators) at k
+        self._packed: dict = {}  # key -> its row's ``parts`` at k
 
     def forget(self, key) -> None:
         """Drop what is packed of rows[key], which its caller edited."""
@@ -192,7 +226,8 @@ class PackedRows:
         self._packed.pop(key, None)
 
     def combine(self, coeffs: dict, base: dict) -> dict:
-        """base + sum_key coeffs[key] rows[key], a fresh sparse row."""
+        """base + sum_key coeffs[key] rows[key], a fresh sparse row, in one
+        ``Packing.sum_products``."""
         rows, bounds_of = self.rows, self._bounds
         if not base and _disjoint(list(map(rows.__getitem__, coeffs))):
             return self._summed(coeffs)
@@ -224,41 +259,19 @@ class PackedRows:
         packing = self.packing
         k = packing.k
         numerator, denominator = packing.numerator, packing.denominator
-        acc: dict = {}
-        groups: dict = {}  # packed denominators -> their column sums
-        if base:
-            nums = packing.numerators(base, low)
-            dens = packing.denominators(base)
-            if dens:
-                for j, v in nums.items():
-                    _sums(groups, acc, 1, dens.get(j, 1))[j] = v
-            else:
-                acc = nums
+        products = [(1, e, part)
+                    for e, part in packing.parts(base, low).items()]
         packed = self._packed
         for key, c, c_low, off in terms:
-            entry = packed.get(key)
-            if entry is None:
-                row = rows[key]
-                entry = packed[key] = (
-                    packing.numerators(row, bounds_of[key][0]),
-                    packing.denominators(row))
-            nums, dens = entry
+            parts = packed.get(key)
+            if parts is None:
+                parts = packed[key] = packing.parts(rows[key],
+                                                    bounds_of[key][0])
             a = numerator(c, c_low) << (k * (off - low))
             d = denominator(c)
-            if dens:
-                for j, v in nums.items():
-                    sums = _sums(groups, acc, d, dens.get(j, 1))
-                    sums[j] = sums.get(j, 0) + a * v
-            else:
-                sums = acc if d == 1 else _sums(groups, acc, d, 1)
-                get = sums.get
-                for j, v in nums.items():
-                    sums[j] = get(j, 0) + a * v
-        out = packing.scalars(acc, low)
-        for (d, e), sums in groups.items():
-            for j, c in packing.scalars(sums, low, d * e).items():
-                add_term(out, j, c)
-        return out
+            for e, part in parts.items():
+                products.append((a, d * e, part))
+        return packing.sum_products(products, low)
 
     def _summed(self, coeffs: dict) -> dict:
         """The combination of rows that share no column, formed in Q(q):
@@ -267,18 +280,6 @@ class PackedRows:
         return {j: v if c is ONE else c * v
                 for key, c in coeffs.items() if c
                 for j, v in rows[key].items()}
-
-
-def _sums(groups: dict, acc: dict, d: int, e: int) -> dict:
-    """The column sums of the products over the packed denominators d and
-    e (1: none); the products over d e, whichever factor carries which."""
-    if d == 1 and e == 1:
-        return acc
-    key = (d, e) if d <= e else (e, d)
-    sums = groups.get(key)
-    if sums is None:
-        sums = groups[key] = {}
-    return sums
 
 
 def _disjoint(rows: list) -> bool:

@@ -18,8 +18,8 @@ from qdiag.permutations import (_arrangements, _weights, all_perms, apply_gen,
                                 reduced_word, s, standardize)
 from qdiag.pplactic import verify_conjecture
 from qdiag.qma import diag_relation_kernel
-from qdiag.scalars import (ONE, Q, QScalar, ZERO, add_term, omega, q_int,
-                           q_power, qs)
+from qdiag.scalars import (ONE, Q, Packing, QScalar, ZERO, add_term, omega,
+                           q_int, q_power, qs)
 
 
 def rand_elt(rng, r):
@@ -113,6 +113,37 @@ def test_product_matches_generator_walk():
         for x in xs:
             for y in rng.sample(xs, k=4):
                 assert x * y == walk_product(x, y)
+
+
+def test_product_reads_back_in_one_sum(monkeypatch):
+    # both factors carry several denominators, and the whole product is
+    # one packed sum of products
+    rng = random.Random(49)
+    x, y = rand_rational_elt(rng, 4, 6), rand_rational_elt(rng, 4, 5)
+    for side in (x, y):
+        assert len({str(c.den) for c in side.terms.values()}) > 2
+    want = walk_product(x, y)
+    calls = []
+    sum_products = Packing.sum_products
+
+    def counted(self, products, low):
+        calls.append(low)
+        return sum_products(self, products, low)
+
+    monkeypatch.setattr(Packing, "sum_products", counted)
+    assert x * y == want
+    assert len(calls) == 1
+
+
+def test_product_skips_zero_coefficients():
+    one, s1 = (1, 2, 3), (2, 1, 3)
+    assert project_p(3, {one: ZERO, s1: ONE}) == project_p(3, {s1: ONE})
+    y = {s1: q_int(2), (2, 3, 1): ONE / q_int(3)}
+    assert hecke._product({one: ZERO, s1: Q}, y, 3) == \
+        hecke._product({s1: Q}, y, 3)
+    assert hecke._product({s1: Q}, {one: ZERO, **y}, 3) == \
+        hecke._product({s1: Q}, y, 3)
+    assert hecke._product({one: ZERO}, y, 3) == {}
 
 
 def test_products_call_no_inverse(monkeypatch):

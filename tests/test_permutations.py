@@ -108,6 +108,23 @@ def test_weights_match_the_recursive_definition():
     assert len(_weights(1200, 1)) == 1200
 
 
+def _weights_by_bars(n, r):
+    # the reference: r stars cut by n - 1 bars, the parts the gaps between
+    # the bars, in reverse lex order of the bar positions
+    end = (n + r - 1,)
+    return [tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + end))
+            for bars in reversed(list(
+                itertools.combinations(range(n + r - 1), n - 1)))]
+
+
+def test_weights_match_the_bars_definition():
+    for n in range(1, 7):
+        for r in range(7):
+            assert _weights(n, r) == _weights_by_bars(n, r), (n, r)
+    for n, r in ((40, 2), (1200, 1)):
+        assert _weights(n, r) == _weights_by_bars(n, r), (n, r)
+
+
 def test_weight_count_is_bounded():
     with pytest.raises(BoundExceeded, match="weights"):
         _weights(1200, 3)

@@ -8,8 +8,9 @@ from math import gcd
 import pytest
 
 from qdiag.errors import PoleAtPoint
-from qdiag.scalars import (ONE, Q, QScalar, ZERO, PackedRows, add_term, bar,
-                           omega, parse_scalar, q_int, q_power, qs)
+from qdiag.scalars import (ONE, Q, QScalar, ZERO, PackedRows, Packing,
+                           add_term, bar, extent, omega, parse_scalar, q_int,
+                           q_power, qs)
 
 
 def rand_scalar(rng, nonzero=False):
@@ -564,3 +565,51 @@ def test_forgotten_row_is_packed_again():
     assert _residual_by(packed, {0: Q}, {0: Q, 1: Q * Q}) == \
         {1: Q * Q - Q * omega()}
     assert _residual_by(packed, {0: Q}, {0: Q, 1: Q * omega()}) == {}
+
+
+def test_sum_products_is_the_term_by_term_sum(monkeypatch):
+    # (coefficient, row) pairs over denominator 1 and over polynomial ones:
+    # over q+1 by over q+2, over q+2 by over q+1 and over 1 by over
+    # (q+1)(q+2) have one product of denominators; column "z" cancels
+    # inside that group, "v" between two groups, "w" among Laurent terms
+    a, b = Q + ONE, Q + qs(2)
+    terms = [
+        (q_int(2), {"x": Q, "w": omega()}),
+        (-q_int(2), {"w": omega()}),
+        (ONE / a, {"x": ONE / b, "y": q_power(-2), "z": Q / b}),
+        (q_power(3) / b, {"x": ONE / a, "v": ONE}),
+        (Q, {"y": omega() / (a * b), "z": -ONE / (a * b)}),
+        (-a / b, {"v": q_power(3) / a, "u": qs(3) / b}),
+    ]
+    want: dict = {}
+    for c, row in terms:
+        for j, v in row.items():
+            add_term(want, j, c * v)
+    assert set(want) == {"x", "y", "u"}
+
+    packing = Packing(1 << 12)
+    k = packing.k
+    lows = [(extent(c)[0], min(extent(v)[0] for v in row.values()))
+            for c, row in terms]
+    low = min(map(sum, lows))
+    products, pairs = [], set()
+    for (c, row), (c_low, row_low) in zip(terms, lows):
+        shifted = packing.numerator(c, c_low) << k * (c_low + row_low - low)
+        d = packing.denominator(c)
+        for e, part in packing.parts(row, row_low).items():
+            products.append((shifted, d * e, part))
+            pairs.add((d, e))
+    overs = {over for _, over, _ in products}
+    assert len(overs) == 5  # 1, q+1, q+2, (q+1)(q+2) and (q+2)^2
+    assert len(pairs) == 8
+
+    read = Packing.scalars
+    calls = []
+
+    def counted(self, sums, low, over=1):
+        calls.append(over)
+        return read(self, sums, low, over)
+
+    monkeypatch.setattr(Packing, "scalars", counted)
+    assert packing.sum_products(iter(products), low) == want
+    assert sorted(calls) == sorted(overs)

@@ -106,8 +106,13 @@ def test_packed_rows_is_the_one_packing():
     # packing helpers are named inside that class alone, the Hecke walk
     # imports it, and the other product modules import PackedRows, its
     # sum of products
-    from qdiag import scalars
+    from qdiag import hecke, scalars
     assert not hasattr(scalars, "gather") and not hasattr(scalars, "_Packing")
+    # one read-back for sums of products: no grouping of its own in hecke
+    # or in PackedRows.combine
+    assert not hasattr(hecke, "_by_denominator")
+    assert not hasattr(scalars, "_sums")
+    assert not hasattr(scalars.Packing, "denominators")
     assert callable(scalars._pack) and callable(scalars._unpack)
     outside, importers = [], {"Packing": set(), "PackedRows": set()}
     for path in SOURCES:
